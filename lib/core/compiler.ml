@@ -92,54 +92,32 @@ let bulk_fetch blob_entry ~name ~words ~offset =
         ~length:(Stdlib.max 1 words);
   }
 
-(* The per-blob fraction is pure in (blob, plan, shape); memoise it so the
-   many folds of one layer don't re-walk the window sweep.  Guarded by a
-   mutex: compilation may run from several pool workers at once. *)
-let seq_fraction_cache : (string * string * bool, float) Hashtbl.t =
+(* The fraction is pure in (plan, height, width).  A cold walk costs
+   O(windows x window words), ~10-30 ms for an ImageNet-scale blob, and
+   Db_dse.Explore, Experiments and Train_sim recompile the same layers
+   in-process, so memoise it.  Guarded by a mutex: compilation may run from
+   several pool workers at once. *)
+let seq_fraction_cache : (Tiling.plan * int * int, float) Hashtbl.t =
   Hashtbl.create 64
 
 let seq_fraction_lock = Mutex.create ()
 
 let window_seq_fraction ~tiling_enabled entry ~bottoms_shape =
-  let shape_sig =
-    match bottoms_shape with
-    | Some s -> Shape.to_string s
-    | None -> "none"
-  in
-  let plan_sig =
-    match entry.Layout.tile_plan with
-    | Some p ->
-        Printf.sprintf "t%d_k%d_s%d_d%d_m%d" p.Tiling.tile
-          p.Tiling.plan_spec.Tiling.kernel p.Tiling.plan_spec.Tiling.stride
-          p.Tiling.plan_spec.Tiling.port_width
-          p.Tiling.plan_spec.Tiling.map_count
-    | None -> "row"
-  in
-  let key = (shape_sig ^ "/" ^ plan_sig, entry.Layout.entry_name, tiling_enabled) in
-  let cached =
-    Mutex.lock seq_fraction_lock;
-    let r = Hashtbl.find_opt seq_fraction_cache key in
-    Mutex.unlock seq_fraction_lock;
-    r
-  in
-  match cached with
-  | Some f -> f
-  | None ->
-      let f =
-        match entry.Layout.tile_plan, bottoms_shape with
-        | Some plan, Some shape when Shape.rank shape = 3 ->
-            let plan =
-              if tiling_enabled then plan
-              else Tiling.row_major plan.Tiling.plan_spec
-            in
-            Tiling.window_sequential_fraction plan ~height:(Shape.height shape)
-              ~width:(Shape.width shape)
-        | Some _, _ | None, _ -> if tiling_enabled then 0.9 else 0.4
+  match entry.Layout.tile_plan, bottoms_shape with
+  | Some plan, Some shape when Shape.rank shape = 3 -> (
+      let plan =
+        if tiling_enabled then plan else Tiling.row_major plan.Tiling.plan_spec
       in
-      Mutex.lock seq_fraction_lock;
-      Hashtbl.replace seq_fraction_cache key f;
-      Mutex.unlock seq_fraction_lock;
-      f
+      let height = Shape.height shape and width = Shape.width shape in
+      let key = (plan, height, width) in
+      let locked f = Mutex.protect seq_fraction_lock f in
+      match locked (fun () -> Hashtbl.find_opt seq_fraction_cache key) with
+      | Some f -> f
+      | None ->
+          let f = Tiling.window_sequential_fraction plan ~height ~width in
+          locked (fun () -> Hashtbl.replace seq_fraction_cache key f);
+          f)
+  | Some _, _ | None, _ -> if tiling_enabled then 0.9 else 0.4
 
 let compile ?(tiling_enabled = true) (g : Graph.t) ~datapath ~schedule ~layout =
   let fbuf = datapath.Db_sched.Datapath.feature_buffer_words in

@@ -39,33 +39,30 @@ let row_major spec =
 
 let div_ceil a b = (a + b - 1) / b
 
-(* Enumerate pixels of one tile at tile-grid position (ty, tx), clipped. *)
-let tile_pixels ~tile ~height ~width ~ty ~tx emit =
+(* Enumerate map [m]'s pixels of one tile at tile-grid position (ty, tx),
+   clipped at the image edge. *)
+let tile_pixels ~tile ~height ~width ~ty ~tx f m =
   let y0 = ty * tile and x0 = tx * tile in
-  for dy = 0 to tile - 1 do
-    let y = y0 + dy in
-    if y < height then
-      for dx = 0 to tile - 1 do
-        let x = x0 + dx in
-        if x < width then emit y x
-      done
+  for y = y0 to Stdlib.min height (y0 + tile) - 1 do
+    for x = x0 to Stdlib.min width (x0 + tile) - 1 do
+      f m y x
+    done
   done
 
-let pixel_order plan ~height ~width =
+(* Visit every pixel once, in DRAM storage order, as [f addr m y x]. *)
+let iter_order plan ~height ~width f =
   let spec = plan.plan_spec in
-  let total = spec.map_count * height * width in
-  let out = Array.make total (0, 0, 0) in
-  let pos = ref 0 in
-  let emit m y x =
-    out.(!pos) <- (m, y, x);
-    incr pos
+  let addr = ref 0 in
+  let visit m y x =
+    f !addr m y x;
+    incr addr
   in
   (match plan.plan_case with
   | Row_major ->
       for m = 0 to spec.map_count - 1 do
         for y = 0 to height - 1 do
           for x = 0 to width - 1 do
-            emit m y x
+            visit m y x
           done
         done
       done
@@ -76,7 +73,7 @@ let pixel_order plan ~height ~width =
         for ty = 0 to tiles_y - 1 do
           for tx = 0 to tiles_x - 1 do
             for m = 0 to spec.map_count - 1 do
-              tile_pixels ~tile ~height ~width ~ty ~tx (emit m)
+              tile_pixels ~tile ~height ~width ~ty ~tx visit m
             done
           done
         done
@@ -84,64 +81,74 @@ let pixel_order plan ~height ~width =
         for m = 0 to spec.map_count - 1 do
           for ty = 0 to tiles_y - 1 do
             for tx = 0 to tiles_x - 1 do
-              tile_pixels ~tile ~height ~width ~ty ~tx (emit m)
+              tile_pixels ~tile ~height ~width ~ty ~tx visit m
             done
           done
         done);
-  assert (!pos = total);
+  assert (!addr = spec.map_count * height * width)
+
+let pixel_order plan ~height ~width =
+  let out = Array.make (plan.plan_spec.map_count * height * width) (0, 0, 0) in
+  iter_order plan ~height ~width (fun addr m y x -> out.(addr) <- (m, y, x));
   out
 
 let address_table plan ~height ~width =
-  let order = pixel_order plan ~height ~width in
-  let spec = plan.plan_spec in
-  let table = Array.make (spec.map_count * height * width) (-1) in
-  Array.iteri
-    (fun addr (m, y, x) -> table.(((m * height) + y) * width + x) <- addr)
-    order;
+  let table = Array.make (plan.plan_spec.map_count * height * width) (-1) in
+  iter_order plan ~height ~width (fun addr m y x ->
+      table.(((m * height) + y) * width + x) <- addr);
   table
 
 (* Walk every kernel window in raster order; a window spans all input maps
    (a convolution consumes every channel at each output position).  The AGU
    fetches a window's words in stream-address order (its pattern follows
-   the layout), so each window's addresses are sorted before counting which
-   steps stream sequentially — this is where Method-1's partitioning pays
-   off, including the map-interleaved case-3 layout whose f=1 degenerate
-   form is channel interleaving (NHWC). *)
+   the layout), so a step is sequential when the next address in sorted
+   order is one more than the last — this is where Method-1's partitioning
+   pays off, including the map-interleaved case-3 layout whose f=1
+   degenerate form is channel interleaving (NHWC).
+
+   No sort is needed.  The address table is a bijection, so a window's
+   addresses are distinct, and its in-window sequential steps are those
+   addresses [a] whose [a - 1] is also in the window.  [stamp.(a + 1)] holds
+   the last window that contained [a], so it never needs clearing.  The
+   step between windows joins the previous window's max to this window's
+   min.  Cost: O(windows x window words). *)
 let window_sequential_fraction plan ~height ~width =
   let spec = plan.plan_spec in
   let k = spec.kernel and s = spec.stride and maps = spec.map_count in
   if height < k || width < k then 1.0
   else begin
     let table = address_table plan ~height ~width in
-    let seq = ref 0 and steps = ref 0 in
+    let stamp = Array.make (Array.length table + 1) (-1) in
     let oy_max = (height - k) / s and ox_max = (width - k) / s in
     (* Cap the sweep for very large maps: locality statistics converge after
        a few hundred windows. *)
     let oy_max = Stdlib.min oy_max 23 and ox_max = Stdlib.min ox_max 23 in
-    let window = Array.make (k * k * maps) 0 in
-    let prev = ref (-2) in
+    let wlen = k * k * maps in
+    let window = Array.make wlen 0 in
+    let seq = ref 0 and prev_max = ref 0 in
     for oy = 0 to oy_max do
       for ox = 0 to ox_max do
-        let pos = ref 0 in
+        let w = (oy * (ox_max + 1)) + ox in
+        let pos = ref 0 and lo = ref max_int and hi = ref (-1) in
         for m = 0 to maps - 1 do
           for ky = 0 to k - 1 do
+            let row = (((m * height) + (oy * s) + ky) * width) + (ox * s) in
             for kx = 0 to k - 1 do
-              window.(!pos) <-
-                table.(((m * height) + (oy * s) + ky) * width + (ox * s) + kx);
+              let a = table.(row + kx) in
+              window.(!pos) <- a;
+              stamp.(a + 1) <- w;
+              if a < !lo then lo := a;
+              if a > !hi then hi := a;
               incr pos
             done
           done
         done;
-        Array.sort compare window;
-        Array.iter
-          (fun a ->
-            if !prev >= 0 then begin
-              incr steps;
-              if a = !prev + 1 then incr seq
-            end;
-            prev := a)
-          window
+        Array.iter (fun a -> if stamp.(a) = w then incr seq) window;
+        if w > 0 && !lo = !prev_max + 1 then incr seq;
+        prev_max := !hi
       done
     done;
-    if !steps = 0 then 1.0 else float_of_int !seq /. float_of_int !steps
+    (* Every word after the very first is one step. *)
+    let steps = ((oy_max + 1) * (ox_max + 1) * wlen) - 1 in
+    if steps = 0 then 1.0 else float_of_int !seq /. float_of_int steps
   end

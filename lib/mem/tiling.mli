@@ -44,9 +44,11 @@ val pixel_order : plan -> height:int -> width:int -> (int * int * int) array
 
 val address_table : plan -> height:int -> width:int -> int array
 (** Inverse view: flat array indexed by [((map * height) + y) * width + x]
-    giving the stream address of each pixel. *)
+    giving the stream address of each pixel, a permutation of
+    [0 .. map_count * height * width - 1]. *)
 
 val window_sequential_fraction : plan -> height:int -> width:int -> float
 (** Average fraction of address-stream steps that are sequential when
-    fetching every kernel window of a convolution sweep (the quantity the
-    DRAM model consumes).  1.0 means perfectly streaming. *)
+    fetching every kernel window of a convolution sweep, each window's
+    words in sorted address order (the quantity the DRAM model consumes).
+    1.0 means perfectly streaming.  O(windows x window words), no sort. *)

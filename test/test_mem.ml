@@ -164,22 +164,93 @@ let prop_tiling_partition =
       Array.length order = map_count * height * width
       && Hashtbl.length seen = Array.length order)
 
+(* Random Method-1 plans over random images: kernel 1-12, stride 1-5, port
+   1-16, maps 1-6 and images up to 40x40, so clipped edge tiles and the
+   24x24 window cap are both reached; tiled ([decide]) or [row_major]. *)
+let arb_plan_image =
+  QCheck.(
+    pair
+      (quad (int_range 1 12) (int_range 1 5) (int_range 1 16) (int_range 1 6))
+      (triple (int_range 1 40) (int_range 1 40) bool))
+
+let plan_of (kernel, stride, port_width, map_count) tiled =
+  let spec = { Tiling.kernel; stride; port_width; map_count } in
+  if tiled then Tiling.decide spec else Tiling.row_major spec
+
+(* Property: the address table is a permutation of 0 .. n-1 that inverts
+   the pixel order.  The sort-free locality count relies on it: a window's
+   addresses are then distinct. *)
 let prop_address_table_inverse =
-  QCheck.Test.make ~name:"address table inverts pixel order" ~count:50
-    QCheck.(pair (int_range 1 5) (int_range 1 3))
-    (fun (kernel, map_count) ->
-      let plan =
-        Tiling.decide { Tiling.kernel; stride = 1; port_width = 4; map_count }
-      in
-      let height = 6 and width = 6 in
+  QCheck.Test.make ~name:"address table inverts pixel order" ~count:200
+    arb_plan_image
+    (fun (spec, (height, width, tiled)) ->
+      let plan = plan_of spec tiled in
       let order = Tiling.pixel_order plan ~height ~width in
       let table = Tiling.address_table plan ~height ~width in
-      let ok = ref true in
+      let n = Array.length table in
+      let hit = Array.make n false in
+      Array.iter (fun a -> if a >= 0 && a < n then hit.(a) <- true) table;
+      let inverts = ref true in
       Array.iteri
         (fun addr (m, y, x) ->
-          if table.(((m * height) + y) * width + x) <> addr then ok := false)
+          if table.(((m * height) + y) * width + x) <> addr then inverts := false)
         order;
-      !ok)
+      n = Array.length order && Array.for_all Fun.id hit && !inverts)
+
+(* The original locality count, kept here as the oracle: invert the
+   materialised pixel order, then sort each window's addresses and count
+   the unit steps. *)
+let sorted_window_fraction plan ~height ~width =
+  let spec = plan.Tiling.plan_spec in
+  let k = spec.Tiling.kernel and s = spec.Tiling.stride in
+  let maps = spec.Tiling.map_count in
+  if height < k || width < k then 1.0
+  else begin
+    let table = Array.make (maps * height * width) (-1) in
+    Array.iteri
+      (fun addr (m, y, x) -> table.(((m * height) + y) * width + x) <- addr)
+      (Tiling.pixel_order plan ~height ~width);
+    let seq = ref 0 and steps = ref 0 in
+    let oy_max = Stdlib.min ((height - k) / s) 23 in
+    let ox_max = Stdlib.min ((width - k) / s) 23 in
+    let window = Array.make (k * k * maps) 0 in
+    let prev = ref (-2) in
+    for oy = 0 to oy_max do
+      for ox = 0 to ox_max do
+        let pos = ref 0 in
+        for m = 0 to maps - 1 do
+          for ky = 0 to k - 1 do
+            for kx = 0 to k - 1 do
+              window.(!pos) <-
+                table.(((m * height) + (oy * s) + ky) * width + (ox * s) + kx);
+              incr pos
+            done
+          done
+        done;
+        Array.sort compare window;
+        Array.iter
+          (fun a ->
+            if !prev >= 0 then begin
+              incr steps;
+              if a = !prev + 1 then incr seq
+            end;
+            prev := a)
+          window
+      done
+    done;
+    if !steps = 0 then 1.0 else float_of_int !seq /. float_of_int !steps
+  end
+
+(* Property: the sort-free count is bit-identical to the sorting oracle. *)
+let prop_window_fraction_matches_sort =
+  QCheck.Test.make ~name:"sort-free locality = sorted oracle" ~count:200
+    arb_plan_image
+    (fun (spec, (height, width, tiled)) ->
+      let plan = plan_of spec tiled in
+      Int64.equal
+        (Int64.bits_of_float
+           (Tiling.window_sequential_fraction plan ~height ~width))
+        (Int64.bits_of_float (sorted_window_fraction plan ~height ~width)))
 
 let test_tiling_improves_window_locality () =
   (* The paper's example: 12x12 kernel at stride 4, port width 4. *)
@@ -260,6 +331,7 @@ let suite =
         Alcotest.test_case "locality win" `Quick test_tiling_improves_window_locality;
         QCheck_alcotest.to_alcotest prop_tiling_partition;
         QCheck_alcotest.to_alcotest prop_address_table_inverse;
+        QCheck_alcotest.to_alcotest prop_window_fraction_matches_sort;
       ] );
     ( "mem.layout",
       [
