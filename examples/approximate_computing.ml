@@ -37,7 +37,7 @@ let () =
   let cpu_outputs =
     Array.map
       (fun input ->
-        Db_nn.Interpreter.output net prepared.Benchmarks.params
+        Db_ir.Interp.output design.Db_core.Design.ir prepared.Benchmarks.params
           ~inputs:[ (prepared.Benchmarks.input_blob, input) ])
       prepared.Benchmarks.eval_inputs
   in

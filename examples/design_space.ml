@@ -65,25 +65,37 @@ let () =
        ~headers:[ "preset"; "device"; "latency"; "energy"; "DSP"; "LUT" ]
        ~rows:preset_rows);
 
-  (* The explorer condenses the sweep into the decision a designer makes. *)
-  let points =
-    Db_sim.Explorer.sweep_lanes Db_core.Constraints.db_medium
-      bench.Benchmarks.network ~lanes:[ 1; 2; 4; 8; 16 ]
+  (* The explorer condenses the sweep into the decision a designer makes:
+     every front point fits the DB budget, so the fastest one is the pick. *)
+  let config =
+    {
+      Db_dse.Explore.default_config with
+      Db_dse.Explore.budget = 16;
+      axes = [ Db_core.Objective.Latency_s; Db_core.Objective.Luts ];
+    }
   in
-  let frontier = Db_sim.Explorer.pareto points in
+  let result =
+    Db_dse.Explore.explore ~config Db_core.Constraints.db_medium
+      bench.Benchmarks.network
+  in
+  let latency e = e.Db_dse.Explore.e_objective.Db_core.Objective.latency_s in
+  let frontier =
+    List.sort (fun a b -> compare (latency a) (latency b))
+      result.Db_dse.Explore.r_front
+  in
+  let lanes e = e.Db_dse.Explore.e_candidate.Db_dse.Space.lanes in
   Printf.printf "\nPareto frontier (latency vs LUTs): %s\n"
     (String.concat ", "
        (List.map
-          (fun p ->
-            Printf.sprintf "%d lanes (%s, %d LUTs)" p.Db_sim.Explorer.pt_lanes
-              (Db_report.Table.ms p.Db_sim.Explorer.pt_seconds)
-              p.Db_sim.Explorer.pt_resources.Resource.luts)
+          (fun e ->
+            Printf.sprintf "%d lanes (%s, %.0f LUTs)" (lanes e)
+              (Db_report.Table.ms (latency e))
+              e.Db_dse.Explore.e_objective.Db_core.Objective.luts)
           frontier));
-  (match Db_sim.Explorer.best_under_budget points with
-  | Some best ->
-      Printf.printf "fastest point inside the DB budget: %d lanes\n"
-        best.Db_sim.Explorer.pt_lanes
-  | None -> print_endline "no point fits the DB budget");
+  (match frontier with
+  | best :: _ ->
+      Printf.printf "fastest point inside the DB budget: %d lanes\n" (lanes best)
+  | [] -> print_endline "no point fits the DB budget");
 
   print_endline
     "\nNN-Gen picks the widest datapath that fits each budget; the sweep\n\

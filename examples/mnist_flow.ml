@@ -21,8 +21,9 @@ let () =
   in
   Printf.printf "\nclassification accuracy (%d held-out glyphs):\n"
     (Array.length prepared.Benchmarks.eval_inputs);
+  let graph = Db_ir.Lower.lower net in
   evaluate "float NN (CPU)" (fun input ->
-      Db_nn.Interpreter.output net prepared.Benchmarks.params
+      Db_ir.Interp.output graph prepared.Benchmarks.params
         ~inputs:[ (prepared.Benchmarks.input_blob, input) ]);
 
   (* Generate at the paper's DB and DB-S budget points. *)

@@ -66,12 +66,13 @@ let () =
               }
             ~rng net params train_set
         in
+        let graph = Db_ir.Lower.lower net in
         let accuracy =
           Db_util.Stats.mean
             (Array.map
                (fun input ->
                  let out =
-                   Db_nn.Interpreter.output net params
+                   Db_ir.Interp.output graph params
                      ~inputs:
                        [ ("data", Tensor.of_array (Shape.vector block_n) input) ]
                  in

@@ -72,7 +72,7 @@ let () =
     Db_sim.Simulator.run design params ~inputs:[ ("data", input) ]
   in
   let float_out =
-    Db_nn.Interpreter.output design.Db_core.Design.network params
+    Db_ir.Interp.output design.Db_core.Design.ir params
       ~inputs:[ ("data", input) ]
   in
   (* 6. Emit a self-checking Verilog testbench replaying this exact run

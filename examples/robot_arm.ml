@@ -48,7 +48,7 @@ let () =
   in
   ignore (Shape.scalar : Shape.t);
   let float_controller target =
-    Db_nn.Interpreter.output net prepared.Benchmarks.params
+    Db_ir.Interp.output design.Db_core.Design.ir prepared.Benchmarks.params
       ~inputs:[ (prepared.Benchmarks.input_blob, target) ]
   in
   let accel_controller target =

@@ -4,7 +4,7 @@
     through every operator of a lowered {!Db_ir.Graph.t} and proves (or
     refutes) that the constraint's {!Db_fixed.Fixed.format} cannot
     saturate, emitting the minimal accumulator width each weighted layer
-    needs.  Sound w.r.t. the float interpreters: the dynamically observed
+    needs.  Sound w.r.t. the float interpreter: the dynamically observed
     range of every tensor is enclosed by its static interval (the
     property tests in test/test_check.ml exercise this on the zoo).
 

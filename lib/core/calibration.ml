@@ -15,11 +15,10 @@ let profile_max_abs net params ~input_blob ~samples =
           acc
           (Db_nn.Params.get params node.Db_nn.Network.node_name))
   in
+  let g = Db_ir.Lower.lower net in
   List.fold_left
     (fun acc sample ->
-      let env =
-        Db_nn.Interpreter.forward net params ~inputs:[ (input_blob, sample) ]
-      in
+      let env = Db_ir.Interp.forward g params ~inputs:[ (input_blob, sample) ] in
       List.fold_left
         (fun acc (_, blob) -> Float.max acc (tensor_max_abs blob))
         acc env)

@@ -223,8 +223,7 @@ let explore ?(config = default_config) (base : Constraints.t) net =
           try
             Some
               (List.map
-                 (fun inputs ->
-                   Db_nn.Interpreter.output net params ~inputs)
+                 (fun inputs -> Db_ir.Interp.output graph params ~inputs)
                  samples)
           with e -> (
             (* e.g. a multi-output network the interpreter refuses: the

@@ -89,8 +89,8 @@ let of_layer = function
 
 (* The base layer of an op; a fused activation is dropped (the caller
    accounts for it separately via [fused_activation]).  This is what lets
-   shape inference, parameter shapes, costs and the interpreter reuse the
-   frontend's single implementation bit-for-bit. *)
+   shape inference, parameter shapes, costs and the quantized engine reuse
+   the frontend's single implementation bit-for-bit. *)
 let to_layer = function
   | Input { shape } -> Layer.Input { shape }
   | Conv { num_output; kernel_size; stride; pad; group; bias; fused = _ } ->

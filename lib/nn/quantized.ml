@@ -338,7 +338,7 @@ let eval_node fmt eval layer ~params ~bottoms =
   | Layer.Associative { cells_per_dim; active_cells } ->
       let input = dequantize fmt (flat (one ())) in
       quantize fmt
-        (Interpreter.associative_encode ~cells_per_dim ~active_cells input)
+        (Db_tensor.Ops.associative_encode ~cells_per_dim ~active_cells input)
   | Layer.Concat ->
       let total = List.fold_left (fun acc b -> acc + Array.length b.qdata) 0 bottoms in
       let first = match bottoms with b :: _ -> b | [] -> fail "concat: no bottoms" in

@@ -228,10 +228,11 @@ let fig10 config =
             Array.sub prepared.Benchmarks.eval_inputs 0 n
         | Some _ | None -> prepared.Benchmarks.eval_inputs
       in
+      let graph = Db_ir.Lower.lower net in
       let cpu_outputs =
         Array.map
           (fun input ->
-            Db_nn.Interpreter.output net prepared.Benchmarks.params
+            Db_ir.Interp.output graph prepared.Benchmarks.params
               ~inputs:[ (blob, input) ])
           eval_inputs
       in

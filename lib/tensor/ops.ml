@@ -335,3 +335,88 @@ let concat_channels tensors =
       out
 
 let flatten t = Tensor.reshape t (Shape.vector (Tensor.numel t))
+
+let associative_encode ~cells_per_dim ~active_cells input =
+  let n = Tensor.numel input in
+  let out = Tensor.create (Shape.vector (n * cells_per_dim)) in
+  let weight = 1.0 /. float_of_int active_cells in
+  let half = active_cells / 2 in
+  for i = 0 to n - 1 do
+    let x = Float.min 1.0 (Float.max 0.0 (Tensor.get input i)) in
+    let centre =
+      Stdlib.min (cells_per_dim - 1)
+        (int_of_float (x *. float_of_int (cells_per_dim - 1) +. 0.5))
+    in
+    for d = -half to active_cells - half - 1 do
+      let cell = centre + d in
+      if cell >= 0 && cell < cells_per_dim then
+        Tensor.set out ((i * cells_per_dim) + cell) weight
+    done
+  done;
+  out
+
+let classify_top_k ~top_k input =
+  let n = Tensor.numel input in
+  (* Partial selection instead of sorting all n logits: k passes, each
+     picking the largest remaining value.  The ascending scan with a strict
+     [>] means the lowest index wins ties — the same order as the hardware
+     k-sorter's deterministic comparator network. *)
+  let used = Array.make n false in
+  let selected = Array.make top_k 0 in
+  for rank = 0 to top_k - 1 do
+    let best = ref (-1) in
+    for i = 0 to n - 1 do
+      if
+        (not used.(i))
+        && (!best < 0 || Tensor.get input i > Tensor.get input !best)
+      then best := i
+    done;
+    if !best < 0 then fail "classify_top_k: top_k %d exceeds input size %d" top_k n;
+    used.(!best) <- true;
+    selected.(rank) <- !best
+  done;
+  Tensor.init (Shape.vector top_k) (fun i -> float_of_int selected.(i))
+
+let recurrent_forward ~w_in ~w_rec ~bias ~steps input =
+  let num_output = Shape.dim (Tensor.shape w_in) 0 in
+  let state = ref (Tensor.create (Shape.vector num_output)) in
+  for _step = 1 to steps do
+    let drive = fully_connected ~input ~weights:w_in ~bias in
+    let feedback = fully_connected ~input:!state ~weights:w_rec ~bias:None in
+    state := tanh_act (Tensor.add drive feedback)
+  done;
+  !state
+
+(* Window edges are clipped: smaller effective windows at the borders. *)
+let lcn ~window ~epsilon input =
+  let shape = Tensor.shape input in
+  let c = Shape.channels shape
+  and h = Shape.height shape
+  and w = Shape.width shape in
+  let half = window / 2 in
+  let out = Tensor.create shape in
+  for ch = 0 to c - 1 do
+    for y = 0 to h - 1 do
+      for x = 0 to w - 1 do
+        let sum = ref 0.0 and sumsq = ref 0.0 and count = ref 0 in
+        for dy = -half to half do
+          for dx = -half to half do
+            let yy = y + dy and xx = x + dx in
+            if yy >= 0 && yy < h && xx >= 0 && xx < w then begin
+              let v = Tensor.get3 input ~c:ch ~y:yy ~x:xx in
+              sum := !sum +. v;
+              sumsq := !sumsq +. (v *. v);
+              incr count
+            end
+          done
+        done;
+        let n = float_of_int !count in
+        let mean = !sum /. n in
+        let var = Float.max 0.0 ((!sumsq /. n) -. (mean *. mean)) in
+        let denom = Float.max epsilon (sqrt var) in
+        Tensor.set3 out ~c:ch ~y ~x
+          ((Tensor.get3 input ~c:ch ~y ~x -. mean) /. denom)
+      done
+    done
+  done;
+  out

@@ -74,3 +74,29 @@ val concat_channels : Tensor.t list -> Tensor.t
 
 val flatten : Tensor.t -> Tensor.t
 (** Rank-1 view of the same data. *)
+
+val lcn : window:int -> epsilon:float -> Tensor.t -> Tensor.t
+(** Local contrast normalisation: per channel, subtract the spatial
+    [window] mean and divide by the window standard deviation floored at
+    [epsilon]. *)
+
+val recurrent_forward :
+  w_in:Tensor.t ->
+  w_rec:Tensor.t ->
+  bias:Tensor.t option ->
+  steps:int ->
+  Tensor.t ->
+  Tensor.t
+(** [steps] iterations of [s <- tanh (w_in x + b + w_rec s)] from a zero
+    state; the input is flattened by the caller. *)
+
+val associative_encode :
+  cells_per_dim:int -> active_cells:int -> Tensor.t -> Tensor.t
+(** CMAC tile-coding used by associative layers: each input dimension is
+    clamped to [0,1], quantised into [cells_per_dim] cells, and the
+    [active_cells] cells centred on the hit are set to [1/active_cells]
+    (clipped at the edges). *)
+
+val classify_top_k : top_k:int -> Tensor.t -> Tensor.t
+(** Indices of the [top_k] largest values, largest first, as floats; the
+    lowest index wins ties.  Fails when [top_k] exceeds the input size. *)

@@ -48,9 +48,7 @@ let forward_op ~op ~params ~input =
       fail "cannot train through %s+%s: backprop runs on the raw graph"
         (Op.name op) (Op.activation_name act)
   | None -> ());
-  let output =
-    Db_nn.Interpreter.eval_layer (Op.to_layer op) ~params ~bottoms:[ input ]
-  in
+  let output = Db_ir.Interp.eval_op op ~params ~bottoms:[ input ] in
   (output, { c_op = op; c_params = params; c_input = input; c_output = output })
 
 (* dL/dx and dL/dW for a convolution, direct nested loops mirroring the

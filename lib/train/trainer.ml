@@ -1,5 +1,4 @@
 module Tensor = Db_tensor.Tensor
-module Network = Db_nn.Network
 module Params = Db_nn.Params
 module Graph = Db_ir.Graph
 module Op = Db_ir.Op
@@ -185,10 +184,11 @@ let mean_loss ~loss net params samples =
 
 let classification_accuracy net params samples =
   if Array.length samples = 0 then fail "no evaluation samples";
+  let g = Db_ir.Lower.lower net in
   let input_blob =
-    match Network.input_nodes net with
+    match Graph.input_nodes g with
     | [ node ] -> begin
-        match node.Network.tops with
+        match node.Graph.outputs with
         | [ top ] -> top
         | _ -> fail "input node must have one top"
       end
@@ -197,9 +197,7 @@ let classification_accuracy net params samples =
   let correct = ref 0 in
   Array.iter
     (fun (input, label) ->
-      let out =
-        Db_nn.Interpreter.output net params ~inputs:[ (input_blob, input) ]
-      in
+      let out = Db_ir.Interp.output g params ~inputs:[ (input_blob, input) ] in
       if Tensor.max_index out = label then incr correct)
     samples;
   float_of_int !correct /. float_of_int (Array.length samples)

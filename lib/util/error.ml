@@ -50,7 +50,7 @@ let () =
       ("params", Validation);
       ("shape-infer", Validation);
       ("quantized", Validation);
-      ("interpreter", Validation);
+      ("ir-interp", Validation);
       ("access-pattern", Validation);
       ("block", Validation);
       ("fsm", Validation);

@@ -266,10 +266,10 @@ let prepare_fidelity ~seed ~network ~input_shape ~samples =
     Array.init samples (fun _ ->
         Tensor.random_uniform rng input_shape ~min:0.0 ~max:1.0)
   in
+  let g = Db_ir.Lower.lower logits_net in
   let golden =
     Array.map
-      (fun input ->
-        Db_nn.Interpreter.output logits_net params ~inputs:[ ("data", input) ])
+      (fun input -> Db_ir.Interp.output g params ~inputs:[ ("data", input) ])
       eval_inputs
   in
   {

@@ -87,7 +87,7 @@ let decode_tour t activations =
 
 let solve t =
   let out =
-    Db_nn.Interpreter.output t.network t.params
+    Db_ir.Interp.output (Db_ir.Lower.lower t.network) t.params
       ~inputs:[ (input_blob, t.input) ]
   in
   decode_tour t out

@@ -342,6 +342,23 @@ layers { name: "relax" type: RECURRENT bottom: "bias" top: "state"
 
 let build src = Db_nn.Caffe.import_string src
 
+let named =
+  [
+    ("mlp", mlp_prototxt);
+    ("cmac", cmac_prototxt);
+    ("mnist", mnist_prototxt);
+    ("cifar", cifar_prototxt);
+    ("cifar-lite", cifar_lite_prototxt);
+    ("alexnet", alexnet_prototxt);
+    ("nin", nin_prototxt);
+    ("googlenet-like", googlenet_like_prototxt);
+    ("hopfield", hopfield_prototxt ~cities:5);
+    ("lenet5", lenet5_prototxt);
+    ("vgg16", vgg16_prototxt);
+    ( "ann0",
+      ann_prototxt ~name:"ann0" ~inputs:1 ~hidden1:8 ~hidden2:8 ~outputs:2 );
+  ]
+
 let table1_models =
   [
     ("MLP", build mlp_prototxt);

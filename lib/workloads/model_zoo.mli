@@ -61,5 +61,10 @@ val hopfield_prototxt : cities:int -> string
 val build : string -> Db_nn.Network.t
 (** Import a prototxt string (thin wrapper over {!Db_nn.Caffe}). *)
 
+val named : (string * string) list
+(** The twelve models the CLI serves by name ([zoo list], [ir], [lint
+    --zoo], ...) with their prototxt sources, in the order the CI gates
+    enumerate them. *)
+
 val table1_models : (string * Db_nn.Network.t) list
 (** Name/network pairs in the column order of Table 1. *)

@@ -328,19 +328,7 @@ let test_to_string_format () =
 (* --- the generator's own designs are clean -------------------------------- *)
 
 let zoo_sources =
-  [
-    ("mlp", Db_workloads.Model_zoo.mlp_prototxt);
-    ("cmac", Db_workloads.Model_zoo.cmac_prototxt);
-    ("mnist", Db_workloads.Model_zoo.mnist_prototxt);
-    ("cifar", Db_workloads.Model_zoo.cifar_prototxt);
-    ("cifar-lite", Db_workloads.Model_zoo.cifar_lite_prototxt);
-    ("alexnet", Db_workloads.Model_zoo.alexnet_prototxt);
-    ("nin", Db_workloads.Model_zoo.nin_prototxt);
-    ("googlenet-like", Db_workloads.Model_zoo.googlenet_like_prototxt);
-    ("hopfield", Db_workloads.Model_zoo.hopfield_prototxt ~cities:5);
-    ("lenet5", Db_workloads.Model_zoo.lenet5_prototxt);
-    ("vgg16", Db_workloads.Model_zoo.vgg16_prototxt);
-  ]
+  List.filter (fun (name, _) -> name <> "ann0") Db_workloads.Model_zoo.named
 
 let constraint_script =
   {|constraint { device: "zynq-7045" dsps: 16 luts: 60000 ffs: 40000 bram_kb: 1024 }|}

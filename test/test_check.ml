@@ -14,23 +14,7 @@ module Shape = Db_tensor.Shape
 module Fixed = Db_fixed.Fixed
 module Layer = Db_nn.Layer
 
-let zoo_models =
-  [
-    ("mlp", Db_workloads.Model_zoo.mlp_prototxt);
-    ("cmac", Db_workloads.Model_zoo.cmac_prototxt);
-    ("mnist", Db_workloads.Model_zoo.mnist_prototxt);
-    ("cifar", Db_workloads.Model_zoo.cifar_prototxt);
-    ("cifar-lite", Db_workloads.Model_zoo.cifar_lite_prototxt);
-    ("alexnet", Db_workloads.Model_zoo.alexnet_prototxt);
-    ("nin", Db_workloads.Model_zoo.nin_prototxt);
-    ("googlenet-like", Db_workloads.Model_zoo.googlenet_like_prototxt);
-    ("hopfield", Db_workloads.Model_zoo.hopfield_prototxt ~cities:5);
-    ("lenet5", Db_workloads.Model_zoo.lenet5_prototxt);
-    ("vgg16", Db_workloads.Model_zoo.vgg16_prototxt);
-    ( "ann0",
-      Db_workloads.Model_zoo.ann_prototxt ~name:"ann0" ~inputs:1 ~hidden1:8
-        ~hidden2:8 ~outputs:2 );
-  ]
+let zoo_models = Db_workloads.Model_zoo.named
 
 let build name = Db_workloads.Model_zoo.build (List.assoc name zoo_models)
 

@@ -254,7 +254,7 @@ let test_lcn_constant_input_zeroes () =
   (* A constant image has zero contrast: output is zero everywhere. *)
   let net = lcn_net ~window:3 ~epsilon:0.01 in
   let input = Tensor.full (Shape.chw ~channels:1 ~height:5 ~width:5) 0.7 in
-  let out = Db_nn.Interpreter.output net (Db_nn.Params.create ()) ~inputs:[ ("x", input) ] in
+  let out = Db_ir.Interp.output (Db_ir.Lower.lower net) (Db_nn.Params.create ()) ~inputs:[ ("x", input) ] in
   Tensor.iteri
     (fun i v -> Alcotest.(check (float 1e-9)) (Printf.sprintf "pixel %d" i) 0.0 v)
     out
@@ -269,11 +269,9 @@ let test_lcn_normalises_scale () =
       ~min:0.0 ~max:1.0
   in
   let params = Db_nn.Params.create () in
-  let out1 = Db_nn.Interpreter.output net params ~inputs:[ ("x", input) ] in
-  let out2 =
-    Db_nn.Interpreter.output net params
-      ~inputs:[ ("x", Tensor.scale 3.0 input) ]
-  in
+  let g = Db_ir.Lower.lower net in
+  let out1 = Db_ir.Interp.output g params ~inputs:[ ("x", input) ] in
+  let out2 = Db_ir.Interp.output g params ~inputs:[ ("x", Tensor.scale 3.0 input) ] in
   Alcotest.(check bool) "scale invariant" true
     (Tensor.equal_approx ~tol:1e-6 out1 out2)
 
@@ -285,7 +283,7 @@ let test_lcn_quantized_close () =
       ~min:0.0 ~max:1.0
   in
   let params = Db_nn.Params.create () in
-  let float_out = Db_nn.Interpreter.output net params ~inputs:[ ("x", input) ] in
+  let float_out = Db_ir.Interp.output (Db_ir.Lower.lower net) params ~inputs:[ ("x", input) ] in
   let q_out = Db_nn.Quantized.output ~fmt net params ~inputs:[ ("x", input) ] in
   Alcotest.(check bool) "fixed point tracks float" true
     (Tensor.l2_distance float_out q_out < 0.5)
@@ -515,7 +513,7 @@ let test_calibrate_represents_activations () =
   (* The calibrated format should beat a wildly wrong one on accuracy. *)
   let bad = Db_fixed.Fixed.format ~total_bits:16 ~frac_bits:1 in
   let input = List.hd samples in
-  let float_out = Db_nn.Interpreter.output net params ~inputs:[ ("data", input) ] in
+  let float_out = Db_ir.Interp.output (Db_ir.Lower.lower net) params ~inputs:[ ("data", input) ] in
   let dist f =
     Tensor.l2_distance float_out
       (Db_nn.Quantized.output ~fmt:f net params ~inputs:[ ("data", input) ])
@@ -543,48 +541,6 @@ let test_calibrated_constraints () =
   Alcotest.(check bool) "fraction-heavy" true
     (cons.Db_core.Constraints.fmt.Db_fixed.Fixed.frac_bits >= 10)
 
-(* --- Explorer ---------------------------------------------------------------- *)
-
-let test_explorer_sweep_and_pareto () =
-  let net = Db_workloads.Model_zoo.build Db_workloads.Model_zoo.mnist_prototxt in
-  let points =
-    Db_sim.Explorer.sweep_lanes Db_core.Constraints.db_medium net
-      ~lanes:[ 1; 2; 4; 8; 16 ]
-  in
-  Alcotest.(check int) "five points" 5 (List.length points);
-  let frontier = Db_sim.Explorer.pareto points in
-  Alcotest.(check bool) "frontier non-empty" true (frontier <> []);
-  Alcotest.(check bool) "frontier within points" true
-    (List.for_all (fun p -> List.memq p points) frontier);
-  (* Frontier is sorted by latency and no member dominates another. *)
-  let rec sorted = function
-    | a :: (b :: _ as rest) ->
-        a.Db_sim.Explorer.pt_seconds <= b.Db_sim.Explorer.pt_seconds && sorted rest
-    | _ -> true
-  in
-  Alcotest.(check bool) "sorted" true (sorted frontier);
-  match Db_sim.Explorer.best_under_budget points with
-  | Some best ->
-      Alcotest.(check bool) "best fits" true best.Db_sim.Explorer.pt_fits_budget
-  | None -> Alcotest.fail "expected a feasible point"
-
-let test_explorer_pareto_drops_dominated () =
-  let mk lanes seconds luts =
-    {
-      Db_sim.Explorer.pt_lanes = lanes;
-      pt_seconds = seconds;
-      pt_energy_j = 0.0;
-      pt_resources = Db_fpga.Resource.make ~luts ();
-      pt_fits_budget = true;
-    }
-  in
-  let a = mk 1 1.0 100 and b = mk 2 0.5 200 and c = mk 3 1.5 300 in
-  (* c is slower AND bigger than both: dominated. *)
-  let frontier = Db_sim.Explorer.pareto [ a; b; c ] in
-  Alcotest.(check int) "two survivors" 2 (List.length frontier);
-  Alcotest.(check bool) "c dropped" true
-    (not (List.exists (fun p -> p.Db_sim.Explorer.pt_lanes = 3) frontier))
-
 let suite =
   suite
   @ [
@@ -598,11 +554,6 @@ let suite =
           Alcotest.test_case "choose format" `Quick test_choose_format;
           Alcotest.test_case "represents activations" `Quick test_calibrate_represents_activations;
           Alcotest.test_case "constraints" `Quick test_calibrated_constraints;
-        ] );
-      ( "ext.explorer",
-        [
-          Alcotest.test_case "sweep + pareto" `Quick test_explorer_sweep_and_pareto;
-          Alcotest.test_case "drops dominated" `Quick test_explorer_pareto_drops_dominated;
         ] );
     ]
 

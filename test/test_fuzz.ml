@@ -137,7 +137,7 @@ let flow_invariants seed =
   in
   let fmt = design.Db_core.Design.datapath.Db_sched.Datapath.fmt in
   let quantized = Db_nn.Quantized.output ~fmt net params ~inputs:[ ("data", input) ] in
-  let reference = Db_nn.Interpreter.output net params ~inputs:[ ("data", input) ] in
+  let reference = Db_ir.Interp.output (Db_ir.Lower.lower net) params ~inputs:[ ("data", input) ] in
   let close_to_quantized = Tensor.l2_distance accel quantized < 0.3 in
   let in_range =
     Tensor.fold (fun acc v -> acc && Float.abs v < 0.5 *. Db_fixed.Fixed.max_float fmt)
@@ -319,6 +319,6 @@ let () =
       let accel = Db_sim.Simulator.functional_output design params ~inputs:[ ("data", input) ] in
       let fmt = design.Db_core.Design.datapath.Db_sched.Datapath.fmt in
       let q = Db_nn.Quantized.output ~fmt net params ~inputs:[ ("data", input) ] in
-      let r = Db_nn.Interpreter.output net params ~inputs:[ ("data", input) ] in
+      let r = Db_ir.Interp.output (Db_ir.Lower.lower net) params ~inputs:[ ("data", input) ] in
       Format.printf "accel=%a@.quant=%a@.float=%a@." Tensor.pp accel Tensor.pp q Tensor.pp r;
       Printf.printf "accel-quant %g accel-float %g\n" (Tensor.l2_distance accel q) (Tensor.l2_distance accel r)

@@ -253,7 +253,7 @@ let test_inception_generates_and_runs () =
     Simulator.functional_output design params ~inputs:[ ("data", input) ]
   in
   let reference =
-    Db_nn.Interpreter.output net params ~inputs:[ ("data", input) ]
+    Db_ir.Interp.output (Db_ir.Lower.lower net) params ~inputs:[ ("data", input) ]
   in
   Alcotest.(check bool) "tracks float" true
     (Db_tensor.Tensor.l2_distance accel reference < 0.5)

@@ -1,32 +1,15 @@
 (* Tests for db_ir: lowering, the structural verifier's DB-IRxxx codes,
-   the pass pipeline's semantics preservation against the frontend
-   interpreter, and the committed golden dumps of every zoo model. *)
+   the pass pipeline's bitwise semantics preservation, and the committed
+   golden dumps of every zoo model. *)
 
 module Graph = Db_ir.Graph
 module Op = Db_ir.Op
 module Verify = Db_ir.Verify
 module Pass = Db_ir.Pass
-module Layer = Db_nn.Layer
 module Shape = Db_tensor.Shape
 module Tensor = Db_tensor.Tensor
 
-let zoo_models =
-  [
-    ("mlp", Db_workloads.Model_zoo.mlp_prototxt);
-    ("cmac", Db_workloads.Model_zoo.cmac_prototxt);
-    ("mnist", Db_workloads.Model_zoo.mnist_prototxt);
-    ("cifar", Db_workloads.Model_zoo.cifar_prototxt);
-    ("cifar-lite", Db_workloads.Model_zoo.cifar_lite_prototxt);
-    ("alexnet", Db_workloads.Model_zoo.alexnet_prototxt);
-    ("nin", Db_workloads.Model_zoo.nin_prototxt);
-    ("googlenet-like", Db_workloads.Model_zoo.googlenet_like_prototxt);
-    ("hopfield", Db_workloads.Model_zoo.hopfield_prototxt ~cities:5);
-    ("lenet5", Db_workloads.Model_zoo.lenet5_prototxt);
-    ("vgg16", Db_workloads.Model_zoo.vgg16_prototxt);
-    ( "ann0",
-      Db_workloads.Model_zoo.ann_prototxt ~name:"ann0" ~inputs:1 ~hidden1:8
-        ~hidden2:8 ~outputs:2 );
-  ]
+let zoo_models = Db_workloads.Model_zoo.named
 
 let build name = Db_workloads.Model_zoo.build (List.assoc name zoo_models)
 
@@ -190,31 +173,26 @@ let test_folding_keeps_macs () =
 
 (* --- semantics preservation --------------------------------------------- *)
 
-(* Forward the original network and the interpreted post-pass IR on the
-   same random input; outputs must agree to float tolerance (they are in
-   fact identical: dropout is an inference no-op and a fused activation
-   applies the same float kernel as the standalone node). *)
+(* Interpret the raw lowering and its optimized form on the same random
+   input; the outputs must be bit-identical (dropout is an inference copy
+   and a fused activation applies the same float kernel as the standalone
+   node). *)
 let interp_equiv name () =
-  let net = build name in
-  let g = Pass.optimize (Db_ir.Lower.lower net) in
+  let raw = lower name in
+  let g = Pass.optimize raw in
   let rng = Db_util.Rng.create 7 in
-  let params = Db_nn.Params.init_xavier rng net in
-  let input_node = List.hd (Db_nn.Network.input_nodes net) in
-  let blob = List.hd input_node.Db_nn.Network.tops in
-  let shape =
-    match input_node.Db_nn.Network.layer with
-    | Layer.Input { shape } -> shape
-    | _ -> Alcotest.fail "input node carries no shape"
+  let params = Db_nn.Params.init_xavier rng (build name) in
+  let input_node = List.hd (Graph.input_nodes raw) in
+  let blob = List.hd input_node.Graph.outputs in
+  let input =
+    Tensor.random_uniform rng input_node.Graph.out_shape ~min:(-1.0) ~max:1.0
   in
-  let input = Tensor.random_uniform rng shape ~min:(-1.0) ~max:1.0 in
-  let reference =
-    Db_nn.Interpreter.output net params ~inputs:[ (blob, input) ]
-  in
+  let reference = Db_ir.Interp.output raw params ~inputs:[ (blob, input) ] in
   let via_ir = Db_ir.Interp.output g params ~inputs:[ (blob, input) ] in
   Alcotest.(check bool)
-    (name ^ ": IR output matches interpreter")
+    (name ^ ": optimized output bit-identical to raw")
     true
-    (Tensor.equal_approx reference via_ir)
+    (Tensor.equal_bits reference via_ir)
 
 (* The 224x224 ImageNet-scale models are exercised structurally by the
    golden dumps; interpreting them here would dominate the suite. *)

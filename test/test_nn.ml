@@ -111,7 +111,7 @@ let test_interpreter_fc () =
       Tensor.of_array (Shape.vector 3) [| 0.0; 0.0; 0.5 |];
     ];
   let input = Tensor.of_array (Shape.vector 2) [| 2.0; 3.0 |] in
-  let out = Db_nn.Interpreter.output net params ~inputs:[ ("data", input) ] in
+  let out = Db_ir.Interp.output (Db_ir.Lower.lower net) params ~inputs:[ ("data", input) ] in
   (* fc: [2; 3; -4.5], relu: [2; 3; 0] *)
   Alcotest.(check bool) "values" true
     (Tensor.equal_approx out (Tensor.of_array (Shape.vector 3) [| 2.0; 3.0; 0.0 |]))
@@ -129,14 +129,14 @@ let test_interpreter_recurrent_zero_feedback () =
   let w_in = Tensor.of_array (Shape.of_list [ 2; 2 ]) [| 1.; 0.; 0.; 1. |] in
   Params.set params "r" [ w_in; Tensor.create (Shape.of_list [ 2; 2 ]) ];
   let input = Tensor.of_array (Shape.vector 2) [| 0.5; -0.5 |] in
-  let out = Db_nn.Interpreter.output net params ~inputs:[ ("x", input) ] in
+  let out = Db_ir.Interp.output (Db_ir.Lower.lower net) params ~inputs:[ ("x", input) ] in
   Alcotest.(check bool) "tanh identity" true
     (Tensor.equal_approx ~tol:1e-9 out
        (Tensor.of_array (Shape.vector 2) [| Float.tanh 0.5; Float.tanh (-0.5) |]))
 
 let test_associative_encoding () =
   let input = Tensor.of_array (Shape.vector 1) [| 0.0 |] in
-  let out = Db_nn.Interpreter.associative_encode ~cells_per_dim:8 ~active_cells:3 input in
+  let out = Db_tensor.Ops.associative_encode ~cells_per_dim:8 ~active_cells:3 input in
   Alcotest.(check int) "size" 8 (Tensor.numel out);
   (* x = 0 hits cell 0; of the 3 centred cells only 0 and 1 are in range. *)
   Alcotest.(check bool) "cell 0 active" true (Tensor.get out 0 > 0.0);
@@ -146,7 +146,7 @@ let test_associative_encoding () =
 let test_associative_sparsity () =
   let input = Tensor.of_array (Shape.vector 2) [| 0.5; 0.9 |] in
   let out =
-    Db_nn.Interpreter.associative_encode ~cells_per_dim:16 ~active_cells:4 input
+    Db_tensor.Ops.associative_encode ~cells_per_dim:16 ~active_cells:4 input
   in
   let active = Tensor.fold (fun acc x -> if x > 0.0 then acc + 1 else acc) 0 out in
   Alcotest.(check bool) "at most 2*4 active" true (active <= 8);
@@ -161,7 +161,7 @@ let test_classifier_topk () =
       ]
   in
   let input = Tensor.of_array (Shape.vector 5) [| 0.1; 0.9; 0.3; 0.9; 0.0 |] in
-  let out = Db_nn.Interpreter.output net (Params.create ()) ~inputs:[ ("scores", input) ] in
+  let out = Db_ir.Interp.output (Db_ir.Lower.lower net) (Params.create ()) ~inputs:[ ("scores", input) ] in
   (* Ties broken by lower index: 1 before 3. *)
   Alcotest.(check bool) "top3" true
     (Tensor.equal_approx out (Tensor.of_array (Shape.vector 3) [| 1.0; 3.0; 2.0 |]))
@@ -241,7 +241,7 @@ let test_quantized_matches_float_mlp () =
   let rng = Db_util.Rng.create 5 in
   let params = Params.init_xavier rng net in
   let input = Tensor.random_uniform rng (Shape.vector 2) ~min:(-1.0) ~max:1.0 in
-  let float_out = Db_nn.Interpreter.output net params ~inputs:[ ("data", input) ] in
+  let float_out = Db_ir.Interp.output (Db_ir.Lower.lower net) params ~inputs:[ ("data", input) ] in
   let fixed_out =
     Db_nn.Quantized.output ~fmt:Db_fixed.Fixed.q16_8 net params
       ~inputs:[ ("data", input) ]
@@ -257,7 +257,7 @@ let test_quantized_wider_is_closer () =
     Tensor.random_uniform rng (Shape.chw ~channels:3 ~height:16 ~width:16)
       ~min:0.0 ~max:1.0
   in
-  let float_out = Db_nn.Interpreter.output net params ~inputs:[ ("data", input) ] in
+  let float_out = Db_ir.Interp.output (Db_ir.Lower.lower net) params ~inputs:[ ("data", input) ] in
   let dist fmt =
     let q = Db_nn.Quantized.output ~fmt net params ~inputs:[ ("data", input) ] in
     Tensor.l2_distance float_out q

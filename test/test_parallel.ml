@@ -182,11 +182,7 @@ let top_k_reference input k =
     idx;
   Array.init k (fun i -> float_of_int idx.(i))
 
-let top_k input k =
-  Tensor.to_array
-    (Db_nn.Interpreter.eval_layer
-       (Layer.Classifier { top_k = k })
-       ~params:[] ~bottoms:[ input ])
+let top_k input k = Tensor.to_array (Ops.classify_top_k ~top_k:k input)
 
 let test_top_k_ties () =
   let input =

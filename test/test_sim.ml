@@ -79,7 +79,7 @@ let test_functional_tracks_float () =
   let design = design_of net in
   let input = Tensor.random_uniform rng (Shape.vector 8) ~min:(-1.0) ~max:1.0 in
   let sim_out = Simulator.functional_output design params ~inputs:[ ("data", input) ] in
-  let float_out = Db_nn.Interpreter.output net params ~inputs:[ ("data", input) ] in
+  let float_out = Db_ir.Interp.output (Db_ir.Lower.lower net) params ~inputs:[ ("data", input) ] in
   Alcotest.(check bool) "within fixed-point noise" true
     (Tensor.l2_distance sim_out float_out < 0.1)
 

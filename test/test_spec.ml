@@ -17,23 +17,9 @@ module Tensor = Db_tensor.Tensor
 module Pool = Db_parallel.Pool
 module Obs = Db_obs.Obs
 
-(* Every model the zoo ships (the `ir`/`lint` gates enumerate the same
-   twelve).  ANN-scale nets are covered via the campaign test below. *)
-let zoo_models =
-  [
-    ("mlp", Zoo.mlp_prototxt);
-    ("cmac", Zoo.cmac_prototxt);
-    ("cmac-surrogate", Zoo.cmac_surrogate_prototxt);
-    ("mnist", Zoo.mnist_prototxt);
-    ("cifar", Zoo.cifar_prototxt);
-    ("cifar-lite", Zoo.cifar_lite_prototxt);
-    ("alexnet", Zoo.alexnet_prototxt);
-    ("nin", Zoo.nin_prototxt);
-    ("googlenet-like", Zoo.googlenet_like_prototxt);
-    ("lenet5", Zoo.lenet5_prototxt);
-    ("vgg16", Zoo.vgg16_prototxt);
-    ("hopfield", Zoo.hopfield_prototxt ~cities:5);
-  ]
+(* Every model the zoo serves by name (the `ir`/`lint` gates enumerate the
+   same twelve) plus the trainable CMAC stand-in. *)
+let zoo_models = Zoo.named @ [ ("cmac-surrogate", Zoo.cmac_surrogate_prototxt) ]
 
 let design_of prototxt =
   let net = Zoo.build prototxt in

@@ -31,14 +31,14 @@ let test_one_hot () =
 
 (* Finite-difference gradient check for a single layer. *)
 let grad_check ~layer ~params ~input ~epsilon ~tol =
-  let output, cache = Db_train.Backprop.forward_op ~op:(Db_ir.Op.of_layer layer) ~params ~input in
+  let op = Db_ir.Op.of_layer layer in
+  let output, cache = Db_train.Backprop.forward_op ~op ~params ~input in
   (* Loss = sum of outputs; grad_output = ones. *)
   let grad_out = Tensor.full (Tensor.shape output) 1.0 in
   let grad_in, grad_params = Db_train.Backprop.backward_layer cache ~grad_output:grad_out in
   let loss_with modified_params modified_input =
     let out =
-      Db_nn.Interpreter.eval_layer layer ~params:modified_params
-        ~bottoms:[ modified_input ]
+      Db_ir.Interp.eval_op op ~params:modified_params ~bottoms:[ modified_input ]
     in
     Tensor.fold ( +. ) 0.0 out
   in

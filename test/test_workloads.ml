@@ -215,11 +215,11 @@ let test_prepare_ann0 () =
   let b = Benchmarks.find "ANN-0" in
   let p = Benchmarks.prepare_cached b ~seed:42 in
   (* The trained approximator reaches high Eq(1) accuracy on the float CPU. *)
+  let g = Db_ir.Lower.lower p.Benchmarks.accuracy_network in
   let outs =
     Array.map
       (fun input ->
-        Db_nn.Interpreter.output p.Benchmarks.accuracy_network
-          p.Benchmarks.params
+        Db_ir.Interp.output g p.Benchmarks.params
           ~inputs:[ (p.Benchmarks.input_blob, input) ])
       p.Benchmarks.eval_inputs
   in
@@ -230,11 +230,11 @@ let test_prepare_ann0 () =
 let test_prepare_cmac () =
   let b = Benchmarks.find "CMAC" in
   let p = Benchmarks.prepare_cached b ~seed:42 in
+  let g = Db_ir.Lower.lower p.Benchmarks.accuracy_network in
   let outs =
     Array.map
       (fun input ->
-        Db_nn.Interpreter.output p.Benchmarks.accuracy_network
-          p.Benchmarks.params
+        Db_ir.Interp.output g p.Benchmarks.params
           ~inputs:[ (p.Benchmarks.input_blob, input) ])
       p.Benchmarks.eval_inputs
   in
