@@ -708,8 +708,14 @@ let profile_cmd =
         Db_obs.Obs.reset ();
         let design = load ~model_path ~constraint_path ~tiling in
         let report = Db_sim.Simulator.timing design in
+        (* The watchdog scales with the design: AlexNet's AGUs replay ~66M
+           cycles.  Twice the simulated latency covers ImageNet-scale
+           models; the 10M-cycle floor covers small ones whose control
+           replay outruns their compute (LeNet-5's is ~3x). *)
         ignore
-          (Db_sim.Simulator.replay_control ~cycle_budget:10_000_000 design);
+          (Db_sim.Simulator.replay_control
+             ~cycle_budget:((2 * report.Db_sim.Simulator.total_cycles) + 10_000_000)
+             design);
         let snap = Db_obs.Obs.snapshot () in
         Option.iter (fun path -> write_trace path snap) trace;
         if json then print_string (Db_obs.Render.stable_json snap)

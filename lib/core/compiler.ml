@@ -93,7 +93,8 @@ let bulk_fetch blob_entry ~name ~words ~offset =
   }
 
 (* The fraction is pure in (plan, height, width).  A cold walk costs
-   O(windows x window words), ~10-30 ms for an ImageNet-scale blob, and
+   O(windows x k^2) on the NHWC plans the zoo streams, ~0.1-3 ms for an
+   ImageNet-scale blob (more for plans that store maps apart), and
    Db_dse.Explore, Experiments and Train_sim recompile the same layers
    in-process, so memoise it.  Guarded by a mutex: compilation may run from
    several pool workers at once. *)

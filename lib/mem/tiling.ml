@@ -49,54 +49,60 @@ let tile_pixels ~tile ~height ~width ~ty ~tx f m =
     done
   done
 
-(* Visit every pixel once, in DRAM storage order, as [f addr m y x]. *)
+(* Visit every pixel once, in DRAM storage order, as [f addr m y x].  An
+   untiled plan is the tiled walk with 1x1 tiles, maps one after another. *)
 let iter_order plan ~height ~width f =
-  let spec = plan.plan_spec in
+  let maps = plan.plan_spec.map_count and tile = plan.tile in
   let addr = ref 0 in
   let visit m y x =
     f !addr m y x;
     incr addr
   in
-  (match plan.plan_case with
-  | Row_major ->
-      for m = 0 to spec.map_count - 1 do
-        for y = 0 to height - 1 do
-          for x = 0 to width - 1 do
-            visit m y x
-          done
+  let tiles_y = div_ceil height tile and tiles_x = div_ceil width tile in
+  if plan.interleave_maps then
+    for ty = 0 to tiles_y - 1 do
+      for tx = 0 to tiles_x - 1 do
+        for m = 0 to maps - 1 do
+          tile_pixels ~tile ~height ~width ~ty ~tx visit m
         done
       done
-  | Kernel_tiles | Stride_tiles | Gcd_tiles ->
-      let tile = plan.tile in
-      let tiles_y = div_ceil height tile and tiles_x = div_ceil width tile in
-      if plan.interleave_maps then
-        for ty = 0 to tiles_y - 1 do
-          for tx = 0 to tiles_x - 1 do
-            for m = 0 to spec.map_count - 1 do
-              tile_pixels ~tile ~height ~width ~ty ~tx visit m
-            done
-          done
+    done
+  else
+    for m = 0 to maps - 1 do
+      for ty = 0 to tiles_y - 1 do
+        for tx = 0 to tiles_x - 1 do
+          tile_pixels ~tile ~height ~width ~ty ~tx visit m
         done
-      else
-        for m = 0 to spec.map_count - 1 do
-          for ty = 0 to tiles_y - 1 do
-            for tx = 0 to tiles_x - 1 do
-              tile_pixels ~tile ~height ~width ~ty ~tx visit m
-            done
-          done
-        done);
-  assert (!addr = spec.map_count * height * width)
+      done
+    done;
+  assert (!addr = maps * height * width)
 
 let pixel_order plan ~height ~width =
   let out = Array.make (plan.plan_spec.map_count * height * width) (0, 0, 0) in
   iter_order plan ~height ~width (fun addr m y x -> out.(addr) <- (m, y, x));
   out
 
-let address_table plan ~height ~width =
-  let table = Array.make (plan.plan_spec.map_count * height * width) (-1) in
-  iter_order plan ~height ~width (fun addr m y x ->
-      table.(((m * height) + y) * width + x) <- addr);
-  table
+(* Pixel (m, y, x) lives at [base + m * stride]: [base] is the address of
+   map 0's copy of (y, x) and [stride] the distance between maps.  A tile
+   (ty, tx) clipped to th x tw pixels starts [ty*t*W + tx*t*th] pixels into
+   a map (full tile rows above it, then the tiles to its left in its row),
+   and its pixels are row-major with width tw.  Maps one after another sit
+   H*W apart; interleaved maps multiply the tile's start by [maps] and sit
+   th*tw apart inside it. *)
+let base_stride plan ~height ~width ~y ~x =
+  let t = plan.tile in
+  let ty = y / t and tx = x / t in
+  let th = Int.min t (height - (ty * t)) in
+  let tw = Int.min t (width - (tx * t)) in
+  let start = (ty * t * width) + (tx * t * th) in
+  let inner = ((y - (ty * t)) * tw) + (x - (tx * t)) in
+  if plan.interleave_maps then
+    ((start * plan.plan_spec.map_count) + inner, th * tw)
+  else (start + inner, height * width)
+
+let address plan ~height ~width ~map ~y ~x =
+  let base, stride = base_stride plan ~height ~width ~y ~x in
+  base + (map * stride)
 
 (* Walk every kernel window in raster order; a window spans all input maps
    (a convolution consumes every channel at each output position).  The AGU
@@ -106,49 +112,75 @@ let address_table plan ~height ~width =
    pays off, including the map-interleaved case-3 layout whose f=1
    degenerate form is channel interleaving (NHWC).
 
-   No sort is needed.  The address table is a bijection, so a window's
+   No sort and no address table.  Addresses are a bijection, so a window's
    addresses are distinct, and its in-window sequential steps are those
-   addresses [a] whose [a - 1] is also in the window.  [stamp.(a + 1)] holds
-   the last window that contained [a], so it never needs clearing.  The
-   step between windows joins the previous window's max to this window's
-   min.  Cost: O(windows x window words). *)
+   addresses [a] whose [a - 1] is also in the window.  [stamp.(a - lo + 1)]
+   holds the last window that contained [a], where [lo] is that window's
+   least address; window indices never repeat, so it needs no clearing and
+   only spans one window's address range.  The step between windows joins
+   the previous window's max to this window's min.  Each window cell
+   (ky, kx) costs one [base_stride]; its maps are then [base + m * stride].
+   When [stride = 1] (interleaved 1x1 tiles, the NHWC case) a cell is one
+   run [base, base + maps), otherwise [maps] runs of one word.  A run of
+   [r] words holds [r - 1] steps, and only its head can follow another
+   run's word, which is that run's tail, so only tails are stamped and
+   only heads tested.  Cost: O(windows x k^2), plus the words of every
+   cell that is not one run. *)
 let window_sequential_fraction plan ~height ~width =
   let spec = plan.plan_spec in
   let k = spec.kernel and s = spec.stride and maps = spec.map_count in
   if height < k || width < k then 1.0
   else begin
-    let table = address_table plan ~height ~width in
-    let stamp = Array.make (Array.length table + 1) (-1) in
     let oy_max = (height - k) / s and ox_max = (width - k) / s in
     (* Cap the sweep for very large maps: locality statistics converge after
        a few hundred windows. *)
     let oy_max = Stdlib.min oy_max 23 and ox_max = Stdlib.min ox_max 23 in
-    let wlen = k * k * maps in
-    let window = Array.make wlen 0 in
+    let cells = k * k in
+    let bases = Array.make cells 0 and strides = Array.make cells 0 in
+    let stamp = ref [||] in
     let seq = ref 0 and prev_max = ref 0 in
     for oy = 0 to oy_max do
       for ox = 0 to ox_max do
         let w = (oy * (ox_max + 1)) + ox in
-        let pos = ref 0 and lo = ref max_int and hi = ref (-1) in
-        for m = 0 to maps - 1 do
-          for ky = 0 to k - 1 do
-            let row = (((m * height) + (oy * s) + ky) * width) + (ox * s) in
-            for kx = 0 to k - 1 do
-              let a = table.(row + kx) in
-              window.(!pos) <- a;
-              stamp.(a + 1) <- w;
-              if a < !lo then lo := a;
-              if a > !hi then hi := a;
-              incr pos
-            done
+        let lo = ref max_int and hi = ref (-1) in
+        for ky = 0 to k - 1 do
+          for kx = 0 to k - 1 do
+            let base, stride =
+              base_stride plan ~height ~width ~y:((oy * s) + ky)
+                ~x:((ox * s) + kx)
+            in
+            let c = (ky * k) + kx in
+            bases.(c) <- base;
+            strides.(c) <- stride;
+            if base < !lo then lo := base;
+            hi := Int.max !hi (base + ((maps - 1) * stride))
           done
         done;
-        Array.iter (fun a -> if stamp.(a) = w then incr seq) window;
-        if w > 0 && !lo = !prev_max + 1 then incr seq;
+        let lo = !lo in
+        if !hi - lo + 2 > Array.length !stamp then
+          stamp := Array.make (!hi - lo + 2) (-1);
+        let stamp = !stamp in
+        for c = 0 to cells - 1 do
+          let base = bases.(c) - lo and stride = strides.(c) in
+          let runs = if stride = 1 then 1 else maps in
+          let past_tail = base + (maps / runs) in
+          for i = 0 to runs - 1 do
+            stamp.(past_tail + (i * stride)) <- w
+          done
+        done;
+        for c = 0 to cells - 1 do
+          let base = bases.(c) - lo and stride = strides.(c) in
+          let runs = if stride = 1 then 1 else maps in
+          seq := !seq + maps - runs;
+          for i = 0 to runs - 1 do
+            if stamp.(base + (i * stride)) = w then incr seq
+          done
+        done;
+        if w > 0 && lo = !prev_max + 1 then incr seq;
         prev_max := !hi
       done
     done;
     (* Every word after the very first is one step. *)
-    let steps = ((oy_max + 1) * (ox_max + 1) * wlen) - 1 in
+    let steps = ((oy_max + 1) * (ox_max + 1) * cells * maps) - 1 in
     if steps = 0 then 1.0 else float_of_int !seq /. float_of_int steps
   end

@@ -12,9 +12,9 @@
     + otherwise: [f x f] tiles for [f = gcd(k, d, s)], tiles of the [t]
       maps interleaved one by one.
 
-    A plan also knows how to produce the exact pixel permutation, so the
-    tests can verify the layout is a bijection and the AGUs can translate
-    (map, y, x) coordinates into stream addresses. *)
+    A plan also knows how to produce the exact pixel permutation and its
+    closed-form inverse, so the tests can verify the layout is a bijection
+    and (map, y, x) coordinates translate into stream addresses. *)
 
 type case =
   | Kernel_tiles  (** case 1: k x k tiles *)
@@ -42,13 +42,17 @@ val pixel_order : plan -> height:int -> width:int -> (int * int * int) array
     covering all [map_count * height * width] pixels exactly once.  Edge
     tiles are clipped when the image is not a multiple of the tile size. *)
 
-val address_table : plan -> height:int -> width:int -> int array
-(** Inverse view: flat array indexed by [((map * height) + y) * width + x]
-    giving the stream address of each pixel, a permutation of
-    [0 .. map_count * height * width - 1]. *)
+val address :
+  plan -> height:int -> width:int -> map:int -> y:int -> x:int -> int
+(** Inverse view, in closed form: the stream address of pixel (map, y, x),
+    i.e. its index in {!pixel_order}.  Over all pixels it is a permutation
+    of [0 .. map_count * height * width - 1].  O(1). *)
 
 val window_sequential_fraction : plan -> height:int -> width:int -> float
 (** Average fraction of address-stream steps that are sequential when
     fetching every kernel window of a convolution sweep, each window's
     words in sorted address order (the quantity the DRAM model consumes).
-    1.0 means perfectly streaming.  O(windows x window words), no sort. *)
+    1.0 means perfectly streaming.  O(windows x k^2) plus the words of
+    every window cell whose maps are not one contiguous run (they are on
+    map-interleaved 1x1 tiles, the NHWC layout); no sort and no address
+    table. *)

@@ -177,17 +177,26 @@ let plan_of (kernel, stride, port_width, map_count) tiled =
   let spec = { Tiling.kernel; stride; port_width; map_count } in
   if tiled then Tiling.decide spec else Tiling.row_major spec
 
-(* Property: the address table is a permutation of 0 .. n-1 that inverts
-   the pixel order.  The sort-free locality count relies on it: a window's
-   addresses are then distinct. *)
-let prop_address_table_inverse =
-  QCheck.Test.make ~name:"address table inverts pixel order" ~count:200
+(* Property: the closed-form address is a permutation of 0 .. n-1 that
+   inverts the pixel order.  The sort-free locality count relies on it: a
+   window's addresses are then distinct. *)
+let prop_address_inverse =
+  QCheck.Test.make ~name:"closed-form address inverts pixel order" ~count:200
     arb_plan_image
     (fun (spec, (height, width, tiled)) ->
       let plan = plan_of spec tiled in
       let order = Tiling.pixel_order plan ~height ~width in
-      let table = Tiling.address_table plan ~height ~width in
-      let n = Array.length table in
+      let maps = plan.Tiling.plan_spec.Tiling.map_count in
+      let n = maps * height * width in
+      let table = Array.make n (-1) in
+      for map = 0 to maps - 1 do
+        for y = 0 to height - 1 do
+          for x = 0 to width - 1 do
+            table.(((map * height) + y) * width + x) <-
+              Tiling.address plan ~height ~width ~map ~y ~x
+          done
+        done
+      done;
       let hit = Array.make n false in
       Array.iter (fun a -> if a >= 0 && a < n then hit.(a) <- true) table;
       let inverts = ref true in
@@ -251,6 +260,65 @@ let prop_window_fraction_matches_sort =
         (Int64.bits_of_float
            (Tiling.window_sequential_fraction plan ~height ~width))
         (Int64.bits_of_float (sorted_window_fraction plan ~height ~width)))
+
+(* The random plans above stop at 6 maps; the zoo's streamed layers carry
+   up to 256, where the NHWC run path does almost all the counting.  Check
+   every (plan, height, width) the compiler walks for AlexNet and NiN under
+   the default constraint, with tiling on and off, against the sorting
+   oracle. *)
+let test_zoo_window_fraction_matches_sort () =
+  let constraint_script =
+    {|constraint { device: "zynq-7045" dsps: 16 luts: 60000 ffs: 40000 bram_kb: 1024 }|}
+  in
+  let keys =
+    List.concat_map
+      (fun model ->
+        let design =
+          Db_core.Generator.generate_from_script ~model ~constraint_script ()
+        in
+        let ir = design.Db_core.Design.ir and layout = design.Db_core.Design.layout in
+        List.filter_map
+          (fun (p : Db_core.Compiler.fold_program) ->
+            let node =
+              List.find
+                (fun n -> n.Db_ir.Graph.node_name = p.fold.Db_sched.Folding.fold_layer)
+                ir.Db_ir.Graph.nodes
+            in
+            let entry =
+              Layout.feature_entry layout ~blob:(List.hd node.Db_ir.Graph.inputs)
+            in
+            match entry.Layout.tile_plan, node.Db_ir.Graph.in_shapes with
+            | Some plan, shape :: _ when p.windows_streamed ->
+                Some
+                  ( plan,
+                    Db_tensor.Shape.height shape,
+                    Db_tensor.Shape.width shape )
+            | _ -> None)
+          design.Db_core.Design.program.Db_core.Compiler.programs)
+      Db_workloads.Model_zoo.[ alexnet_prototxt; nin_prototxt ]
+    |> List.sort_uniq compare
+  in
+  Alcotest.(check int) "streamed keys" 6 (List.length keys);
+  Alcotest.(check bool) "a run layout with over 100 maps" true
+    (List.exists
+       (fun (plan, _, _) ->
+         plan.Tiling.interleave_maps && plan.Tiling.tile = 1
+         && plan.Tiling.plan_spec.Tiling.map_count > 100)
+       keys);
+  List.iter
+    (fun (tiled, height, width) ->
+      let spec = tiled.Tiling.plan_spec in
+      List.iter
+        (fun plan ->
+          Alcotest.(check int64)
+            (Printf.sprintf "k%d s%d maps %d %dx%d %s" spec.Tiling.kernel
+               spec.Tiling.stride spec.Tiling.map_count height width
+               (if plan == tiled then "tiled" else "row-major"))
+            (Int64.bits_of_float (sorted_window_fraction plan ~height ~width))
+            (Int64.bits_of_float
+               (Tiling.window_sequential_fraction plan ~height ~width)))
+        [ tiled; Tiling.row_major spec ])
+    keys
 
 let test_tiling_improves_window_locality () =
   (* The paper's example: 12x12 kernel at stride 4, port width 4. *)
@@ -330,8 +398,10 @@ let suite =
         Alcotest.test_case "Method-1 case 3" `Quick test_method1_case3;
         Alcotest.test_case "locality win" `Quick test_tiling_improves_window_locality;
         QCheck_alcotest.to_alcotest prop_tiling_partition;
-        QCheck_alcotest.to_alcotest prop_address_table_inverse;
+        QCheck_alcotest.to_alcotest prop_address_inverse;
         QCheck_alcotest.to_alcotest prop_window_fraction_matches_sort;
+        Alcotest.test_case "zoo locality = sorted oracle" `Slow
+          test_zoo_window_fraction_matches_sort;
       ] );
     ( "mem.layout",
       [
