@@ -200,6 +200,21 @@ let check ?params ?input (design : Design.t) =
         ck_diags = D.sort (ck_range.Range.rp_diags @ ck_mem);
       })
 
+let to_json ~design r =
+  let range = r.ck_range in
+  Printf.sprintf
+    "{\"design\": %S, \"format\": %S, \"min_acc_bits\": %d, \
+     \"layer_acc_bits\": [%s], \"diagnostics\": %s}"
+    design
+    (Format.asprintf "%a" Db_fixed.Fixed.pp_format range.Range.rp_fmt)
+    range.Range.rp_min_acc_bits
+    (String.concat ", "
+       (List.map
+          (fun (layer, bits) ->
+            Printf.sprintf "{\"layer\": %S, \"bits\": %d}" layer bits)
+          (Range.layer_acc_bits range)))
+    (D.json_of_list r.ck_diags)
+
 let gate (design : Design.t) =
   match errors (check design) with
   | [] -> ()

@@ -26,6 +26,10 @@ val errors : report -> Db_analysis.Diagnostic.t list
 val ok : report -> bool
 (** No errors (warnings and info allowed). *)
 
+val to_json : design:string -> report -> string
+(** One JSON object per design, as printed by [deepburning check --json]:
+    the name, Q-format, accumulator widths and [ck_diags]. *)
+
 val gate : Design.t -> unit
 (** Raises a [check]-component {!Db_util.Error.Deepburning_error} when the
     report contains errors — the generator-side hard stop. *)
