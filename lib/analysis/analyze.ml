@@ -3,8 +3,9 @@
    Structural modules get a full driver/reader model: every net and port is
    tracked bit-precisely where possible, so shorted drivers (DB-E001) are
    detected even when two slices of the same bus overlap only partially.
-   Behavioral modules are leaf templates of raw Verilog, so they get textual
-   checks (output driven, input read, latch heuristic) over a comment- and
+   Machine modules are checked as graphs ([fsm]).  Behavioral modules are
+   leaf templates of raw Verilog, so they get textual checks (output
+   driven, input read, latch heuristic) over one scan of their comment- and
    string-stripped body. *)
 
 module Rtl = Db_hdl.Rtl
@@ -29,26 +30,66 @@ let code_fsm_sink = "DB-W106"
 let code_implicit_net = "DB-W107"
 let code_unused_input = "DB-I201"
 
-let contains text sub =
-  let n = String.length text and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub text i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
-let word_present text word = Lint.count_word text word > 0
-
 (* A driver covers either a known bit range of its target or an unknown
    subset (e.g. an indexed select with a dynamic base).  Unknown subsets
    count for driven-ness but are excluded from overlap detection. *)
 type driver = { range : (int * int) option; desc : string }
 
+(* --- template leaves ------------------------------------------------------ *)
+
+(* One pass over a template leaf's comment-stripped body, shared by the
+   combinational table and the port and latch checks: the set of its word
+   tokens, and, when it has an [always @*] block, how many [case]
+   statements lack a [default] arm (each infers a latch).  A small stack
+   attributes nested cases correctly. *)
+type leaf = { words : (string, unit) Hashtbl.t; latches : int }
+
+let scan_leaf lines =
+  let text = Lint.strip_comments (String.concat "\n" lines) in
+  let n = String.length text in
+  (* s.[k..] comes next from [i], spaces and tabs aside *)
+  let rec next_is i s k =
+    k = String.length s
+    || i < n
+       && match text.[i] with
+          | ' ' | '\t' -> next_is (i + 1) s k
+          | c -> c = s.[k] && next_is (i + 1) s (k + 1)
+  in
+  let words = Hashtbl.create 64 and comb_always = ref false in
+  let stack = ref [] and latches = ref 0 in
+  let i = ref 0 in
+  while !i < n do
+    if Lint.is_word_char text.[!i] then begin
+      let j = ref !i in
+      while !j < n && Lint.is_word_char text.[!j] do
+        incr j
+      done;
+      let w = String.sub text !i (!j - !i) in
+      Hashtbl.replace words w ();
+      (match (w, !stack) with
+      | "always", _ ->
+          if next_is !j "@*" 0 || next_is !j "@(*)" 0 then comb_always := true
+      | ("case" | "casez" | "casex"), _ -> stack := ref false :: !stack
+      | "default", top :: _ -> top := true
+      | "endcase", top :: rest ->
+          if not !top then incr latches;
+          stack := rest
+      | _ -> ());
+      i := !j
+    end
+    else incr i
+  done;
+  { words; latches = (if !comb_always then !latches else 0) }
+
 (* --- combinational classification ------------------------------------- *)
 
 (* A module is combinational (its outputs can respond to inputs in the same
-   cycle) iff it contains no clocked process.  For behavioral leaves that is
-   a posedge/negedge scan; structural modules are combinational when they
-   have continuous assigns or any combinational child.  This is conservative
-   at module granularity: a sequential leaf breaks every path through it. *)
-let build_comb_table (design : Rtl.design) =
+   cycle) iff it contains no clocked process.  Machines are clocked; a
+   template leaf is clocked when its body mentions posedge/negedge;
+   structural modules are combinational when they have continuous assigns
+   or any combinational child.  This is conservative at module granularity:
+   a sequential leaf breaks every path through it. *)
+let build_comb_table (design : Rtl.design) scan_of =
   let tbl = Hashtbl.create 16 in
   let rec comb (m : Rtl.module_decl) =
     match Hashtbl.find_opt tbl m.Rtl.mod_name with
@@ -57,9 +98,10 @@ let build_comb_table (design : Rtl.design) =
         Hashtbl.add tbl m.Rtl.mod_name false (* cycle guard *);
         let b =
           match m.Rtl.body with
-          | Rtl.Behavioral lines ->
-              let text = Lint.strip_comments (String.concat "\n" lines) in
-              not (contains text "posedge" || contains text "negedge")
+          | Rtl.Behavioral _ ->
+              let { words; _ } = scan_of m in
+              not (Hashtbl.mem words "posedge" || Hashtbl.mem words "negedge")
+          | Rtl.Machine _ -> false
           | Rtl.Structural { instances; assigns; _ } ->
               assigns <> []
               || List.exists
@@ -344,77 +386,29 @@ let analyze_structural (design : Rtl.design) add comb_of (m : Rtl.module_decl)
 
 (* --- behavioral module analysis ----------------------------------------- *)
 
-(* Incomplete case detection: inside an always @* block, a [case] without a
-   [default] arm infers a latch.  We scan word tokens with a small stack so
-   nested case statements are attributed correctly. *)
-let latch_check add scope text =
-  let squashed =
-    String.concat ""
-      (String.split_on_char ' '
-         (String.concat "" (String.split_on_char '\t' text)))
-  in
-  let has_comb_always =
-    contains squashed "always@*" || contains squashed "always@(*)"
-  in
-  if has_comb_always then begin
-    let words = ref [] in
-    let n = String.length text in
-    let i = ref 0 in
-    while !i < n do
-      if Lint.is_word_char text.[!i] then begin
-        let j = ref !i in
-        while !j < n && Lint.is_word_char text.[!j] do
-          incr j
-        done;
-        words := String.sub text !i (!j - !i) :: !words;
-        i := !j
-      end
-      else incr i
-    done;
-    let stack = ref [] in
-    List.iter
-      (fun w ->
-        match w with
-        | "case" | "casez" | "casex" -> stack := ref false :: !stack
-        | "default" -> (
-            match !stack with top :: _ -> top := true | [] -> ())
-        | "endcase" -> (
-            match !stack with
-            | top :: rest ->
-                if not !top then
-                  add
-                    (D.v ~code:code_latch ~severity:D.Warning ~scope
-                       "case statement without a default arm inside always \
-                        @* infers a latch");
-                stack := rest
-            | [] -> ())
-        | _ -> ())
-      (List.rev !words)
-  end
+let unread_input scope name =
+  D.v ~code:code_unused_input ~severity:D.Info ~scope ~item:name
+    (Printf.sprintf "behavioral body never reads input %S" name)
 
-let analyze_behavioral add (m : Rtl.module_decl) lines =
+let analyze_behavioral add (m : Rtl.module_decl) leaf =
   let scope = m.Rtl.mod_name in
-  let text = Lint.strip_comments (String.concat "\n" lines) in
   List.iter
-    (fun (p : Rtl.port) ->
-      let used = word_present text p.Rtl.port_name in
-      match p.Rtl.direction with
-      | Rtl.Output ->
-          if not used then
-            add
-              (D.v ~code:code_undriven_output ~severity:D.Warning ~scope
-                 ~item:p.Rtl.port_name
-                 (Printf.sprintf "behavioral body never drives output %S"
-                    p.Rtl.port_name))
-      | Rtl.Input ->
-          if not used then
-            add
-              (D.v ~code:code_unused_input ~severity:D.Info ~scope
-                 ~item:p.Rtl.port_name
-                 (Printf.sprintf "behavioral body never reads input %S"
-                    p.Rtl.port_name)))
+    (fun { Rtl.port_name = name; direction; _ } ->
+      if not (Hashtbl.mem leaf.words name) then
+        add
+          (match direction with
+          | Rtl.Output ->
+              D.v ~code:code_undriven_output ~severity:D.Warning ~scope
+                ~item:name
+                (Printf.sprintf "behavioral body never drives output %S" name)
+          | Rtl.Input -> unread_input scope name))
     m.Rtl.ports;
-  latch_check add scope text
+  for _ = 1 to leaf.latches do
+    add
+      (D.v ~code:code_latch ~severity:D.Warning ~scope
+         "case statement without a default arm inside always @* infers a \
+          latch")
+  done
 
 (* --- FSM analysis ------------------------------------------------------- *)
 
@@ -464,14 +458,33 @@ let fsm (f : Fsm.t) =
 
 (* --- entry points ------------------------------------------------------- *)
 
+(* A lowered machine drives every output and reads its clock and reset;
+   an input is read only if some guard tests it. *)
+let analyze_machine add (m : Rtl.module_decl) (f : Fsm.t) =
+  List.iter add (fsm f);
+  let guards = List.filter_map (fun tr -> tr.Fsm.guard) f.Fsm.transitions in
+  List.iter
+    (fun i -> if not (List.mem i guards) then add (unread_input m.Rtl.mod_name i))
+    f.Fsm.inputs
+
 let design ?(fsms = []) (d : Rtl.design) =
   let acc = ref [] in
   let add dg = acc := dg :: !acc in
-  let comb_of = build_comb_table d in
+  let scans =
+    List.filter_map
+      (fun m ->
+        match m.Rtl.body with
+        | Rtl.Behavioral lines -> Some (m, scan_leaf lines)
+        | Rtl.Machine _ | Rtl.Structural _ -> None)
+      d.Rtl.modules
+  in
+  let scan_of m = List.assq m scans in
+  let comb_of = build_comb_table d scan_of in
   List.iter
     (fun (m : Rtl.module_decl) ->
       match m.Rtl.body with
-      | Rtl.Behavioral lines -> analyze_behavioral add m lines
+      | Rtl.Behavioral _ -> analyze_behavioral add m (scan_of m)
+      | Rtl.Machine f -> analyze_machine add m f
       | Rtl.Structural { nets; instances; assigns } ->
           analyze_structural d add comb_of m nets instances assigns)
     d.Rtl.modules;

@@ -1,8 +1,9 @@
 (** Semantic static analysis over RTL designs and FSMs.
 
-    Structural modules get a bit-precise driver/reader model; behavioral leaf
-    templates get textual checks over a comment-stripped body.  Diagnostic
-    codes (documented in DESIGN.md, "RTL static analysis"):
+    Structural modules get a bit-precise driver/reader model; [Machine]
+    modules are checked as graphs ({!fsm}); behavioral leaf templates get
+    textual checks over a comment-stripped body.  Diagnostic codes
+    (documented in DESIGN.md, "RTL static analysis"):
 
     Errors:
     - [DB-E001] — net with overlapping drivers (assign / instance output)
@@ -43,9 +44,10 @@ val code_unused_input : string
 
 val design :
   ?fsms:Db_hdl.Fsm.t list -> Db_hdl.Rtl.design -> Diagnostic.t list
-(** Analyze every module of a design, plus the given FSMs (machines that were
-    lowered into the design but whose graph structure the RTL no longer
-    exposes).  Diagnostics come back sorted errors-first. *)
+(** Analyze every module of a design, plus the given FSMs: machines whose
+    RTL is not a [Machine] module, so the design does not expose their
+    graph.  Each template leaf is stripped and tokenised once.  Diagnostics
+    come back sorted errors-first. *)
 
 val fsm : Db_hdl.Fsm.t -> Diagnostic.t list
 (** Analyze a single FSM: validation, unreachable states, sink states. *)

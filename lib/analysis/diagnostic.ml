@@ -15,17 +15,11 @@ let severity_name = function
   | Warning -> "warning"
   | Info -> "info"
 
-let is_error d = d.severity = Error
+let errors = List.filter (fun d -> d.severity = Error)
 
-let is_warning d = d.severity = Warning
+let warnings = List.filter (fun d -> d.severity = Warning)
 
-let is_info d = d.severity = Info
-
-let errors = List.filter is_error
-
-let warnings = List.filter is_warning
-
-let infos = List.filter is_info
+let infos = List.filter (fun d -> d.severity = Info)
 
 let strictify =
   List.map (fun d ->

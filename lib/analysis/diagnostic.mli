@@ -18,14 +18,6 @@ type t = {
 val v :
   code:string -> severity:severity -> scope:string -> ?item:string -> string -> t
 
-val severity_name : severity -> string
-
-val is_error : t -> bool
-
-val is_warning : t -> bool
-
-val is_info : t -> bool
-
 val errors : t list -> t list
 
 val warnings : t list -> t list

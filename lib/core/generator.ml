@@ -142,9 +142,7 @@ let build_rtl network datapath ~block_set ~program =
     let all = Compiler.agu_pattern_fsms program in
     List.filteri (fun i _ -> i < 48) all
   in
-  let fsm_modules =
-    List.map (fun fsm -> Db_hdl.Fsm.to_module fsm ~clock:"clk" ~reset:"rst") pattern_fsms
-  in
+  let fsm_modules = List.map Rtl.of_fsm pattern_fsms in
   (* Top-level nets. *)
   let nets = ref [] in
   let declare name width =

@@ -106,7 +106,7 @@ let build_train_rtl net_name ~blocks ~phase_fsm =
     end;
     name
   in
-  let fsm_module = Db_hdl.Fsm.to_module phase_fsm ~clock:"clk" ~reset:"rst" in
+  let fsm_module = Rtl.of_fsm phase_fsm in
   let nets = ref [] in
   let declare name width =
     if not (List.exists (fun (n : Rtl.net) -> n.Rtl.net_name = name) !nets)
@@ -219,7 +219,7 @@ let build ?tiling_enabled ?(batch = 16) cons network =
          added RTL fails semantic analysis is a builder bug. *)
       (match
          Db_analysis.Diagnostic.errors
-           (Db_analysis.Analyze.design ~fsms:[ phase_fsm ] train_rtl)
+           (Db_analysis.Analyze.design train_rtl)
        with
       | [] -> ()
       | first :: _ as errs ->

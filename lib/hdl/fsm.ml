@@ -129,7 +129,10 @@ let state_const states s =
   Printf.sprintf "%d'b%s" width
     (String.init width (fun i -> if width - 1 - i = idx then '1' else '0'))
 
-let to_module t ~clock ~reset =
+let clock = "clk"
+let reset = "rst"
+
+let lower t =
   validate t;
   let state_width = Stdlib.max 1 (List.length t.states) in
   let lines = ref [] in
@@ -179,19 +182,4 @@ let to_module t ~clock ~reset =
   emit "    endcase";
   emit "  end";
   emit "end";
-  {
-    Rtl.mod_name = t.fsm_name;
-    ports =
-      [
-        { Rtl.port_name = clock; direction = Rtl.Input; width = 1 };
-        { Rtl.port_name = reset; direction = Rtl.Input; width = 1 };
-      ]
-      @ List.map
-          (fun i -> { Rtl.port_name = i; direction = Rtl.Input; width = 1 })
-          t.inputs
-      @ List.map
-          (fun o -> { Rtl.port_name = o; direction = Rtl.Output; width = 1 })
-          t.outputs;
-    localparams = [];
-    body = Rtl.Behavioral (List.rev !lines);
-  }
+  List.rev !lines

@@ -3,8 +3,9 @@
     The DeepBurning compiler describes AGU address patterns and the
     coordinator's dynamic control flow as FSMs, then hands them to the
     hardware generator which lowers them to RTL (Section 3.3).  This module
-    is that shared currency: a validated, simulatable FSM that can also be
-    emitted as a behavioural Verilog module. *)
+    is that shared currency: a validated, simulatable FSM.  A design holds
+    a machine as an [Rtl.Machine] body; {!lower} turns it into Verilog text
+    only when the design is emitted. *)
 
 type transition = {
   from_state : string;
@@ -44,6 +45,13 @@ val run : t -> asserted:string list list -> (string * string list) list
 val reachable_states : t -> string list
 (** States reachable from the initial state. *)
 
-val to_module : t -> clock:string -> reset:string -> Rtl.module_decl
-(** Behavioural Verilog: one-hot state register, synchronous reset,
-    registered Moore/Mealy outputs. *)
+val clock : string
+(** ["clk"]: the clock input of every lowered machine. *)
+
+val reset : string
+(** ["rst"]: its synchronous reset input. *)
+
+val lower : t -> string list
+(** The machine's Verilog body, one statement per line: one-hot state
+    register, synchronous reset on {!reset}, registered Moore/Mealy
+    outputs, all clocked on {!clock}.  Validates first. *)

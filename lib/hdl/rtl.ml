@@ -18,6 +18,7 @@ type body =
       instances : instance list;
       assigns : (string * string) list;
     }
+  | Machine of Fsm.t
 
 type module_decl = {
   mod_name : string;
@@ -27,6 +28,17 @@ type module_decl = {
 }
 
 type design = { top : string; modules : module_decl list }
+
+let of_fsm (f : Fsm.t) =
+  let port direction port_name = { port_name; direction; width = 1 } in
+  {
+    mod_name = f.Fsm.fsm_name;
+    ports =
+      List.map (port Input) (Fsm.clock :: Fsm.reset :: f.Fsm.inputs)
+      @ List.map (port Output) f.Fsm.outputs;
+    localparams = [];
+    body = Machine f;
+  }
 
 let fail fmt = Db_util.Error.failf_at ~component:"rtl" fmt
 
@@ -58,7 +70,7 @@ let validate design =
   List.iter
     (fun m ->
       match m.body with
-      | Behavioral _ -> ()
+      | Behavioral _ | Machine _ -> ()
       | Structural { nets; instances; assigns } ->
           let known = Hashtbl.create 64 in
           List.iter (fun p -> Hashtbl.replace known p.port_name ()) m.ports;
@@ -95,24 +107,3 @@ let validate design =
             (fun (lhs, _rhs) -> check_actual "assign" lhs)
             assigns)
     design.modules
-
-let instances_of design name =
-  match (find_module design name).body with
-  | Behavioral _ -> []
-  | Structural { instances; _ } -> instances
-
-let count_instances design ~module_prefix =
-  List.fold_left
-    (fun acc m ->
-      match m.body with
-      | Behavioral _ -> acc
-      | Structural { instances; _ } ->
-          acc
-          + List.length
-              (List.filter
-                 (fun i ->
-                   String.length i.module_ref >= String.length module_prefix
-                   && String.sub i.module_ref 0 (String.length module_prefix)
-                      = module_prefix)
-                 instances))
-    0 design.modules

@@ -107,10 +107,3 @@ let generate ~top stimulus =
   out "  end";
   out "endmodule";
   Buffer.contents buf
-
-let write ~top stimulus ~path =
-  Db_util.Error.protect_io ~component:"io-testbench" (fun () ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc (generate ~top stimulus)))

@@ -19,5 +19,3 @@ val generate : top:string -> stimulus -> string
 (** The testbench Verilog text ([<top>_tb] module).  The DUT's ports must
     follow the generator's top-level convention (clk, rst, start,
     m_axi_rdata, m_axi_wdata, done). *)
-
-val write : top:string -> stimulus -> path:string -> unit

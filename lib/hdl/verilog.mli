@@ -8,5 +8,3 @@ val emit_module : Rtl.module_decl -> string
 
 val emit_design : Rtl.design -> string
 (** All modules, top last, preceded by a generated-by header comment. *)
-
-val write_design : Rtl.design -> path:string -> unit

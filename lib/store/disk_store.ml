@@ -34,7 +34,7 @@ type entry = {
 
 let magic = "DBSTORE1"
 
-let format_version = 1
+let format_version = 2
 
 type stats = {
   st_hits : int;

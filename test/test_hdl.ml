@@ -125,12 +125,6 @@ let test_validate_unknown_net () =
 let test_validate_missing_top () =
   expect_invalid { Rtl.top = "nope"; modules = [ leaf ] } "top module"
 
-let test_instances_queries () =
-  Alcotest.(check int) "instances of top" 1
-    (List.length (Rtl.instances_of good_design "top"));
-  Alcotest.(check int) "count by prefix" 1
-    (Rtl.count_instances good_design ~module_prefix:"le")
-
 let test_verilog_emission () =
   let text = Verilog.emit_design good_design in
   Alcotest.(check bool) "has leaf module" true (contains text "module leaf (");
@@ -215,8 +209,7 @@ let test_fsm_reachability () =
   Alcotest.(check bool) "done reachable" true (List.mem "done" reach)
 
 let test_fsm_to_verilog () =
-  let m = Fsm.to_module counter_fsm ~clock:"clk" ~reset:"rst" in
-  let text = Verilog.emit_module m in
+  let text = Verilog.emit_module (Rtl.of_fsm counter_fsm) in
   Alcotest.(check bool) "module name" true (contains text "module counter (");
   Alcotest.(check bool) "one-hot register" true (contains text "reg [2:0] state;");
   Alcotest.(check bool) "case statement" true (contains text "case (state)");
@@ -260,7 +253,6 @@ let suite =
         Alcotest.test_case "unknown port" `Quick test_validate_unknown_port;
         Alcotest.test_case "unknown net" `Quick test_validate_unknown_net;
         Alcotest.test_case "missing top" `Quick test_validate_missing_top;
-        Alcotest.test_case "queries" `Quick test_instances_queries;
         Alcotest.test_case "verilog emission" `Quick test_verilog_emission;
       ] );
     ( "hdl.fsm",

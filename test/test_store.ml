@@ -164,6 +164,32 @@ let test_kill_mid_write_tmp_sweep () =
   Alcotest.(check bool) "entry absent, not half-visible" true
     (Store.lookup reopened ~key = None)
 
+(* An entry written under the previous store format must be recognised
+   from its header and never decoded: a format bump marks a change in the
+   marshalled shape of [Design.t] (a constructor added to [Rtl.body], say),
+   under which an old payload could decode as the wrong variant.  The
+   record mirrors the store's own entry layout. *)
+type forged_entry = {
+  e_format : int;
+  e_ocaml : string;
+  e_key : string;
+  e_payload : string;
+}
+
+let forge_previous_format path ~key design =
+  let body =
+    Marshal.to_string
+      {
+        e_format = Store.format_version - 1;
+        e_ocaml = Sys.ocaml_version;
+        e_key = key;
+        e_payload = Marshal.to_string (design : Db_core.Design.t) [];
+      }
+      []
+  in
+  write_bytes path
+    (Printf.sprintf "DBSTORE1%08x%s" (Db_fault.Ecc.crc32 body) body)
+
 (* --- size-bounded LRU compaction ----------------------------------------- *)
 
 (* Eviction must be loss-free: the generator is deterministic, so an
@@ -272,6 +298,26 @@ let test_cache_poisoned_entry_recomputes () =
       Alcotest.(check bool) "corruption counted" true
         ((Store.stats t).Store.st_corrupt >= 1))
 
+let test_previous_format_regenerates () =
+  let dir = tmp_dir "format" in
+  with_attached dir (fun t ->
+      let design = generate () in
+      let key = key () in
+      Store.store t ~key design;
+      forge_previous_format (Store.entry_path t ~key) ~key design;
+      Alcotest.(check bool) "previous format is a miss" true
+        (Store.lookup t ~key = None);
+      Alcotest.(check int) "counted corrupt" 1 (Store.stats t).Store.st_corrupt;
+      Cache.clear ();
+      let served = Cache.generate cons (Lazy.force net) in
+      Alcotest.(check string) "regenerated byte-identically" (rtl_sha design)
+        (rtl_sha served);
+      match Store.lookup t ~key with
+      | None -> Alcotest.fail "regenerated design not written through"
+      | Some restored ->
+          Alcotest.(check string) "rewritten in the current format"
+            (rtl_sha design) (rtl_sha restored))
+
 (* A second level that throws must never fail generation. *)
 let test_cache_absorbs_second_level_failure () =
   Cache.set_second_level
@@ -298,6 +344,8 @@ let suite =
         Alcotest.test_case "bad magic recovers" `Quick test_bad_magic;
         Alcotest.test_case "empty entry recovers" `Quick test_empty_entry;
         Alcotest.test_case "version skew regenerates" `Quick test_version_skew;
+        Alcotest.test_case "previous format regenerates" `Quick
+          test_previous_format_regenerates;
         Alcotest.test_case "kill mid-write sweeps tmp" `Quick
           test_kill_mid_write_tmp_sweep;
         Alcotest.test_case "LRU compaction recomputes losslessly" `Quick
