@@ -186,6 +186,19 @@ let test_conv_output_dim () =
   Alcotest.(check int) "same padding" 16
     (Ops.conv_output_dim ~input:16 ~kernel:3 ~stride:1 ~pad_lo:1 ~pad_hi:1)
 
+let test_random_uniform_golden () =
+  (* [random_uniform] fills in flat order with successive [Rng.uniform]
+     draws; these literals pin that stream for seed 42. *)
+  let t =
+    Tensor.random_uniform (Db_util.Rng.create 42) (Shape.vector 4) ~min:(-0.5)
+      ~max:2.0
+  in
+  Alcotest.(check (list string))
+    "seed 42 stream"
+    [ "0x1.5a99fd5f77cc8p+0"; "-0x1.9a847fec1fea8p-4"; "0x1.927012cd7d38p-3";
+      "0x1.7120d3f68eeccp-2" ]
+    (List.init 4 (fun i -> Printf.sprintf "%h" (Tensor.get t i)))
+
 (* qcheck properties *)
 
 let rng_tensor seed shape =
@@ -253,6 +266,8 @@ let suite =
         Alcotest.test_case "get/set" `Quick test_tensor_get_set;
         Alcotest.test_case "chw indexing" `Quick test_tensor_chw_indexing;
         Alcotest.test_case "algebra" `Quick test_tensor_algebra;
+        Alcotest.test_case "random_uniform golden" `Quick
+          test_random_uniform_golden;
       ] );
     ( "tensor.ops",
       [

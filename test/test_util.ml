@@ -65,6 +65,78 @@ let test_split_independence () =
     "split streams differ" true
     (Db_util.Rng.next_int64 a <> Db_util.Rng.next_int64 b)
 
+(* Literal splitmix64 outputs, captured from the reference implementation:
+   every seeded artifact in the repository (weights, inputs, campaigns,
+   fronts) depends on these exact streams, so any change to the generator's
+   representation must reproduce them bit for bit. *)
+let golden_streams =
+  [
+    ( 0,
+      [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL ],
+      [ 611; 686; 522; 728 ],
+      [ "0x1.8b082675922d5p-1"; "0x1.f72bc4820e4c4p-3"; "0x1.e77091186d196p-1" ],
+      [ "-0x1.a811322c34ec8p-3"; "0x1.0b4c9b80156f6p-1"; "0x1.88680ff82ef6p-5" ],
+      [ 0x1.27cb1717a9ad8p+0; -0x1.6e1f3f5f896eap+0; 0x1.4ef4c9fbe58f8p+1 ],
+      [ false; true; true; false; false; true ],
+      (0x59BB8BB2074A9CEAL, 0x69B82EBC92233300L) );
+    ( 1,
+      [ 0x910A2DEC89025CC1L; 0xBEEB8DA1658EEC67L; 0xF893A2EEFB32555EL ],
+      [ 58; 190; 512; 761 ],
+      [ "0x1.0bcf761e244fp-1"; "0x1.245c6378d5f8ep-2"; "0x1.9686b91ce8c2cp-1" ],
+      [ "-0x1.88a2388fea9b8p-3"; "0x1.afcd44d14cf88p-3"; "-0x1.71260eb68ab5p-4" ],
+      [ -0x1.1c35ba6c2a3dcp+0; -0x1.781a4cfeed2ccp+0; 0x1.33d41704b75e8p+0 ],
+      [ false; false; false; true; false; true ],
+      (0x6A54EEE9640876A7L, 0x83F91CA7864A7135L) );
+    ( 42,
+      [ 0xBDD732262FEB6E95L; 0x28EFE333B266F103L; 0x47526757130F9F52L ],
+      [ 941; 812; 265; 231 ],
+      [ "0x1.99ec6bdd3d3c5p-1"; "0x1.5c16e1dc2cf5ep-2"; "0x1.3ca9ae7052feep-1" ],
+      [ "-0x1.2e2e36d62293ap-1"; "-0x1.cb75f1bae9bp-7"; "0x1.b6f6c4bf9f2p-6" ],
+      [ 0x1.06b59b548cee4p-2; 0x1.909ccd0a032c7p+2; 0x1.3d712f60114d2p+2 ],
+      [ false; false; true; true; true; false ],
+      (0x1256225F0D5DE9C5L, 0xBDF25B150620A835L) );
+    ( -7,
+      [ 0x6C1E186443822970L; 0x7A87F4DABCF192AAL; 0xE8313FE1D7350611L ],
+      [ 472; 788; 265; 894 ],
+      [ "0x1.b4b0d3e2abdp-8"; "0x1.cd1ffdb57788p-6"; "0x1.9a961b9b6f5bap-2" ],
+      [ "0x1.ec4421ff2bb3p-3"; "-0x1.476cf486f838p-6"; "0x1.41231f7f0614ap-1" ],
+      [ -0x1.89b90ebd1974p-4; 0x1.0fc4553c465ebp+2; 0x1.5c483514d3a32p+1 ],
+      [ true; true; false; false; true; false ],
+      (0xBA288D417657E27CL, 0x3B88A55D97BEAABCL) );
+  ]
+
+let test_rng_golden () =
+  let module Rng = Db_util.Rng in
+  let draws n f = List.init n (fun _ -> f ()) in
+  let hex x = Printf.sprintf "%h" x in
+  List.iter
+    (fun (seed, raw, ints, floats, uniforms, gaussians, bools, (child, parent)) ->
+      let t = Rng.create seed in
+      let name what = Printf.sprintf "seed %d: %s" seed what in
+      Alcotest.(check (list int64)) (name "next_int64") raw
+        (draws 3 (fun () -> Rng.next_int64 t));
+      Alcotest.(check (list int)) (name "int") ints
+        (draws 4 (fun () -> Rng.int t 1000));
+      (* Floats compare as exact hex literals: [float] and [uniform] are
+         pure IEEE arithmetic on the integer stream. *)
+      Alcotest.(check (list string)) (name "float") floats
+        (draws 3 (fun () -> hex (Rng.float t 1.0)));
+      Alcotest.(check (list string)) (name "uniform") uniforms
+        (draws 3 (fun () -> hex (Rng.uniform t ~min:(-1.0) ~max:1.0)));
+      (* Box-Muller goes through libm's log/cos/sqrt, so allow a few ulps. *)
+      List.iter2
+        (fun want got ->
+          if Float.abs (want -. got) > 1e-12 then
+            Alcotest.failf "%s: got %h, want %h" (name "gaussian") got want)
+        gaussians
+        (draws 3 (fun () -> Rng.gaussian t ~mean:2.0 ~stddev:3.0));
+      Alcotest.(check (list bool)) (name "bool") bools
+        (draws 6 (fun () -> Rng.bool t));
+      let s = Rng.split t in
+      Alcotest.(check int64) (name "split child") child (Rng.next_int64 s);
+      Alcotest.(check int64) (name "split parent") parent (Rng.next_int64 t))
+    golden_streams
+
 let test_stats_mean () = check_float "mean" 2.0 (Db_util.Stats.mean [| 1.0; 2.0; 3.0 |])
 
 let test_stats_sum_kahan () =
@@ -123,6 +195,7 @@ let suite =
         Alcotest.test_case "gaussian moments" `Quick test_rng_gaussian_moments;
         Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutation;
         Alcotest.test_case "split" `Quick test_split_independence;
+        Alcotest.test_case "golden streams" `Quick test_rng_golden;
       ] );
     ( "util.stats",
       [
