@@ -27,7 +27,7 @@ let saturate q v =
   else if v < min_value q then min_value q
   else v
 
-let of_float q x =
+let[@inline] of_float q x =
   let scaled = x *. float_of_int (1 lsl q.frac_bits) in
   if Float.is_nan scaled then 0
   else saturate q (int_of_float (Float.round scaled))
@@ -54,9 +54,14 @@ let shift_right_approx q v n =
   if n < 0 then invalid_arg "Fixed.shift_right_approx: negative shift";
   saturate q (v asr n)
 
+(* The typed buffer keeps each read a single unboxed load (DESIGN.md §14). *)
 let quantize_tensor q t =
-  let n = Db_tensor.Tensor.numel t in
-  Array.init n (fun i -> of_float q (Db_tensor.Tensor.unsafe_get t i))
+  let (b : Db_tensor.Tensor.buf) = Db_tensor.Tensor.data t in
+  let out = Array.make (Bigarray.Array1.dim b) 0 in
+  for i = 0 to Array.length out - 1 do
+    Array.unsafe_set out i (of_float q (Bigarray.Array1.unsafe_get b i))
+  done;
+  out
 
 let dequantize_tensor q ~shape values =
   Db_tensor.Tensor.of_array shape (Array.map (to_float q) values)

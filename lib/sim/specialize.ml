@@ -5,21 +5,24 @@
    The contract is bitwise identity with the generic engine
    ({!Quantized.forward} + {!Db_mem.Agu_sim}): same outputs, same observable
    counters, same exceptions at the same logical points, at any
-   DEEPBURNING_JOBS.  Two facts make the fast paths sound:
+   DEEPBURNING_JOBS.  Three facts make the fast paths sound:
 
-   - the quantized conv / FC kernels accumulate in native ints, and the
-     checker's DB-R003 gate proves every accumulator fits 62 bits, so the
-     specialized kernels may hoist, unroll and skip bounds checks without
-     changing a single bit — integer addition is associative;
+   - the quantized conv / FC kernels accumulate in native ints, whose
+     addition and multiplication are modular (mod 2^63), so the specialized
+     kernels may reorder and unroll the MACs without changing a single bit,
+     even where a sum wraps (the checker's DB-R003 gate proves none does on
+     a checked design);
+   - an activation's result depends only on its input word, so for formats
+     of at most 16 bits it is tabulated once per design;
    - a healthy AGU pattern's address stream and cycle count have closed
      forms ({!Db_mem.Agu_sim.trace}), so control replay reduces to summing
      precomputed per-transfer cycle counts under the same watchdog.
 
-   Float-order-sensitive layers (LRN, LCN, softmax, recurrent, activation
-   maps, pooling with reciprocals, ...) delegate to the generic
-   {!Quantized.eval_node} verbatim, as does any node whose parameters fail
-   the fast path's shape guard — the guard failure cases re-run the generic
-   kernel so error behaviour stays identical too. *)
+   Float-order-sensitive layers (LRN, LCN, softmax, recurrent, pooling with
+   reciprocals, ...) delegate to the generic {!Quantized.eval_node}
+   verbatim, as does any node whose parameters fail the fast path's shape
+   guard — the guard failure cases re-run the generic kernel so error
+   behaviour stays identical too. *)
 
 module Tensor = Db_tensor.Tensor
 module Shape = Db_tensor.Shape
@@ -48,12 +51,20 @@ type control_step =
 
 (* --- compiled functional plan --------------------------------------------- *)
 
+(* An activation tabulated over every word of a format of at most 16 bits,
+   indexed by [word - Fixed.min_value fmt]. *)
+type act_table = (int, Bigarray.int16_signed_elt, Bigarray.c_layout) Bigarray.Array1.t
+
 type kernel =
   | K_input of { top : string; shape : Shape.t }
   | K_bad_input  (** input node without exactly one top *)
   | K_conv of { stride : int; pad : int; group : int; has_bias : bool }
   | K_fc of { has_bias : bool }
-  | K_act of Layer.activation
+  | K_act of {
+      act : Layer.activation;
+      table : act_table option;  (** [act] under the design's own LUTs *)
+      in_place : bool;  (** may overwrite its input's words *)
+    }
   | K_generic
 
 type node_plan = {
@@ -82,6 +93,15 @@ let qformat t = t.sp_fmt
 let lut_eval t = t.sp_eval
 
 let control_cycles t = t.sp_control_cycles
+
+let activation_table t act =
+  Array.find_map
+    (fun np ->
+      match np.np_kernel with
+      | K_act { act = a; table = Some tbl; _ } when a = act ->
+          Some (Array.init (Bigarray.Array1.dim tbl) (Bigarray.Array1.get tbl))
+      | _ -> None)
+    t.sp_plan
 
 (* --- trace compilation ---------------------------------------------------- *)
 
@@ -115,12 +135,42 @@ let compile_control (design : Design.t) =
          | exception e -> Invalid e)
        raw)
 
+(* Widest format whose activations are tabulated: a 16-bit table holds
+   65536 two-byte entries, 128 KB per distinct activation. *)
+let table_bits = 16
+
+(* [of_float fmt (f (to_float fmt v))] for every word [v] of [fmt], the
+   very expression the closure path evaluates per word. *)
+let act_table fmt f : act_table =
+  let lo = Fixed.min_value fmt in
+  let tbl =
+    Bigarray.Array1.create Bigarray.int16_signed Bigarray.c_layout
+      (Fixed.max_value fmt - lo + 1)
+  in
+  for i = 0 to Bigarray.Array1.dim tbl - 1 do
+    Bigarray.Array1.unsafe_set tbl i
+      (Fixed.of_float fmt (f (Fixed.to_float fmt (lo + i))))
+  done;
+  tbl
+
 let compile (design : Design.t) =
   Db_obs.Obs.with_span "simulate.compile_trace"
     ~attrs:[ ("network", design.Design.network.Network.net_name) ]
   @@ fun () ->
   let net = design.Design.network in
   let fmt = design.Design.datapath.Db_sched.Datapath.fmt in
+  let sp_eval = Lut_eval.of_luts design.Design.program.Compiler.luts in
+  let tables = ref [] in
+  let table_of act =
+    if fmt.Fixed.total_bits > table_bits then None
+    else
+      match List.assoc_opt act !tables with
+      | Some tbl -> Some tbl
+      | None ->
+          let tbl = act_table fmt (sp_eval.Quantized.eval_activation act) in
+          tables := (act, tbl) :: !tables;
+          Some tbl
+  in
   let blob_slot = Hashtbl.create 16 in
   let plans = ref [] in
   let next = ref 0 in
@@ -137,7 +187,8 @@ let compile (design : Design.t) =
         | Layer.Convolution { stride; pad; group; bias; _ } ->
             K_conv { stride; pad; group; has_bias = bias }
         | Layer.Inner_product { bias; _ } -> K_fc { has_bias = bias }
-        | Layer.Activation act -> K_act act
+        | Layer.Activation act ->
+            K_act { act; table = table_of act; in_place = false }
         | _ -> K_generic
       in
       let np_bottoms =
@@ -167,6 +218,32 @@ let compile (design : Design.t) =
         Out_single { slot = Hashtbl.find blob_slot blob; classifier }
     | blobs -> Out_multi (List.length blobs)
   in
+  (* An activation may overwrite its input when that input is a fresh
+     conv/FC result that nothing else reads: one consumer, and not the
+     network output.  Slots are private to [eval_slots], so no caller can
+     observe the overwritten words. *)
+  let plan = Array.of_list (List.rev !plans) in
+  let consumers = Array.make (Array.length plan) 0 in
+  Array.iter
+    (fun np ->
+      Array.iter
+        (fun (_, slot) -> if slot >= 0 then consumers.(slot) <- consumers.(slot) + 1)
+        np.np_bottoms)
+    plan;
+  let exclusive slot =
+    consumers.(slot) = 1
+    && (match sp_out with Out_single o -> o.slot <> slot | Out_multi _ -> true)
+    && match plan.(slot).np_kernel with K_conv _ | K_fc _ -> true | _ -> false
+  in
+  let plan =
+    Array.map
+      (fun np ->
+        match np.np_kernel, np.np_bottoms with
+        | K_act a, [| (_, slot) |] when slot >= 0 && exclusive slot ->
+            { np with np_kernel = K_act { a with in_place = true } }
+        | _ -> np)
+      plan
+  in
   let sp_control = compile_control design in
   let sp_control_cycles =
     Array.fold_left
@@ -176,8 +253,8 @@ let compile (design : Design.t) =
   {
     sp_network = net.Network.net_name;
     sp_fmt = fmt;
-    sp_eval = Lut_eval.of_luts design.Design.program.Compiler.luts;
-    sp_plan = Array.of_list (List.rev !plans);
+    sp_eval;
+    sp_plan = plan;
     sp_out;
     sp_control;
     sp_control_cycles;
@@ -223,54 +300,147 @@ let replay_control ~cycle_budget t =
 
 (* --- specialized kernels --------------------------------------------------- *)
 
-(* Unsafe-indexed convolution.  Only entered once [conv_guard] has proved
-   every index the loops compute is in bounds; accumulation is integer so
-   the hoisted/reassociated order is bitwise-identical to the generic
-   kernel's. *)
-let conv_kernel fmt ~(input : Quantized.qtensor) ~(weights : Quantized.qtensor)
-    ~bias ~stride ~pad ~group ~cin_g ~cout ~k ~h ~w ~oh ~ow =
-  let idata = input.Quantized.qdata and wdata = weights.Quantized.qdata in
-  let out = Array.make (cout * oh * ow) 0 in
-  let cout_g = cout / group in
-  for oc = 0 to cout - 1 do
-    let g = oc / cout_g in
-    let base_ic = g * cin_g in
-    let b =
-      match bias with
-      | None -> 0
-      | Some (bt : Quantized.qtensor) ->
-          Array.unsafe_get bt.Quantized.qdata oc lsl fmt.Fixed.frac_bits
-    in
-    let wbase_oc = oc * cin_g * k * k in
-    let obase_oc = oc * oh * ow in
-    for oy = 0 to oh - 1 do
-      let obase = obase_oc + (oy * ow) in
-      for ox = 0 to ow - 1 do
-        let acc = ref b in
-        for ic = 0 to cin_g - 1 do
-          let ibase_c = (base_ic + ic) * h * w in
-          let wbase_c = wbase_oc + (ic * k * k) in
-          for ky = 0 to k - 1 do
-            let iy = (oy * stride) + ky - pad in
-            if iy >= 0 && iy < h then begin
-              let ibase = ibase_c + (iy * w) in
-              let wbase = wbase_c + (ky * k) in
-              for kx = 0 to k - 1 do
-                let ix = (ox * stride) + kx - pad in
-                if ix >= 0 && ix < w then
-                  acc :=
-                    !acc
-                    + Array.unsafe_get idata (ibase + ix)
-                      * Array.unsafe_get wdata (wbase + kx)
-              done
-            end
-          done
-        done;
-        Array.unsafe_set out (obase + ox) (Quantized.rescale_acc fmt !acc)
-      done
-    done
+(* Output positions [lo, hi] along one axis whose input coordinate
+   [o * stride + tap - pad] falls inside [0, n): the taps that land in the
+   padding are cut off once here, not tested per MAC.  [hi < lo] when the
+   tap never reaches the input. *)
+let tap_ranges ~n ~out ~stride ~pad ~k =
+  let lo = Array.make k 0 and hi = Array.make k (-1) in
+  for tap = 0 to k - 1 do
+    let off = tap - pad in
+    lo.(tap) <- (if off >= 0 then 0 else (stride - 1 - off) / stride);
+    if n - 1 - off >= 0 then hi.(tap) <- Int.min (out - 1) ((n - 1 - off) / stride)
   done;
-  { Quantized.qshape = Shape.chw ~channels:cout ~height:oh ~width:ow; qdata = out }
+  (lo, hi)
+
+(* Output channels per register block of the tap-major kernel. *)
+let block = 4
+
+(* Tap-major convolution on unsafe indices, entered only once [conv_kernel]
+   has proved every index in bounds.  Each task owns one block of up to
+   four output channels of one group: it seeds their planes with the
+   shifted bias, then for every tap (ic, ky, kx) adds [input * weight] over
+   the tap's precomputed output window, and rescales the planes in place.
+   The accumulation order differs from the generic kernel's, but OCaml
+   [int] arithmetic is modular, so every order yields the same words. *)
+let conv_blocks fmt ~idata ~wdata ~bias ~stride ~pad ~group ~cin_g ~cout ~k ~h
+    ~w ~oh ~ow =
+  let plane = oh * ow and kk = k * k in
+  let out = Array.make (cout * plane) 0 in
+  let cout_g = cout / group in
+  let blocks_per_group = (cout_g + block - 1) / block in
+  let y_lo, y_hi = tap_ranges ~n:h ~out:oh ~stride ~pad ~k in
+  let x_lo, x_hi = tap_ranges ~n:w ~out:ow ~stride ~pad ~k in
+  (* Distance between the same tap of consecutive output channels. *)
+  let wstride = cin_g * kk in
+  let run b =
+    let g = b / blocks_per_group in
+    let oc0 = (g * cout_g) + (b mod blocks_per_group * block) in
+    let nb = Int.min block (((g + 1) * cout_g) - oc0) in
+    let obase = oc0 * plane in
+    (match bias with
+    | None -> ()
+    | Some (bt : Quantized.qtensor) ->
+        for c = 0 to nb - 1 do
+          Array.fill out
+            (obase + (c * plane))
+            plane
+            (Array.unsafe_get bt.Quantized.qdata (oc0 + c) lsl fmt.Fixed.frac_bits)
+        done);
+    for ic = 0 to cin_g - 1 do
+      let ibase_c = ((g * cin_g) + ic) * h * w in
+      for ky = 0 to k - 1 do
+        for kx = 0 to k - 1 do
+          let xlo = Array.unsafe_get x_lo kx and xhi = Array.unsafe_get x_hi kx in
+          let ioff = ibase_c + kx - pad in
+          let wtap = (((oc0 * cin_g) + ic) * kk) + (ky * k) + kx in
+          if nb = block then begin
+            let w0 = Array.unsafe_get wdata wtap
+            and w1 = Array.unsafe_get wdata (wtap + wstride)
+            and w2 = Array.unsafe_get wdata (wtap + (2 * wstride))
+            and w3 = Array.unsafe_get wdata (wtap + (3 * wstride)) in
+            for oy = Array.unsafe_get y_lo ky to Array.unsafe_get y_hi ky do
+              let irow = ioff + (((oy * stride) + ky - pad) * w) in
+              let o0 = obase + (oy * ow) in
+              for ox = xlo to xhi do
+                let v = Array.unsafe_get idata (irow + (ox * stride)) in
+                let o = o0 + ox in
+                Array.unsafe_set out o (Array.unsafe_get out o + (v * w0));
+                let o = o + plane in
+                Array.unsafe_set out o (Array.unsafe_get out o + (v * w1));
+                let o = o + plane in
+                Array.unsafe_set out o (Array.unsafe_get out o + (v * w2));
+                let o = o + plane in
+                Array.unsafe_set out o (Array.unsafe_get out o + (v * w3))
+              done
+            done
+          end
+          else
+            for c = 0 to nb - 1 do
+              let wc = Array.unsafe_get wdata (wtap + (c * wstride)) in
+              for oy = Array.unsafe_get y_lo ky to Array.unsafe_get y_hi ky do
+                let irow = ioff + (((oy * stride) + ky - pad) * w) in
+                let o0 = obase + (c * plane) + (oy * ow) in
+                for ox = xlo to xhi do
+                  let o = o0 + ox in
+                  Array.unsafe_set out o
+                    (Array.unsafe_get out o
+                    + (Array.unsafe_get idata (irow + (ox * stride)) * wc))
+                done
+              done
+            done
+        done
+      done
+    done;
+    for i = obase to obase + (nb * plane) - 1 do
+      Array.unsafe_set out i (Quantized.rescale_acc fmt (Array.unsafe_get out i))
+    done
+  in
+  (* Blocks write disjoint channel planes; at jobs=1 or on a small layer
+     the loop runs inline on the calling domain. *)
+  Pool.parallel_for ~work:(cout * plane * cin_g * kk) ~lo:0
+    ~hi:(group * blocks_per_group) run;
+  out
+
+let numel_matches (q : Quantized.qtensor) =
+  Array.length q.Quantized.qdata = Shape.numel q.Quantized.qshape
+
+let conv_kernel fmt ~(input : Quantized.qtensor) ~(weights : Quantized.qtensor)
+    ~bias ~stride ~pad ~group =
+  (* Dimension extraction in the generic kernel's order, so a malformed
+     weight shape raises the same error here. *)
+  let ish = input.Quantized.qshape in
+  let cin = Shape.channels ish and h = Shape.height ish and w = Shape.width ish in
+  let wsh = weights.Quantized.qshape in
+  let cout = Shape.dim wsh 0 and cin_g = Shape.dim wsh 1 and k = Shape.dim wsh 2 in
+  let oh =
+    Db_tensor.Ops.conv_output_dim ~input:h ~kernel:k ~stride ~pad_lo:pad
+      ~pad_hi:pad
+  in
+  let ow =
+    Db_tensor.Ops.conv_output_dim ~input:w ~kernel:k ~stride ~pad_lo:pad
+      ~pad_hi:pad
+  in
+  let guard =
+    group > 0 && cin mod group = 0 && cout mod group = 0
+    && cin_g = cin / group && Shape.rank wsh = 4
+    && Shape.dim wsh 3 = k
+    && Array.length input.Quantized.qdata = cin * h * w
+    && numel_matches weights
+    && (match bias with
+       | None -> true
+       | Some (bt : Quantized.qtensor) -> Array.length bt.Quantized.qdata >= cout)
+  in
+  if not guard then None
+  else
+    Some
+      {
+        Quantized.qshape = Shape.chw ~channels:cout ~height:oh ~width:ow;
+        qdata =
+          conv_blocks fmt ~idata:input.Quantized.qdata
+            ~wdata:weights.Quantized.qdata ~bias ~stride ~pad ~group ~cin_g
+            ~cout ~k ~h ~w ~oh ~ow;
+      }
 
 let fc_kernel fmt ~(input : Quantized.qtensor) ~(weights : Quantized.qtensor)
     ~bias ~nin ~nout =
@@ -292,9 +462,6 @@ let fc_kernel fmt ~(input : Quantized.qtensor) ~(weights : Quantized.qtensor)
     Array.unsafe_set out o (Quantized.rescale_acc fmt !acc)
   done;
   { Quantized.qshape = Shape.vector nout; qdata = out }
-
-let numel_matches (q : Quantized.qtensor) =
-  Array.length q.Quantized.qdata = Shape.numel q.Quantized.qshape
 
 (* --- bound traces ---------------------------------------------------------- *)
 
@@ -335,6 +502,25 @@ let with_node_params bound ~node qparams =
 
 (* --- functional playback --------------------------------------------------- *)
 
+external table_get : act_table -> int -> int = "%caml_ba_unsafe_ref_1"
+
+let no_table : act_table =
+  Bigarray.Array1.create Bigarray.int16_signed Bigarray.c_layout 0
+
+(* [dst.(j) <- of_float fmt (f (to_float fmt src.(j)))], read from [tbl]
+   for the words it covers.  A word outside the format (which no
+   saturating kernel produces) and every word under [no_table] go through
+   the closure [f]. *)
+let map_activation fmt (tbl : act_table) f ~src ~dst =
+  let lo = Fixed.min_value fmt and n = Bigarray.Array1.dim tbl in
+  for j = 0 to Array.length src - 1 do
+    let v = Array.unsafe_get src j in
+    let i = v - lo in
+    Array.unsafe_set dst j
+      (if i >= 0 && i < n then table_get tbl i
+       else Fixed.of_float fmt (f (Fixed.to_float fmt v)))
+  done
+
 let eval_slots ?eval bound ~inputs =
   let t = bound.bd_spec in
   let fmt = t.sp_fmt in
@@ -371,42 +557,16 @@ let eval_slots ?eval bound ~inputs =
           match kernel, qparams, bottoms with
           | K_conv { stride; pad; group; has_bias }, _, [ input ] -> begin
               match qparams, has_bias with
-              | ([ weights ], false | [ weights; _ ], true) ->
+              | ([ weights ], false | [ weights; _ ], true) -> begin
                   let bias =
                     match qparams with [ _; b ] -> Some b | _ -> None
                   in
-                  (* Dimension extraction in the generic kernel's order, so
-                     a malformed weight shape raises the same error here. *)
-                  let ish = input.Quantized.qshape in
-                  let cin = Shape.channels ish
-                  and h = Shape.height ish
-                  and w = Shape.width ish in
-                  let wsh = weights.Quantized.qshape in
-                  let cout = Shape.dim wsh 0
-                  and cin_g = Shape.dim wsh 1
-                  and k = Shape.dim wsh 2 in
-                  let oh =
-                    Db_tensor.Ops.conv_output_dim ~input:h ~kernel:k ~stride
-                      ~pad_lo:pad ~pad_hi:pad
-                  in
-                  let ow =
-                    Db_tensor.Ops.conv_output_dim ~input:w ~kernel:k ~stride
-                      ~pad_lo:pad ~pad_hi:pad
-                  in
-                  let guard =
-                    group > 0 && cin mod group = 0 && cout mod group = 0
-                    && cin_g = cin / group && Shape.rank wsh = 4
-                    && Shape.dim wsh 3 = k
-                    && Array.length input.Quantized.qdata = cin * h * w
-                    && numel_matches weights
-                    && (match bias with
-                       | None -> true
-                       | Some bt -> Array.length bt.Quantized.qdata >= cout)
-                  in
-                  if guard then
+                  match
                     conv_kernel fmt ~input ~weights ~bias ~stride ~pad ~group
-                      ~cin_g ~cout ~k ~h ~w ~oh ~ow
-                  else generic qparams bottoms
+                  with
+                  | Some out -> out
+                  | None -> generic qparams bottoms
+                end
               | _ -> generic qparams bottoms
             end
           | K_fc { has_bias }, _, [ input ] -> begin
@@ -429,18 +589,23 @@ let eval_slots ?eval bound ~inputs =
                   else generic qparams bottoms
               | _ -> generic qparams bottoms
             end
-          | K_act act, _, [ input ] ->
+          | K_act { act; table; in_place }, _, [ input ] ->
               (* [eval_node] runs [qmap fmt (eval.eval_activation act)] and
                  ignores the node's parameters; the same map with the
-                 evaluator dispatched once, outside the element loop. *)
-              let f = eval.Quantized.eval_activation act in
+                 evaluator dispatched once, outside the element loop.  The
+                 table holds exactly the design evaluator's words, so it
+                 stands in for it alone: any other evaluator (a campaign's
+                 faulted LUTs) keeps the closure. *)
               let src = input.Quantized.qdata in
-              let out =
-                Array.map
-                  (fun v -> Fixed.of_float fmt (f (Fixed.to_float fmt v)))
-                  src
+              let dst = if in_place then src else Array.make (Array.length src) 0 in
+              let tbl =
+                match table with
+                | Some tbl when eval == t.sp_eval -> tbl
+                | Some _ | None -> no_table
               in
-              { input with Quantized.qdata = out }
+              map_activation fmt tbl (eval.Quantized.eval_activation act) ~src
+                ~dst;
+              { input with Quantized.qdata = dst }
           | _ -> generic qparams bottoms)
     in
     Array.unsafe_set slots i result

@@ -13,9 +13,10 @@
     output tensors, same [sim.*] / [agu.*] counters, same exceptions at
     the same logical points, at any DEEPBURNING_JOBS.  Integer layers
     (convolution, full connection) run specialized unsafe-indexed kernels
-    — sound because quantized accumulation is exact 63-bit integer math
-    (checker gate DB-R003) — while float-order-sensitive layers delegate
-    to {!Db_nn.Quantized.eval_node} verbatim. *)
+    in their own summation order — sound because OCaml [int] arithmetic is
+    modular, so every order yields the same word — activations of formats
+    of at most 16 bits read a per-design table, and float-order-sensitive
+    layers delegate to {!Db_nn.Quantized.eval_node} verbatim. *)
 
 type t
 (** A compiled trace: everything derivable from the design alone. *)
@@ -40,6 +41,12 @@ val qformat : t -> Db_fixed.Fixed.format
 val lut_eval : t -> Db_nn.Quantized.function_eval
 (** The design's Approx-LUT evaluator (the default for [output]). *)
 
+val activation_table : t -> Db_nn.Layer.activation -> int array option
+(** A copy of the words [compile] tabulated for one activation under the
+    design's own LUT evaluator, indexed by [word - Fixed.min_value fmt];
+    [None] when the activation is not tabulated (formats wider than 16
+    bits, or no such activation in the network). *)
+
 val control_cycles : t -> int
 (** Closed-form control-path cycles of one healthy whole-trace replay. *)
 
@@ -48,6 +55,22 @@ val replay_control : cycle_budget:int -> t -> int
     identical cycles, [agu.*] counters, spans and {!Db_util.Error.Timeout}
     payloads to replaying every transfer on the cycle-accurate
     {!Db_mem.Agu_sim} machine, without clocking a single FSM step. *)
+
+val conv_kernel :
+  Db_fixed.Fixed.format ->
+  input:Db_nn.Quantized.qtensor ->
+  weights:Db_nn.Quantized.qtensor ->
+  bias:Db_nn.Quantized.qtensor option ->
+  stride:int ->
+  pad:int ->
+  group:int ->
+  Db_nn.Quantized.qtensor option
+(** The specialized convolution: tap-major over blocks of four output
+    channels, split across the domain pool.  [None] when the shapes fail
+    its guard (playback then runs the generic kernel, which raises the
+    generic error); otherwise the words the generic kernel computes, bit
+    for bit.  Dimension errors ({!Db_tensor.Ops.conv_output_dim}) are
+    raised in the generic kernel's order. *)
 
 val bind : t -> Db_nn.Params.t -> bound
 (** Quantize the parameter set once, up front.  Amortises the dominant

@@ -186,7 +186,11 @@ let l2_distance a b =
   sqrt !acc
 
 let random_uniform rng shape ~min ~max =
-  init shape (fun _ -> Db_util.Rng.uniform rng ~min ~max)
+  let b = A1.create Bigarray.float64 Bigarray.c_layout (Shape.numel shape) in
+  for i = 0 to A1.dim b - 1 do
+    A1.unsafe_set b i (Db_util.Rng.uniform rng ~min ~max)
+  done;
+  { shape; data = b }
 
 let random_gaussian rng shape ~mean ~stddev =
   init shape (fun _ -> Db_util.Rng.gaussian rng ~mean ~stddev)

@@ -16,6 +16,10 @@ module Params = Db_nn.Params
 module Tensor = Db_tensor.Tensor
 module Pool = Db_parallel.Pool
 module Obs = Db_obs.Obs
+module Quantized = Db_nn.Quantized
+module Fixed = Db_fixed.Fixed
+module Shape = Db_tensor.Shape
+module Rng = Db_util.Rng
 
 (* Every model the zoo serves by name (the `ir`/`lint` gates enumerate the
    same twelve) plus the trainable CMAC stand-in. *)
@@ -94,6 +98,23 @@ let check_model (name, prototxt) () =
       cycles
       (Simulator.replay_control_generic ~cycle_budget:budget design)
 
+(* A conv output read both by an activation and by the concat that joins
+   the activation back in: the activation must not overwrite words the
+   concat still reads.  The head's sigmoid is the network output and may
+   overwrite its FC input. *)
+let branchy_prototxt =
+  {|name: "branchy"
+layers { name: "data" type: INPUT top: "data"
+  input_param { dim: 2 dim: 10 dim: 10 } }
+layers { name: "conv1" type: CONVOLUTION bottom: "data" top: "conv1"
+  convolution_param { num_output: 8 kernel_size: 3 pad: 1 } }
+layers { name: "act" type: TANH bottom: "conv1" top: "act" }
+layers { name: "join" type: CONCAT bottom: "act" bottom: "conv1" top: "join" }
+layers { name: "fc" type: INNER_PRODUCT bottom: "join" top: "fc"
+  inner_product_param { num_output: 4 } }
+layers { name: "head" type: SIGMOID bottom: "fc" top: "head" }
+|}
+
 let test_jobs_invariance () =
   (* The engines must produce the same bits whether the pool fans out
      (DEEPBURNING_JOBS=4, the test environment) or runs sequentially. *)
@@ -149,17 +170,13 @@ let test_batch_matches_singles () =
         true (Tensor.equal_bits b s))
     (List.combine batched sequential)
 
-let test_campaign_engines_agree () =
-  (* The fault campaign's whole observable result — rendered JSON, so every
-     outcome class, rate and degradation point — must not depend on the
-     engine that produced it. *)
-  let net =
-    Zoo.build (Zoo.ann_prototxt ~name:"specann" ~inputs:4 ~hidden1:8 ~hidden2:8 ~outputs:3)
-  in
-  let design =
-    Design_cache.generate (Constraints.with_dsp_cap Constraints.db_medium 4) net
-  in
-  let rng = Db_util.Rng.create 5 in
+(* The fault campaign's whole observable result — rendered JSON, so every
+   outcome class, rate and degradation point — must not depend on the
+   engine that produced it.  Parameters, then [n] inputs, are drawn from
+   [seed]. *)
+let campaign_engines_agree design ~seed ~inputs:n config =
+  let net = design.Db_core.Design.network in
+  let rng = Db_util.Rng.create seed in
   let params = Params.init_xavier rng net in
   let input_node = List.hd (Network.input_nodes net) in
   let shape =
@@ -169,22 +186,267 @@ let test_campaign_engines_agree () =
   in
   let blob = List.hd input_node.Network.tops in
   let inputs =
-    Array.init 3 (fun _ -> Tensor.random_uniform rng shape ~min:(-1.0) ~max:1.0)
+    Array.init n (fun _ -> Tensor.random_uniform rng shape ~min:(-1.0) ~max:1.0)
   in
   let run engine =
     Db_fault.Campaign.render_json
       (Db_fault.Campaign.run ~design ~params ~input_blob:blob ~inputs
-         {
-           Db_fault.Campaign.default_config with
-           Db_fault.Campaign.trials = 60;
-           cycle_budget = 20_000;
-           rates = [ 1e-4 ];
-           engine;
-         })
+         { config with Db_fault.Campaign.engine })
   in
   Alcotest.(check string) "campaign JSON identical across engines"
     (run Db_fault.Campaign.Generic)
     (run Db_fault.Campaign.Specialized)
+
+let test_campaign_engines_agree () =
+  let net =
+    Zoo.build (Zoo.ann_prototxt ~name:"specann" ~inputs:4 ~hidden1:8 ~hidden2:8 ~outputs:3)
+  in
+  let design =
+    Design_cache.generate (Constraints.with_dsp_cap Constraints.db_medium 4) net
+  in
+  campaign_engines_agree design ~seed:5 ~inputs:3
+    {
+      Db_fault.Campaign.default_config with
+      Db_fault.Campaign.trials = 60;
+      cycle_budget = 20_000;
+      rates = [ 1e-4 ];
+    }
+
+let test_campaign_engines_agree_lenet5 () =
+  (* Weight faults replay through the design's activation tables, tanh-LUT
+     faults through the faulted closure; both must match the generic
+     engine word for word. *)
+  campaign_engines_agree (design_of Zoo.lenet5_prototxt) ~seed:5 ~inputs:2
+    {
+      Db_fault.Campaign.default_config with
+      Db_fault.Campaign.trials = 60;
+      rates = [ 1e-4 ];
+      targets = [ Db_fault.Site.Weights; Db_fault.Site.Lut_tables ];
+    }
+
+(* --- kernel oracle --------------------------------------------------------- *)
+
+(* The direct six-deep convolution the specialized engine ran before its
+   tap-major kernel, kept here as the oracle: one output word at a time,
+   taps in (ic, ky, kx) order, every input index bounds-tested. *)
+let direct_conv fmt ~(input : Quantized.qtensor) ~(weights : Quantized.qtensor)
+    ~bias ~stride ~pad ~group ~cin_g ~cout ~k ~h ~w ~oh ~ow =
+  let idata = input.Quantized.qdata and wdata = weights.Quantized.qdata in
+  let out = Array.make (cout * oh * ow) 0 in
+  let cout_g = cout / group in
+  for oc = 0 to cout - 1 do
+    let g = oc / cout_g in
+    let base_ic = g * cin_g in
+    let b =
+      match bias with
+      | None -> 0
+      | Some (bt : Quantized.qtensor) ->
+          bt.Quantized.qdata.(oc) lsl fmt.Fixed.frac_bits
+    in
+    let wbase_oc = oc * cin_g * k * k in
+    let obase_oc = oc * oh * ow in
+    for oy = 0 to oh - 1 do
+      let obase = obase_oc + (oy * ow) in
+      for ox = 0 to ow - 1 do
+        let acc = ref b in
+        for ic = 0 to cin_g - 1 do
+          let ibase_c = (base_ic + ic) * h * w in
+          let wbase_c = wbase_oc + (ic * k * k) in
+          for ky = 0 to k - 1 do
+            let iy = (oy * stride) + ky - pad in
+            if iy >= 0 && iy < h then begin
+              let ibase = ibase_c + (iy * w) in
+              let wbase = wbase_c + (ky * k) in
+              for kx = 0 to k - 1 do
+                let ix = (ox * stride) + kx - pad in
+                if ix >= 0 && ix < w then
+                  acc := !acc + (idata.(ibase + ix) * wdata.(wbase + kx))
+              done
+            end
+          done
+        done;
+        out.(obase + ox) <- Quantized.rescale_acc fmt !acc
+      done
+    done
+  done;
+  { Quantized.qshape = Shape.chw ~channels:cout ~height:oh ~width:ow; qdata = out }
+
+type conv_case = {
+  group : int;
+  cin_g : int;
+  cout_g : int;
+  k : int;
+  stride : int;
+  pad : int;
+  h : int;
+  w : int;
+  has_bias : bool;
+  wide : bool;  (** words over the whole [int] range, so partial sums wrap *)
+  fmt : Fixed.format;
+  seed : int;
+}
+
+let print_conv_case c =
+  Printf.sprintf
+    "group=%d cin_g=%d cout_g=%d k=%d stride=%d pad=%d h=%d w=%d bias=%b \
+     wide=%b fmt=Q%d.%d seed=%d"
+    c.group c.cin_g c.cout_g c.k c.stride c.pad c.h c.w c.has_bias c.wide
+    c.fmt.Fixed.total_bits c.fmt.Fixed.frac_bits c.seed
+
+let gen_conv_case =
+  QCheck.Gen.(
+    let* group = int_range 1 4 in
+    let* cin_g = int_range 1 3 in
+    (* 1..9 output channels per group: whole blocks of four and every
+       remainder. *)
+    let* cout_g = int_range 1 9 in
+    let* k = int_range 1 11 in
+    let* stride = int_range 1 4 in
+    let* pad = int_range 0 (k - 1) in
+    (* The input may be smaller than the kernel, as long as the padded
+       input still holds one window. *)
+    let extent = int_range (Stdlib.max 1 (k - (2 * pad))) (k + 8) in
+    let* h = extent in
+    let* w = extent in
+    let* has_bias = bool in
+    let* wide = bool in
+    let* fmt = oneofl [ Fixed.q8_4; Fixed.q16_8; Fixed.q24_12; Fixed.q32_16 ] in
+    let* seed = int_range 0 1_000_000 in
+    return
+      { group; cin_g; cout_g; k; stride; pad; h; w; has_bias; wide; fmt; seed })
+
+let prop_conv_kernel_oracle =
+  QCheck.Test.make ~name:"tap-major conv = direct oracle" ~count:300
+    (QCheck.make ~print:print_conv_case gen_conv_case)
+    (fun c ->
+      let rng = Rng.create c.seed in
+      let words n =
+        Array.init n (fun _ ->
+            if c.wide then Int64.to_int (Rng.next_int64 rng)
+            else
+              Fixed.min_value c.fmt
+              + Rng.int rng (Fixed.max_value c.fmt - Fixed.min_value c.fmt + 1))
+      in
+      let cin = c.group * c.cin_g and cout = c.group * c.cout_g in
+      let qtensor qshape = { Quantized.qshape; qdata = words (Shape.numel qshape) } in
+      let input = qtensor (Shape.chw ~channels:cin ~height:c.h ~width:c.w) in
+      let weights = qtensor (Shape.of_list [ cout; c.cin_g; c.k; c.k ]) in
+      let bias = if c.has_bias then Some (qtensor (Shape.vector cout)) else None in
+      let dim n =
+        Db_tensor.Ops.conv_output_dim ~input:n ~kernel:c.k ~stride:c.stride
+          ~pad_lo:c.pad ~pad_hi:c.pad
+      in
+      let expect =
+        direct_conv c.fmt ~input ~weights ~bias ~stride:c.stride ~pad:c.pad
+          ~group:c.group ~cin_g:c.cin_g ~cout ~k:c.k ~h:c.h ~w:c.w ~oh:(dim c.h)
+          ~ow:(dim c.w)
+      in
+      match
+        Specialize.conv_kernel c.fmt ~input ~weights ~bias ~stride:c.stride
+          ~pad:c.pad ~group:c.group
+      with
+      | None -> QCheck.Test.fail_report "guard rejected well-formed shapes"
+      | Some got ->
+          Shape.equal got.Quantized.qshape expect.Quantized.qshape
+          && got.Quantized.qdata = expect.Quantized.qdata)
+
+let test_conv_kernel_guard () =
+  (* A bias shorter than the output channels fails the guard, so playback
+     falls back to the generic kernel and its error. *)
+  let q shape = { Quantized.qshape = shape; qdata = Array.make (Shape.numel shape) 1 } in
+  Alcotest.(check bool) "short bias rejected" true
+    (Option.is_none
+       (Specialize.conv_kernel Fixed.q16_8
+          ~input:(q (Shape.chw ~channels:2 ~height:4 ~width:4))
+          ~weights:(q (Shape.of_list [ 3; 2; 3; 3 ]))
+          ~bias:(Some (q (Shape.vector 2)))
+          ~stride:1 ~pad:0 ~group:1))
+
+(* --- activation tables ----------------------------------------------------- *)
+
+let activations net =
+  List.sort_uniq compare
+    (List.filter_map
+       (fun node ->
+         match node.Network.layer with Layer.Activation a -> Some a | _ -> None)
+       net.Network.nodes)
+
+(* Every table entry is the closure's word: for each zoo design with an
+   activation, under each Q-format of at most 16 bits on the explorer's
+   menu.  Wider formats keep the closure and have no table. *)
+let test_activation_tables () =
+  let checked = ref 0 in
+  List.iter
+    (fun (name, prototxt) ->
+      let net = Zoo.build prototxt in
+      match activations net with
+      | [] -> ()
+      | acts ->
+          let cons = Constraints.with_dsp_cap Constraints.db_medium 8 in
+          let graph = Db_ir.Lower.lower ~fmt:cons.Constraints.fmt net in
+          let space = Db_dse.Space.make cons graph in
+          (* The deterministic seeds hold one candidate per menu format. *)
+          let format_of (c : Db_dse.Space.candidate) =
+            (c.Db_dse.Space.total_bits, c.Db_dse.Space.frac_bits)
+          in
+          let per_format =
+            List.sort_uniq
+              (fun a b -> compare (format_of a) (format_of b))
+              (Db_dse.Space.seeds space ~count:0 (Rng.create 1))
+          in
+          List.iter
+            (fun cand ->
+              let total_bits, frac_bits = format_of cand in
+              let design () =
+                Design_cache.generate (Db_dse.Space.constraints_for space cand) net
+              in
+              if total_bits > 16 then begin
+                (* Some wide formats overflow the buffers of big models;
+                   those designs do not exist, so have nothing to check. *)
+                match design () with
+                | exception Db_util.Error.Deepburning_error _ -> ()
+                | design ->
+                    let sp = Specialize.of_design design in
+                    List.iter
+                      (fun act ->
+                        if Specialize.activation_table sp act <> None then
+                          Alcotest.failf "%s Q%d.%d: tabulated" name total_bits
+                            frac_bits)
+                      acts
+              end
+              else begin
+                let sp = Specialize.of_design (design ()) in
+                let fmt = Specialize.qformat sp in
+                let eval = Specialize.lut_eval sp in
+                List.iter
+                  (fun act ->
+                    let label =
+                      Printf.sprintf "%s Q%d.%d %s" name total_bits frac_bits
+                        (Layer.name (Layer.Activation act))
+                    in
+                    match Specialize.activation_table sp act with
+                    | None -> Alcotest.failf "%s: no table" label
+                    | Some tbl ->
+                        let lo = Fixed.min_value fmt in
+                        if Array.length tbl <> Fixed.max_value fmt - lo + 1 then
+                          Alcotest.failf "%s: %d entries" label (Array.length tbl);
+                        let f = eval.Quantized.eval_activation act in
+                        Array.iteri
+                          (fun i word ->
+                            let v = lo + i in
+                            let want =
+                              Fixed.of_float fmt (f (Fixed.to_float fmt v))
+                            in
+                            if word <> want then
+                              Alcotest.failf "%s: word %d tabulated %d, closure %d"
+                                label v word want)
+                          tbl;
+                        incr checked)
+                  acts
+              end)
+            per_format)
+    zoo_models;
+  Alcotest.(check bool) "some tables checked" true (!checked > 0)
 
 let suite =
   [
@@ -195,11 +457,17 @@ let suite =
             ("spec = generic: " ^ name)
             `Slow
             (check_model (name, prototxt)))
-        zoo_models
+        (zoo_models @ [ ("branchy", branchy_prototxt) ])
       @ [
           Alcotest.test_case "jobs invariance" `Quick test_jobs_invariance;
           Alcotest.test_case "batch = singles" `Quick test_batch_matches_singles;
           Alcotest.test_case "campaign engines agree" `Quick
             test_campaign_engines_agree;
+          Alcotest.test_case "campaign engines agree: lenet5" `Quick
+            test_campaign_engines_agree_lenet5;
+          QCheck_alcotest.to_alcotest prop_conv_kernel_oracle;
+          Alcotest.test_case "conv kernel guard" `Quick test_conv_kernel_guard;
+          Alcotest.test_case "activation tables = closure" `Slow
+            test_activation_tables;
         ] );
   ]
