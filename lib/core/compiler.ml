@@ -135,14 +135,14 @@ let compile ?(tiling_enabled = true) (g : Graph.t) ~datapath ~schedule ~layout =
           | bottom :: _ -> bottom
           | [] -> fail "layer %S has no bottom shape" node.Graph.node_name
         in
-        let first_fold_of_layer = !previous_layer <> fold.Folding.fold_layer in
+        let first_fold_in_layer = !previous_layer <> fold.Folding.fold_layer in
         previous_layer := fold.Folding.fold_layer;
         let fits = entry.Layout.words <= fbuf in
         let transfers = ref [] in
         let windows_streamed = ref false in
         (* Feature input. *)
         (if fits then begin
-           if first_fold_of_layer then
+           if first_fold_in_layer then
              transfers :=
                bulk_fetch entry
                  ~name:(fold.Folding.event ^ "_feat")

@@ -282,11 +282,7 @@ let run ~design ~params ~input_blob ~inputs (config : config) =
   let qforward_spec ~bound ~eval input =
     Db_sim.Specialize.qoutput ~eval bound ~inputs:[ (input_blob, input) ]
   in
-  let classifier =
-    match Graph.last_node design.Design.ir with
-    | Some last -> Db_ir.Op.is_classifier last.Graph.op
-    | None -> false
-  in
+  let classifier = Db_nn.Network.classifier_output net in
   let top1_of t =
     if classifier then int_of_float (Tensor.get t 0) else Tensor.max_index t
   in

@@ -1,7 +1,7 @@
 (* Shape, parameter-shape and cost attribute computation — the single
-   place these are derived.  All formulas delegate to the frontend
-   ([Shape_infer], [Params], [Model_stats]) through [Op.to_layer], so the
-   IR's attributes agree bit-for-bit with the legacy derivations. *)
+   place these are derived.  Forward ops delegate to the frontend's
+   formulas ([Shape_infer], [Params], [Model_stats]), so the IR's
+   attributes agree bit-for-bit with the network-level derivations. *)
 
 module Shape = Db_tensor.Shape
 
@@ -10,8 +10,8 @@ let fail fmt = Db_util.Error.failf_at ~component:"ir-annot" fmt
 let sum_numel shapes =
   List.fold_left (fun acc s -> acc + Shape.numel s) 0 shapes
 
-(* Training ops do not exist in the frontend, so their attributes are
-   derived here rather than through [Op.to_layer].  A [Backward] node's
+(* Training ops never appear in a network, so their attributes are
+   derived here rather than by the frontend.  A [Backward] node's
    inputs are [dY; ref] (see [Op]): the dX shape is the ref's shape, the
    dW shape is the flattened parameter vector of the forward op. *)
 let backward_shapes = function
@@ -28,8 +28,7 @@ let out_shape op ~in_shapes =
       | Op.Wrt_input -> reference
       | Op.Wrt_params ->
           Shape.vector
-            (sum_numel
-               (Db_nn.Params.expected_shapes (Op.to_layer fwd) ~bottom:reference))
+            (sum_numel (Db_nn.Params.expected_shapes fwd ~bottom:reference))
     end
   | Op.Sgd_update _ -> begin
       match in_shapes with
@@ -38,7 +37,7 @@ let out_shape op ~in_shapes =
           fail "SGD update expects one gradient input, got %d"
             (List.length shapes)
     end
-  | _ -> Db_nn.Shape_infer.layer_output_shape (Op.to_layer op) in_shapes
+  | _ -> Db_nn.Shape_infer.layer_output_shape op in_shapes
 
 let param_shapes op ~in_shapes =
   match op, in_shapes with
@@ -47,7 +46,7 @@ let param_shapes op ~in_shapes =
   | Op.Backward { fwd = (Op.Conv _ | Op.Fc _) as fwd; wrt = Op.Wrt_input }, _
     -> begin
       let _, reference = backward_shapes in_shapes in
-      match Db_nn.Params.expected_shapes (Op.to_layer fwd) ~bottom:reference with
+      match Db_nn.Params.expected_shapes fwd ~bottom:reference with
       | weights :: _ -> [ weights ]
       | [] -> []
     end
@@ -56,7 +55,7 @@ let param_shapes op ~in_shapes =
      same flat vector as its gradient input. *)
   | Op.Sgd_update _, [ g ] -> [ g ]
   | Op.Sgd_update _, _ -> []
-  | _, [ bottom ] -> Db_nn.Params.expected_shapes (Op.to_layer op) ~bottom
+  | _, [ bottom ] -> Db_nn.Params.expected_shapes op ~bottom
   | _, ([] | _ :: _ :: _) -> []
 
 let cost op ~in_shapes ~out_shape ~param_shapes =
@@ -69,8 +68,7 @@ let cost op ~in_shapes ~out_shape ~param_shapes =
            per gradient word. *)
         let dy, reference = backward_shapes in_shapes in
         let m, o =
-          Db_nn.Model_stats.layer_costs (Op.to_layer fwd)
-            ~bottoms:[ reference ] ~output:dy
+          Db_nn.Model_stats.layer_costs fwd ~bottoms:[ reference ] ~output:dy
         in
         (match wrt with
         | Op.Wrt_input -> (m, o)
@@ -81,8 +79,7 @@ let cost op ~in_shapes ~out_shape ~param_shapes =
         let words = Shape.numel out_shape in
         (2 * words, words)
     | _ ->
-        Db_nn.Model_stats.layer_costs (Op.to_layer op) ~bottoms:in_shapes
-          ~output:out_shape
+        Db_nn.Model_stats.layer_costs op ~bottoms:in_shapes ~output:out_shape
   in
   (* A fused activation adds one non-MAC op per output element, exactly
      what the standalone activation node cost. *)

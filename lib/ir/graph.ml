@@ -1,7 +1,7 @@
 (* The typed accelerator IR: a topologically ordered list of nodes whose
    attributes (shapes, parameter shapes, quantization format, costs) are
    computed once at lowering/annotation time.  Downstream consumers read
-   these attributes instead of re-deriving them from [Db_nn.Layer.t]. *)
+   these attributes instead of re-deriving them from the op. *)
 
 module Shape = Db_tensor.Shape
 
@@ -67,9 +67,6 @@ let output_blobs t =
 
 let layer_count t =
   List.length (List.filter (fun n -> not (Op.is_input n.op)) t.nodes)
-
-let last_node t =
-  match List.rev t.nodes with [] -> None | last :: _ -> Some last
 
 let iter t f = List.iter f t.nodes
 

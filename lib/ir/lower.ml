@@ -1,6 +1,6 @@
 (* Lowering [Db_nn.Network.t] into the IR.  The network is already
-   topologically sorted and validated by [Network.create]; lowering maps
-   each node to an [Op.t] and computes its attributes exactly once.  Pass
+   topologically sorted and validated by [Network.create]; lowering copies
+   each node's layer as its op and computes its attributes exactly once.  Pass
    [~fmt] to stamp the datapath quantization format on every node. *)
 
 let lower ?fmt (net : Db_nn.Network.t) : Graph.t =
@@ -10,7 +10,7 @@ let lower ?fmt (net : Db_nn.Network.t) : Graph.t =
         {
           Graph.id = 0;
           node_name = n.Db_nn.Network.node_name;
-          op = Op.of_layer n.Db_nn.Network.layer;
+          op = n.Db_nn.Network.layer;
           inputs = n.Db_nn.Network.bottoms;
           outputs = n.Db_nn.Network.tops;
           in_shapes = [];

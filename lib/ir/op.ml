@@ -1,263 +1,4 @@
-(* The IR's operator vocabulary.  Deliberately a distinct variant from
-   [Db_nn.Layer.t]: downstream subsystems match (or call accessors) on
-   [Op.t], and only the lowering/conversion functions in this library
-   touch the frontend layer type.  [Conv]/[Fc] additionally carry a fused
-   activation slot, which the frontend cannot express. *)
+(* The IR's operator vocabulary is the frontend's: one type, defined in
+   [Db_nn.Layer]. *)
 
-module Layer = Db_nn.Layer
-module Shape = Db_tensor.Shape
-
-type activation = Relu | Sigmoid | Tanh | Sign
-
-type pool_method = Max_pool | Avg_pool
-
-(* What a backward op differentiates with respect to.  [Wrt_input]
-   produces the upstream activation gradient (the BP datapath);
-   [Wrt_params] produces the flattened weight/bias gradient vector the
-   update unit consumes (the UP datapath's input). *)
-type grad_wrt = Wrt_input | Wrt_params
-
-type t =
-  | Input of { shape : Shape.t }
-  | Conv of {
-      num_output : int;
-      kernel_size : int;
-      stride : int;
-      pad : int;
-      group : int;
-      bias : bool;
-      fused : activation option;
-    }
-  | Pool of { method_ : pool_method; kernel_size : int; stride : int }
-  | Global_pool of pool_method
-  | Fc of { num_output : int; bias : bool; fused : activation option }
-  | Act of activation
-  | Lrn of { local_size : int; alpha : float; beta : float; k : float }
-  | Lcn of { window : int; epsilon : float }
-  | Dropout of { ratio : float }
-  | Softmax
-  | Recurrent of { num_output : int; steps : int; bias : bool }
-  | Associative of { cells_per_dim : int; active_cells : int }
-  | Concat
-  | Classifier of { top_k : int }
-  (* Training-mode ops, derived by [Lower.lower_training]; they never
-     appear in inference graphs.  [Backward] carries the forward op it
-     differentiates; by convention its inputs are [dY; ref] where [ref]
-     is the cached forward tensor the kernel needs (the forward input
-     for conv/FC/pool/relu, the forward output for sigmoid/tanh/softmax
-     — both share the shape the annotation layer cares about). *)
-  | Backward of { fwd : t; wrt : grad_wrt }
-  | Sgd_update of { target : string }
-
-let fail fmt = Db_util.Error.failf_at ~component:"ir-op" fmt
-
-let activation_of_layer = function
-  | Layer.Relu -> Relu
-  | Layer.Sigmoid -> Sigmoid
-  | Layer.Tanh -> Tanh
-  | Layer.Sign -> Sign
-
-let activation_to_layer = function
-  | Relu -> Layer.Relu
-  | Sigmoid -> Layer.Sigmoid
-  | Tanh -> Layer.Tanh
-  | Sign -> Layer.Sign
-
-let of_layer = function
-  | Layer.Input { shape } -> Input { shape }
-  | Layer.Convolution { num_output; kernel_size; stride; pad; group; bias } ->
-      Conv { num_output; kernel_size; stride; pad; group; bias; fused = None }
-  | Layer.Pooling { method_ = Layer.Max; kernel_size; stride } ->
-      Pool { method_ = Max_pool; kernel_size; stride }
-  | Layer.Pooling { method_ = Layer.Average; kernel_size; stride } ->
-      Pool { method_ = Avg_pool; kernel_size; stride }
-  | Layer.Global_pooling Layer.Max -> Global_pool Max_pool
-  | Layer.Global_pooling Layer.Average -> Global_pool Avg_pool
-  | Layer.Inner_product { num_output; bias } ->
-      Fc { num_output; bias; fused = None }
-  | Layer.Activation act -> Act (activation_of_layer act)
-  | Layer.Lrn { local_size; alpha; beta; k } -> Lrn { local_size; alpha; beta; k }
-  | Layer.Lcn { window; epsilon } -> Lcn { window; epsilon }
-  | Layer.Dropout { ratio } -> Dropout { ratio }
-  | Layer.Softmax -> Softmax
-  | Layer.Recurrent { num_output; steps; bias } ->
-      Recurrent { num_output; steps; bias }
-  | Layer.Associative { cells_per_dim; active_cells } ->
-      Associative { cells_per_dim; active_cells }
-  | Layer.Concat -> Concat
-  | Layer.Classifier { top_k } -> Classifier { top_k }
-
-(* The base layer of an op; a fused activation is dropped (the caller
-   accounts for it separately via [fused_activation]).  This is what lets
-   shape inference, parameter shapes, costs and the quantized engine reuse
-   the frontend's single implementation bit-for-bit. *)
-let to_layer = function
-  | Input { shape } -> Layer.Input { shape }
-  | Conv { num_output; kernel_size; stride; pad; group; bias; fused = _ } ->
-      Layer.Convolution { num_output; kernel_size; stride; pad; group; bias }
-  | Pool { method_ = Max_pool; kernel_size; stride } ->
-      Layer.Pooling { method_ = Layer.Max; kernel_size; stride }
-  | Pool { method_ = Avg_pool; kernel_size; stride } ->
-      Layer.Pooling { method_ = Layer.Average; kernel_size; stride }
-  | Global_pool Max_pool -> Layer.Global_pooling Layer.Max
-  | Global_pool Avg_pool -> Layer.Global_pooling Layer.Average
-  | Fc { num_output; bias; fused = _ } ->
-      Layer.Inner_product { num_output; bias }
-  | Act act -> Layer.Activation (activation_to_layer act)
-  | Lrn { local_size; alpha; beta; k } -> Layer.Lrn { local_size; alpha; beta; k }
-  | Lcn { window; epsilon } -> Layer.Lcn { window; epsilon }
-  | Dropout { ratio } -> Layer.Dropout { ratio }
-  | Softmax -> Layer.Softmax
-  | Recurrent { num_output; steps; bias } ->
-      Layer.Recurrent { num_output; steps; bias }
-  | Associative { cells_per_dim; active_cells } ->
-      Layer.Associative { cells_per_dim; active_cells }
-  | Concat -> Layer.Concat
-  | Classifier { top_k } -> Layer.Classifier { top_k }
-  | (Backward _ | Sgd_update _) as op ->
-      fail "training op %s has no frontend layer equivalent"
-        (match op with Backward _ -> "BACKWARD" | _ -> "SGD_UPDATE")
-
-let is_training = function
-  | Backward _ | Sgd_update _ -> true
-  | Input _ | Conv _ | Pool _ | Global_pool _ | Fc _ | Act _ | Lrn _ | Lcn _
-  | Dropout _ | Softmax | Recurrent _ | Associative _ | Concat | Classifier _ ->
-      false
-
-let fused_activation = function
-  | Conv { fused; _ } | Fc { fused; _ } -> fused
-  | Input _ | Pool _ | Global_pool _ | Act _ | Lrn _ | Lcn _ | Dropout _
-  | Softmax | Recurrent _ | Associative _ | Concat | Classifier _
-  | Backward _ | Sgd_update _ ->
-      None
-
-let with_fused op act =
-  match op with
-  | Conv c -> Conv { c with fused = Some act }
-  | Fc f -> Fc { f with fused = Some act }
-  | Backward _ | Sgd_update _ ->
-      fail "cannot fuse an activation into a training op"
-  | Input _ | Pool _ | Global_pool _ | Act _ | Lrn _ | Lcn _ | Dropout _
-  | Softmax | Recurrent _ | Associative _ | Concat | Classifier _ ->
-      fail "cannot fuse an activation into %s" (Layer.name (to_layer op))
-
-let activation_name = function
-  | Relu -> "RELU"
-  | Sigmoid -> "SIGMOID"
-  | Tanh -> "TANH"
-  | Sign -> "SIGN"
-
-let name = function
-  | Backward { wrt = Wrt_input; _ } -> "BP_DX"
-  | Backward { wrt = Wrt_params; _ } -> "BP_DW"
-  | Sgd_update _ -> "SGD_UPDATE"
-  | Input _ -> "INPUT"
-  | Conv _ -> "CONV"
-  | Pool _ -> "POOL"
-  | Global_pool _ -> "GLOBAL_POOL"
-  | Fc _ -> "FC"
-  | Act act -> activation_name act
-  | Lrn _ -> "LRN"
-  | Lcn _ -> "LCN"
-  | Dropout _ -> "DROPOUT"
-  | Softmax -> "SOFTMAX"
-  | Recurrent _ -> "RECURRENT"
-  | Associative _ -> "ASSOCIATIVE"
-  | Concat -> "CONCAT"
-  | Classifier _ -> "CLASSIFIER"
-
-let is_input = function
-  | Input _ -> true
-  | _ -> false
-
-let is_classifier = function
-  | Classifier _ -> true
-  | _ -> false
-
-let is_weighted = function
-  | Conv _ | Fc _ | Recurrent _ -> true
-  | Input _ | Pool _ | Global_pool _ | Act _ | Lrn _ | Lcn _ | Dropout _
-  | Softmax | Associative _ | Concat | Classifier _ | Backward _
-  | Sgd_update _ ->
-      false
-
-let has_bias = function
-  | Conv { bias; _ } | Fc { bias; _ } | Recurrent { bias; _ } -> bias
-  | Input _ | Pool _ | Global_pool _ | Act _ | Lrn _ | Lcn _ | Dropout _
-  | Softmax | Associative _ | Concat | Classifier _ | Backward _
-  | Sgd_update _ ->
-      false
-
-let num_output = function
-  | Conv { num_output; _ } | Fc { num_output; _ } | Recurrent { num_output; _ }
-    ->
-      Some num_output
-  | Input _ | Pool _ | Global_pool _ | Act _ | Lrn _ | Lcn _ | Dropout _
-  | Softmax | Associative _ | Concat | Classifier _ | Backward _
-  | Sgd_update _ ->
-      None
-
-(* Kernel/stride of a sliding-window op (conv or pooling). *)
-let window = function
-  | Conv { kernel_size; stride; _ } | Pool { kernel_size; stride; _ } ->
-      Some (kernel_size, stride)
-  | Input _ | Global_pool _ | Fc _ | Act _ | Lrn _ | Lcn _ | Dropout _
-  | Softmax | Recurrent _ | Associative _ | Concat | Classifier _ | Backward _
-  | Sgd_update _ ->
-      None
-
-(* One-in/one-out arity mirror of [Db_nn.Network.expected_arity]. *)
-let expected_arity = function
-  | Input _ -> `Exactly 0
-  | Concat -> `At_least 2
-  | Backward _ -> `Exactly 2
-  | Sgd_update _ -> `Exactly 1
-  | Conv _ | Pool _ | Global_pool _ | Fc _ | Act _ | Lrn _ | Lcn _ | Dropout _
-  | Softmax | Recurrent _ | Associative _ | Classifier _ ->
-      `Exactly 1
-
-let equal a b =
-  match a, b with
-  | Input { shape = sa }, Input { shape = sb } -> Shape.equal sa sb
-  | a, b -> a = b
-
-let rec pp fmt op =
-  (match op with
-  | Backward { fwd; wrt } ->
-      Format.fprintf fmt "%s[%a]"
-        (match wrt with Wrt_input -> "BP_DX" | Wrt_params -> "BP_DW")
-        pp fwd
-  | Sgd_update { target } -> Format.fprintf fmt "SGD_UPDATE(%s)" target
-  | Conv { num_output; kernel_size; stride; pad; group; bias; fused = _ } ->
-      Format.fprintf fmt "CONV(out=%d k=%d s=%d p=%d g=%d%s)" num_output
-        kernel_size stride pad group
-        (if bias then "" else " nobias")
-  | Fc { num_output; bias; fused = _ } ->
-      Format.fprintf fmt "FC(out=%d%s)" num_output (if bias then "" else " nobias")
-  | Input { shape } -> Format.fprintf fmt "INPUT(%s)" (Shape.to_string shape)
-  | Pool { method_; kernel_size; stride } ->
-      Format.fprintf fmt "POOL(%s k=%d s=%d)"
-        (match method_ with Max_pool -> "max" | Avg_pool -> "ave")
-        kernel_size stride
-  | Global_pool method_ ->
-      Format.fprintf fmt "GLOBAL_POOL(%s)"
-        (match method_ with Max_pool -> "max" | Avg_pool -> "ave")
-  | Act act -> Format.pp_print_string fmt (activation_name act)
-  | Lrn { local_size; alpha; beta; k } ->
-      Format.fprintf fmt "LRN(n=%d a=%g b=%g k=%g)" local_size alpha beta k
-  | Lcn { window; epsilon } -> Format.fprintf fmt "LCN(w=%d eps=%g)" window epsilon
-  | Dropout { ratio } -> Format.fprintf fmt "DROPOUT(%g)" ratio
-  | Softmax -> Format.pp_print_string fmt "SOFTMAX"
-  | Recurrent { num_output; steps; bias } ->
-      Format.fprintf fmt "RECURRENT(out=%d steps=%d%s)" num_output steps
-        (if bias then "" else " nobias")
-  | Associative { cells_per_dim; active_cells } ->
-      Format.fprintf fmt "ASSOCIATIVE(cells=%d active=%d)" cells_per_dim
-        active_cells
-  | Concat -> Format.pp_print_string fmt "CONCAT"
-  | Classifier { top_k } -> Format.fprintf fmt "CLASSIFIER(top%d)" top_k);
-  match fused_activation op with
-  | Some act -> Format.fprintf fmt "+%s" (activation_name act)
-  | None -> ()
-
-let to_string op = Format.asprintf "%a" pp op
+include Db_nn.Layer

@@ -38,25 +38,26 @@ let layer l t =
 let conv ?(stride = 1) ?(pad = 0) ?(group = 1) ?(bias = true) ~num_output
     ~kernel_size t =
   append "conv"
-    (Layer.Convolution { num_output; kernel_size; stride; pad; group; bias })
+    (Layer.Conv
+       { num_output; kernel_size; stride; pad; group; bias; fused = None })
     t
 
 let max_pool ~kernel_size ~stride t =
-  append "pool" (Layer.Pooling { method_ = Layer.Max; kernel_size; stride }) t
+  append "pool" (Layer.Pool { method_ = Layer.Max_pool; kernel_size; stride }) t
 
 let avg_pool ~kernel_size ~stride t =
-  append "pool" (Layer.Pooling { method_ = Layer.Average; kernel_size; stride }) t
+  append "pool" (Layer.Pool { method_ = Layer.Avg_pool; kernel_size; stride }) t
 
-let global_avg_pool t = append "gap" (Layer.Global_pooling Layer.Average) t
+let global_avg_pool t = append "gap" (Layer.Global_pool Layer.Avg_pool) t
 
 let fc ?(bias = true) ~num_output t =
-  append "fc" (Layer.Inner_product { num_output; bias }) t
+  append "fc" (Layer.Fc { num_output; bias; fused = None }) t
 
-let relu t = append "relu" (Layer.Activation Layer.Relu) t
+let relu t = append "relu" (Layer.Act Layer.Relu) t
 
-let sigmoid t = append "sigmoid" (Layer.Activation Layer.Sigmoid) t
+let sigmoid t = append "sigmoid" (Layer.Act Layer.Sigmoid) t
 
-let tanh t = append "tanh" (Layer.Activation Layer.Tanh) t
+let tanh t = append "tanh" (Layer.Act Layer.Tanh) t
 
 let lrn ?(local_size = 5) ?(alpha = 1e-4) ?(beta = 0.75) ?(k = 1.0) t =
   append "norm" (Layer.Lrn { local_size; alpha; beta; k }) t

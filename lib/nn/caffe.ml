@@ -4,8 +4,8 @@ module Shape = Db_tensor.Shape
 let fail fmt = Db_util.Error.failf_at ~component:"caffe" fmt
 
 let pool_method_of_enum name = function
-  | "MAX" -> Layer.Max
-  | "AVE" | "AVERAGE" -> Layer.Average
+  | "MAX" -> Layer.Max_pool
+  | "AVE" | "AVERAGE" -> Layer.Avg_pool
   | other -> fail "layer %S: unknown pooling method %S" name other
 
 let import_layer name type_enum fields =
@@ -30,7 +30,7 @@ let import_layer name type_enum fields =
             | None -> fail "layer %S: missing convolution_param" name
           end
       in
-      Layer.Convolution
+      Layer.Conv
         {
           num_output = Ast.find_int p "num_output";
           kernel_size = Ast.find_int p "kernel_size";
@@ -41,6 +41,7 @@ let import_layer name type_enum fields =
             (match Ast.opt_enum p "bias_term" with
             | Some "false" -> false
             | Some _ | None -> true);
+          fused = None;
         }
   | "POOLING" ->
       let p =
@@ -48,12 +49,12 @@ let import_layer name type_enum fields =
         | Some p -> p
         | None -> fail "layer %S: missing pooling_param" name
       in
-      Layer.Pooling
+      Layer.Pool
         {
           method_ =
             (match Ast.opt_enum p "pool" with
             | Some m -> pool_method_of_enum name m
-            | None -> Layer.Max);
+            | None -> Layer.Max_pool);
           kernel_size = Ast.find_int p "kernel_size";
           stride = Option.value ~default:1 (Ast.opt_int p "stride");
         }
@@ -63,29 +64,30 @@ let import_layer name type_enum fields =
         | Some p -> begin
             match Ast.opt_enum p "pool" with
             | Some m -> pool_method_of_enum name m
-            | None -> Layer.Average
+            | None -> Layer.Avg_pool
           end
-        | None -> Layer.Average
+        | None -> Layer.Avg_pool
       in
-      Layer.Global_pooling method_
+      Layer.Global_pool method_
   | "INNER_PRODUCT" | "FULL_CONNECTION" ->
       let p =
         match Ast.opt_message fields "inner_product_param" with
         | Some p -> p
         | None -> fail "layer %S: missing inner_product_param" name
       in
-      Layer.Inner_product
+      Layer.Fc
         {
           num_output = Ast.find_int p "num_output";
           bias =
             (match Ast.opt_enum p "bias_term" with
             | Some "false" -> false
             | Some _ | None -> true);
+          fused = None;
         }
-  | "RELU" -> Layer.Activation Layer.Relu
-  | "SIGMOID" -> Layer.Activation Layer.Sigmoid
-  | "TANH" -> Layer.Activation Layer.Tanh
-  | "SIGN" -> Layer.Activation Layer.Sign
+  | "RELU" -> Layer.Act Layer.Relu
+  | "SIGMOID" -> Layer.Act Layer.Sigmoid
+  | "TANH" -> Layer.Act Layer.Tanh
+  | "SIGN" -> Layer.Act Layer.Sign
   | "LRN" ->
       let p = Option.value ~default:[] (Ast.opt_message fields "lrn_param") in
       Layer.Lrn
@@ -190,6 +192,8 @@ let import_string src = import (Db_prototxt.Parser.parse src)
 let bias_field bias =
   if bias then [] else [ Ast.Scalar ("bias_term", Ast.Enum "false") ]
 
+let pool_enum = function Layer.Max_pool -> "MAX" | Layer.Avg_pool -> "AVE"
+
 let export_layer layer =
   match layer with
   | Layer.Input { shape } ->
@@ -201,7 +205,8 @@ let export_layer layer =
                 (fun d -> Ast.Scalar ("dim", Ast.Int d))
                 (Shape.to_list shape) );
         ] )
-  | Layer.Convolution { num_output; kernel_size; stride; pad; group; bias } ->
+  | Layer.Conv { num_output; kernel_size; stride; pad; group; bias; fused = _ }
+    ->
       ( "CONVOLUTION",
         [
           Ast.Message
@@ -215,35 +220,27 @@ let export_layer layer =
               ]
               @ bias_field bias );
         ] )
-  | Layer.Pooling { method_; kernel_size; stride } ->
+  | Layer.Pool { method_; kernel_size; stride } ->
       ( "POOLING",
         [
           Ast.Message
             ( "pooling_param",
               [
-                Ast.Scalar
-                  ( "pool",
-                    Ast.Enum
-                      (match method_ with Layer.Max -> "MAX" | Layer.Average -> "AVE")
-                  );
+                Ast.Scalar ("pool", Ast.Enum (pool_enum method_));
                 Ast.Scalar ("kernel_size", Ast.Int kernel_size);
                 Ast.Scalar ("stride", Ast.Int stride);
               ] );
         ] )
-  | Layer.Global_pooling method_ ->
+  | Layer.Global_pool method_ ->
       ( "GLOBAL_POOLING",
         [
           Ast.Message
             ( "pooling_param",
               [
-                Ast.Scalar
-                  ( "pool",
-                    Ast.Enum
-                      (match method_ with Layer.Max -> "MAX" | Layer.Average -> "AVE")
-                  );
+                Ast.Scalar ("pool", Ast.Enum (pool_enum method_));
               ] );
         ] )
-  | Layer.Inner_product { num_output; bias } ->
+  | Layer.Fc { num_output; bias; fused = _ } ->
       ( "INNER_PRODUCT",
         [
           Ast.Message
@@ -251,7 +248,7 @@ let export_layer layer =
               Ast.Scalar ("num_output", Ast.Int num_output) :: bias_field bias
             );
         ] )
-  | Layer.Activation act -> (Layer.activation_name act, [])
+  | Layer.Act act -> (Layer.activation_name act, [])
   | Layer.Lrn { local_size; alpha; beta; k } ->
       ( "LRN",
         [
@@ -311,6 +308,8 @@ let export_layer layer =
         [
           Ast.Message ("classifier_param", [ Ast.Scalar ("top_k", Ast.Int top_k) ]);
         ] )
+  | Layer.Backward _ | Layer.Sgd_update _ ->
+      fail "training op %s has no prototxt form" (Layer.name layer)
 
 let export net =
   let header = [ Ast.Scalar ("name", Ast.String net.Network.net_name) ] in

@@ -1,11 +1,13 @@
-(** Layer vocabulary of the DeepBurning model family.
+(** The operator vocabulary of the DeepBurning model family: one type for
+    the frontend's layer graph ({!Network}) and the IR ([Db_ir.Op] is this
+    module).
 
     Covers every layer class the paper names (Section 3.1-3.2): convolution,
     pooling, full connection, recurrent, associative (CMAC), LRN, drop-out,
     activation functions, classification (k-sorter) and inception-style
-    concatenation. *)
-
-type pool_method = Max | Average
+    concatenation.  [Conv]/[Fc] carry a fused-activation slot that only IR
+    passes fill, and [Backward]/[Sgd_update] exist only in training graphs;
+    {!Network.create} rejects both. *)
 
 type activation =
   | Relu
@@ -13,23 +15,32 @@ type activation =
   | Tanh
   | Sign  (** hard threshold, used by Hopfield networks *)
 
+type pool_method = Max_pool | Avg_pool
+
+(** What a backward op differentiates with respect to.  [Wrt_input]
+    produces the upstream activation gradient (the BP datapath);
+    [Wrt_params] produces the flattened weight/bias gradient vector the
+    update unit consumes (the UP datapath's input). *)
+type grad_wrt = Wrt_input | Wrt_params
+
 type t =
   | Input of { shape : Db_tensor.Shape.t }
       (** Source of the network; produces the input blob. *)
-  | Convolution of {
+  | Conv of {
       num_output : int;
       kernel_size : int;
       stride : int;
       pad : int;
       group : int;
       bias : bool;
+      fused : activation option;
     }
-  | Pooling of { method_ : pool_method; kernel_size : int; stride : int }
-  | Global_pooling of pool_method
+  | Pool of { method_ : pool_method; kernel_size : int; stride : int }
+  | Global_pool of pool_method
       (** NiN-style whole-map pooling down to one value per channel. *)
-  | Inner_product of { num_output : int; bias : bool }
-      (** Full-connection layer. *)
-  | Activation of activation
+  | Fc of { num_output : int; bias : bool; fused : activation option }
+      (** Full-connection (Caffe [INNER_PRODUCT]) layer. *)
+  | Act of activation
   | Lrn of { local_size : int; alpha : float; beta : float; k : float }
   | Lcn of { window : int; epsilon : float }
       (** local contrast normalisation: subtract the spatial window mean
@@ -52,15 +63,49 @@ type t =
   | Classifier of { top_k : int }
       (** K-sorter classification layer: emits the indices of the [top_k]
           largest inputs, in decreasing order of value. *)
+  | Backward of { fwd : t; wrt : grad_wrt }
+      (** Training only, derived by [Db_ir.Lower.lower_training]: the
+          gradient of [fwd].  Its inputs are [dY; ref], where [ref] is the
+          cached forward tensor the kernel needs (the forward input for
+          conv/FC/pool/relu, the forward output for sigmoid/tanh/softmax;
+          both share the dX shape). *)
+  | Sgd_update of { target : string }
+      (** Training only: the SGD weight update of node [target]. *)
 
 val name : t -> string
-(** Human-readable layer-class name, e.g. ["CONVOLUTION"]. *)
-
-val is_weighted : t -> bool
-(** Whether the layer owns trainable parameters. *)
+(** Upper-case class name, e.g. ["CONV"], ["BP_DX"]. *)
 
 val activation_name : activation -> string
+
+val is_training : t -> bool
+(** [Backward] or [Sgd_update]. *)
+
+val fused_activation : t -> activation option
+
+val with_fused : t -> activation -> t
+(** Fill the fused-activation slot of a [Conv]/[Fc]; raises
+    {!Db_util.Error.Deepburning_error} for any other op. *)
+
+val is_input : t -> bool
+
+val is_classifier : t -> bool
+
+val is_weighted : t -> bool
+(** Whether the op owns trainable parameters. *)
+
+val has_bias : t -> bool
+
+val num_output : t -> int option
+
+val window : t -> (int * int) option
+(** Kernel size and stride of a sliding-window op (conv or pooling). *)
+
+val expected_arity : t -> [ `Exactly of int | `At_least of int ]
+(** Number of inputs (bottoms) the op consumes. *)
 
 val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
+(** e.g. [CONV(out=8 k=3 s=1 p=1 g=1)+RELU]. *)
+
+val to_string : t -> string

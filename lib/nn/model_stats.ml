@@ -22,23 +22,23 @@ let layer_costs layer ~bottoms ~output =
   let out_n = Shape.numel output in
   match layer with
   | Layer.Input _ -> (0, 0)
-  | Layer.Convolution { kernel_size; group; _ } -> begin
+  | Layer.Conv { kernel_size; group; _ } -> begin
       match bottoms with
       | [ bottom ] ->
           let cin_g = Shape.channels bottom / group in
           (out_n * cin_g * kernel_size * kernel_size, 0)
       | [] | _ :: _ :: _ -> (0, 0)
     end
-  | Layer.Pooling { kernel_size; _ } -> (0, out_n * kernel_size * kernel_size)
-  | Layer.Global_pooling _ -> begin
+  | Layer.Pool { kernel_size; _ } -> (0, out_n * kernel_size * kernel_size)
+  | Layer.Global_pool _ -> begin
       match bottoms with [ b ] -> (0, Shape.numel b) | [] | _ :: _ :: _ -> (0, 0)
     end
-  | Layer.Inner_product _ -> begin
+  | Layer.Fc _ -> begin
       match bottoms with
       | [ b ] -> (out_n * Shape.numel b, 0)
       | [] | _ :: _ :: _ -> (0, 0)
     end
-  | Layer.Activation _ -> (0, out_n)
+  | Layer.Act _ -> (0, out_n)
   | Layer.Lrn { local_size; _ } -> (out_n * local_size, 2 * out_n)
   | Layer.Lcn { window; _ } -> (2 * out_n * window * window, 2 * out_n)
   | Layer.Dropout _ -> (0, 0)
@@ -63,6 +63,9 @@ let layer_costs layer ~bottoms ~output =
           (0, n * Stdlib.max 1 log_k)
       | [] | _ :: _ :: _ -> (0, 0)
     end
+  | Layer.Backward _ | Layer.Sgd_update _ ->
+      Db_util.Error.failf_at ~component:"network"
+        "training op %s has no layer-level cost formula" (Layer.name layer)
 
 let compute ?(bytes_per_word = 2) net =
   let shapes = Shape_infer.infer net in
@@ -125,15 +128,15 @@ type decomposition = {
 let decompose net =
   let has pred = Network.has_layer net pred in
   {
-    has_conv = has (function Layer.Convolution _ -> true | _ -> false);
-    has_fc = has (function Layer.Inner_product _ -> true | _ -> false);
+    has_conv = has (function Layer.Conv _ -> true | _ -> false);
+    has_fc = has (function Layer.Fc _ -> true | _ -> false);
     has_act =
-      has (function Layer.Activation _ | Layer.Softmax -> true | _ -> false);
+      has (function Layer.Act _ | Layer.Softmax -> true | _ -> false);
     has_dropout = has (function Layer.Dropout _ -> true | _ -> false);
     has_lrn = has (function Layer.Lrn _ -> true | _ -> false);
     has_pooling =
       has (function
-        | Layer.Pooling _ | Layer.Global_pooling _ -> true
+        | Layer.Pool _ | Layer.Global_pool _ -> true
         | _ -> false);
     has_associative = has (function Layer.Associative _ -> true | _ -> false);
     has_recurrent = has (function Layer.Recurrent _ -> true | _ -> false);

@@ -17,19 +17,19 @@ let check_unique what names =
       else Hashtbl.add tbl n ())
     names
 
-let expected_arity layer =
-  match layer with
-  | Layer.Input _ -> `Exactly 0
-  | Layer.Concat -> `At_least 2
-  | Layer.Convolution _ | Layer.Pooling _ | Layer.Global_pooling _
-  | Layer.Inner_product _ | Layer.Activation _ | Layer.Lrn _ | Layer.Lcn _
-  | Layer.Dropout _ | Layer.Softmax | Layer.Recurrent _ | Layer.Associative _
-  | Layer.Classifier _ ->
-      `Exactly 1
-
-let check_arity node =
+(* The parser never produces training ops or filled fusion slots; only IR
+   passes derive them. *)
+let check_layer node =
+  if Layer.is_training node.layer then
+    fail "layer %S: training op %s cannot appear in a network" node.node_name
+      (Layer.name node.layer);
+  (match Layer.fused_activation node.layer with
+  | Some act ->
+      fail "layer %S: fused %s activations are derived by IR passes, not \
+            declared" node.node_name (Layer.activation_name act)
+  | None -> ());
   let n = List.length node.bottoms in
-  match expected_arity node.layer with
+  match Layer.expected_arity node.layer with
   | `Exactly k when n <> k ->
       fail "layer %S (%s) expects %d bottom(s), got %d" node.node_name
         (Layer.name node.layer) k n
@@ -96,7 +96,7 @@ let create ~name nodes =
   if nodes = [] then fail "network %S has no layers" name;
   check_unique "layer name" (List.map (fun n -> n.node_name) nodes);
   check_unique "top blob" (List.concat_map (fun n -> n.tops) nodes);
-  List.iter check_arity nodes;
+  List.iter check_layer nodes;
   let produced = Hashtbl.create 16 in
   List.iter
     (fun node -> List.iter (fun top -> Hashtbl.replace produced top ()) node.tops)
@@ -110,7 +110,7 @@ let create ~name nodes =
         node.bottoms)
     nodes;
   let has_input =
-    List.exists (fun n -> match n.layer with Layer.Input _ -> true | _ -> false) nodes
+    List.exists (fun n -> Layer.is_input n.layer) nodes
   in
   if not has_input then fail "network %S has no input layer" name;
   { net_name = name; nodes = topo_sort nodes }
@@ -118,7 +118,7 @@ let create ~name nodes =
 let find_node t name = List.find (fun n -> n.node_name = name) t.nodes
 
 let input_nodes t =
-  List.filter (fun n -> match n.layer with Layer.Input _ -> true | _ -> false) t.nodes
+  List.filter (fun n -> Layer.is_input n.layer) t.nodes
 
 let output_blobs t =
   let consumed = Hashtbl.create 16 in
@@ -130,10 +130,12 @@ let output_blobs t =
     t.nodes
 
 let layer_count t =
-  List.length
-    (List.filter
-       (fun n -> match n.layer with Layer.Input _ -> false | _ -> true)
-       t.nodes)
+  List.length (List.filter (fun n -> not (Layer.is_input n.layer)) t.nodes)
+
+let classifier_output t =
+  match List.rev t.nodes with
+  | last :: _ -> Layer.is_classifier last.layer
+  | [] -> false
 
 let iter t f = List.iter f t.nodes
 

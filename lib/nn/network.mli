@@ -23,7 +23,9 @@ val create : name:string -> node list -> t
     unique node names and top names, every bottom produced by some top or by
     an input node, at least one {!Layer.Input}, arity of bottoms per layer
     class (e.g. [Concat] needs >= 2, everything else exactly 1, inputs 0),
-    acyclicity.  Raises {!Db_util.Error.Deepburning_error} otherwise. *)
+    acyclicity, and no training ops or filled fused-activation slots
+    (only IR passes derive those).  Raises
+    {!Db_util.Error.Deepburning_error} otherwise. *)
 
 val find_node : t -> string -> node
 (** Raises [Not_found]. *)
@@ -35,6 +37,11 @@ val output_blobs : t -> string list
 
 val layer_count : t -> int
 (** Number of non-input nodes. *)
+
+val classifier_output : t -> bool
+(** Whether the network's output is a class-index vector: its last node is
+    a {!Layer.Classifier}.  Such outputs carry integer indices, not
+    Q-format values. *)
 
 val iter : t -> (node -> unit) -> unit
 

@@ -15,11 +15,11 @@ let fail fmt = Db_util.Error.failf_at ~component:"params" fmt
 
 let expected_shapes layer ~bottom =
   match layer with
-  | Layer.Convolution { num_output; kernel_size; group; bias; _ } ->
+  | Layer.Conv { num_output; kernel_size; group; bias; _ } ->
       let cin_g = Shape.channels bottom / group in
       let w = Shape.of_list [ num_output; cin_g; kernel_size; kernel_size ] in
       if bias then [ w; Shape.vector num_output ] else [ w ]
-  | Layer.Inner_product { num_output; bias } ->
+  | Layer.Fc { num_output; bias; _ } ->
       let w = Shape.of_list [ num_output; Shape.numel bottom ] in
       if bias then [ w; Shape.vector num_output ] else [ w ]
   | Layer.Recurrent { num_output; bias; _ } ->
@@ -27,9 +27,10 @@ let expected_shapes layer ~bottom =
       let w_rec = Shape.of_list [ num_output; num_output ] in
       if bias then [ w_in; w_rec; Shape.vector num_output ]
       else [ w_in; w_rec ]
-  | Layer.Input _ | Layer.Pooling _ | Layer.Global_pooling _
-  | Layer.Activation _ | Layer.Lrn _ | Layer.Lcn _ | Layer.Dropout _
-  | Layer.Softmax | Layer.Associative _ | Layer.Concat | Layer.Classifier _ ->
+  | Layer.Input _ | Layer.Pool _ | Layer.Global_pool _
+  | Layer.Act _ | Layer.Lrn _ | Layer.Lcn _ | Layer.Dropout _
+  | Layer.Softmax | Layer.Associative _ | Layer.Concat | Layer.Classifier _
+  | Layer.Backward _ | Layer.Sgd_update _ ->
       []
 
 let fan_in_out shape =
@@ -52,16 +53,9 @@ let init_xavier rng net =
   with_bottoms net (fun node bottom ->
       let shapes = expected_shapes node.Network.layer ~bottom in
       if shapes <> [] then begin
+        (* The bias, when present, is the last tensor and starts at zero. *)
         let n_weight_tensors =
-          match node.Network.layer with
-          | Layer.Recurrent { bias; _ } -> if bias then 2 else List.length shapes
-          | Layer.Convolution { bias; _ } | Layer.Inner_product { bias; _ } ->
-              if bias then 1 else List.length shapes
-          | Layer.Input _ | Layer.Pooling _ | Layer.Global_pooling _
-          | Layer.Activation _ | Layer.Lrn _ | Layer.Lcn _ | Layer.Dropout _
-          | Layer.Softmax | Layer.Associative _ | Layer.Concat
-          | Layer.Classifier _ ->
-              List.length shapes
+          List.length shapes - if Layer.has_bias node.Network.layer then 1 else 0
         in
         let tensors =
           List.mapi

@@ -1,9 +1,9 @@
 (** Trainable-parameter store: maps layer-node names to their tensors.
 
     Conventions for the tensor list of a weighted layer:
-    - [Convolution]   : [weights (Cout, Cin/group, K, K)] then optional [bias (Cout)]
-    - [Inner_product] : [weights (Nout, Nin)] then optional [bias (Nout)]
-    - [Recurrent]     : [w_in (Nout, Nin)], [w_rec (Nout, Nout)], optional [bias (Nout)] *)
+    - [Conv]      : [weights (Cout, Cin/group, K, K)] then optional [bias (Cout)]
+    - [Fc]        : [weights (Nout, Nin)] then optional [bias (Nout)]
+    - [Recurrent] : [w_in (Nout, Nin)], [w_rec (Nout, Nout)], optional [bias (Nout)] *)
 
 type t
 

@@ -130,7 +130,7 @@ let qpool fmt ~method_ ~input ~kernel ~stride ~eval =
       for ox = 0 to ow - 1 do
         let value =
           match method_ with
-          | Layer.Max ->
+          | Layer.Max_pool ->
               let best = ref min_int in
               for ky = 0 to kernel - 1 do
                 for kx = 0 to kernel - 1 do
@@ -139,7 +139,7 @@ let qpool fmt ~method_ ~input ~kernel ~stride ~eval =
                 done
               done;
               !best
-          | Layer.Average ->
+          | Layer.Avg_pool ->
               let acc = ref 0 in
               for ky = 0 to kernel - 1 do
                 for kx = 0 to kernel - 1 do
@@ -231,7 +231,7 @@ let qclassifier ~top_k input =
   (* Indices are integers: represent them exactly in the integer part. *)
   { qshape = Shape.vector top_k; qdata = Array.init top_k (fun i -> indices.(i)) }
 
-let eval_node fmt eval layer ~params ~bottoms =
+let eval_unfused fmt eval layer ~params ~bottoms =
   let one () =
     match bottoms with
     | [ b ] -> b
@@ -240,7 +240,7 @@ let eval_node fmt eval layer ~params ~bottoms =
   let flat q = { q with qshape = Shape.vector (Array.length q.qdata) } in
   match layer with
   | Layer.Input _ -> fail "input layers are not evaluated"
-  | Layer.Convolution { stride; pad; group; bias = has_bias; _ } -> begin
+  | Layer.Conv { stride; pad; group; bias = has_bias; _ } -> begin
       match params, has_bias with
       | [ w ], false ->
           qconv2d fmt ~input:(one ()) ~weights:w ~bias:None ~stride ~pad ~group
@@ -249,23 +249,23 @@ let eval_node fmt eval layer ~params ~bottoms =
             ~group
       | _ -> fail "convolution: wrong parameter tensors"
     end
-  | Layer.Pooling { method_; kernel_size; stride } ->
+  | Layer.Pool { method_; kernel_size; stride } ->
       qpool fmt ~method_ ~input:(one ()) ~kernel:kernel_size ~stride ~eval
-  | Layer.Global_pooling method_ ->
+  | Layer.Global_pool method_ ->
       let input = one () in
       let c = Shape.channels input.qshape in
       let hw = Array.length input.qdata / c in
       let out =
         Array.init c (fun ch ->
             match method_ with
-            | Layer.Max ->
+            | Layer.Max_pool ->
                 let best = ref min_int in
                 for i = 0 to hw - 1 do
                   if input.qdata.((ch * hw) + i) > !best then
                     best := input.qdata.((ch * hw) + i)
                 done;
                 !best
-            | Layer.Average ->
+            | Layer.Avg_pool ->
                 let acc = ref 0 in
                 for i = 0 to hw - 1 do
                   acc := !acc + input.qdata.((ch * hw) + i)
@@ -277,14 +277,14 @@ let eval_node fmt eval layer ~params ~bottoms =
                     (Fixed.of_float fmt (eval.eval_reciprocal (float_of_int hw))))
       in
       { qshape = Shape.vector c; qdata = out }
-  | Layer.Inner_product { bias = has_bias; _ } -> begin
+  | Layer.Fc { bias = has_bias; _ } -> begin
       match params, has_bias with
       | [ w ], false -> qfully_connected fmt ~input:(flat (one ())) ~weights:w ~bias:None
       | [ w; b ], true ->
           qfully_connected fmt ~input:(flat (one ())) ~weights:w ~bias:(Some b)
       | _ -> fail "inner product: wrong parameter tensors"
     end
-  | Layer.Activation act -> qmap fmt (eval.eval_activation act) (one ())
+  | Layer.Act act -> qmap fmt (eval.eval_activation act) (one ())
   | Layer.Lrn { local_size; alpha; beta; k } ->
       qlrn fmt ~eval ~input:(one ()) ~local_size ~alpha ~beta ~k
   | Layer.Lcn { window; epsilon } ->
@@ -353,6 +353,16 @@ let eval_node fmt eval layer ~params ~bottoms =
         bottoms;
       { qshape = Shape.chw ~channels ~height:h ~width:w; qdata = out }
   | Layer.Classifier { top_k } -> qclassifier ~top_k (flat (one ()))
+  | Layer.Backward _ | Layer.Sgd_update _ ->
+      fail "training op %s is not a forward layer" (Layer.name layer)
+
+(* A fused activation runs on the conv/FC result exactly as the standalone
+   activation node it replaced would. *)
+let eval_node fmt eval layer ~params ~bottoms =
+  let out = eval_unfused fmt eval layer ~params ~bottoms in
+  match Layer.fused_activation layer with
+  | Some act -> qmap fmt (eval.eval_activation act) out
+  | None -> out
 
 let forward ?(eval = exact_eval) ~fmt net params ~inputs =
   let env = ref [] in
@@ -393,17 +403,7 @@ let output ?(eval = exact_eval) ~fmt net params ~inputs =
       match List.assoc_opt blob env with
       | Some q ->
           (* Classifier outputs carry integer indices, not Q-format values. *)
-          let is_classifier =
-            Network.has_layer net (function
-              | Layer.Classifier _ -> true
-              | _ -> false)
-            &&
-            (match List.rev net.Network.nodes with
-            | last :: _ -> (
-                match last.Network.layer with Layer.Classifier _ -> true | _ -> false)
-            | [] -> false)
-          in
-          if is_classifier then
+          if Network.classifier_output net then
             Tensor.of_array q.qshape (Array.map float_of_int q.qdata)
           else dequantize fmt q
       | None -> fail "output blob missing from environment"

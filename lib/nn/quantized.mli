@@ -38,8 +38,9 @@ val eval_node :
   params:qtensor list ->
   bottoms:qtensor list ->
   qtensor
-(** Evaluate one non-input layer on already-quantised params and bottoms.
-    This is the per-node kernel behind {!forward}; the specialized engine
+(** Evaluate one non-input layer on already-quantised params and bottoms,
+    then its fused activation, if any; training ops are rejected.  This is
+    the per-node kernel behind {!forward}; the specialized engine
     delegates float-order-sensitive layers (LRN, softmax, recurrent, ...)
     to it verbatim so both engines stay bitwise identical. *)
 

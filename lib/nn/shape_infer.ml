@@ -13,10 +13,14 @@ let one_bottom layer = function
 let layer_output_shape layer bottoms =
   match layer with
   | Layer.Input { shape } -> shape
-  | Layer.Convolution { num_output; kernel_size; stride; pad; group; bias = _ } ->
+  | Layer.Conv { num_output; kernel_size; stride; pad; group; _ } ->
       let s = one_bottom layer bottoms in
       if Shape.rank s <> 3 then
         fail "convolution needs a CHW bottom, got %s" (Shape.to_string s);
+      if kernel_size <= 0 then
+        fail "convolution kernel_size must be positive, got %d" kernel_size;
+      if pad < 0 then fail "convolution pad must be non-negative, got %d" pad;
+      if group <= 0 then fail "convolution group must be positive, got %d" group;
       let cin = Shape.channels s in
       if cin mod group <> 0 then
         fail "convolution group %d does not divide input channels %d" group cin;
@@ -30,10 +34,12 @@ let layer_output_shape layer bottoms =
           ~stride ~pad_lo:pad ~pad_hi:pad
       in
       Shape.chw ~channels:num_output ~height:oh ~width:ow
-  | Layer.Pooling { method_ = _; kernel_size; stride } ->
+  | Layer.Pool { method_ = _; kernel_size; stride } ->
       let s = one_bottom layer bottoms in
       if Shape.rank s <> 3 then
         fail "pooling needs a CHW bottom, got %s" (Shape.to_string s);
+      if kernel_size <= 0 then
+        fail "pooling kernel_size must be positive, got %d" kernel_size;
       let oh =
         Db_tensor.Ops.conv_output_dim ~input:(Shape.height s) ~kernel:kernel_size
           ~stride ~pad_lo:0 ~pad_hi:0
@@ -42,15 +48,15 @@ let layer_output_shape layer bottoms =
           ~stride ~pad_lo:0 ~pad_hi:0
       in
       Shape.chw ~channels:(Shape.channels s) ~height:oh ~width:ow
-  | Layer.Global_pooling _ ->
+  | Layer.Global_pool _ ->
       let s = one_bottom layer bottoms in
       if Shape.rank s <> 3 then
         fail "global pooling needs a CHW bottom, got %s" (Shape.to_string s);
       Shape.vector (Shape.channels s)
-  | Layer.Inner_product { num_output; bias = _ } ->
+  | Layer.Fc { num_output; _ } ->
       let (_ : Shape.t) = one_bottom layer bottoms in
       Shape.vector num_output
-  | Layer.Activation _ | Layer.Dropout _ | Layer.Softmax ->
+  | Layer.Act _ | Layer.Dropout _ | Layer.Softmax ->
       one_bottom layer bottoms
   | Layer.Lrn _ ->
       let s = one_bottom layer bottoms in
@@ -100,6 +106,8 @@ let layer_output_shape layer bottoms =
         fail "classifier top_k %d out of range for %s inputs" top_k
           (Shape.to_string s);
       Shape.vector top_k
+  | Layer.Backward _ | Layer.Sgd_update _ ->
+      fail "training op %s has no layer-level shape rule" (Layer.name layer)
 
 let infer net =
   let table : t = ref [] in

@@ -20,11 +20,10 @@ let of_luts luts =
   {
     Quantized.eval_activation =
       (fun act ->
-        (* Dispatch on the IR activation vocabulary once per partial
-           application — [qmap] applies [eval_activation act] to a whole
-           tensor, so the dispatch is hoisted out of the element loop.
-           [act] is passed through unchanged to the exact fallback. *)
-        match Db_ir.Op.activation_of_layer act with
+        (* Dispatch once per partial application — [qmap] applies
+           [eval_activation act] to a whole tensor, so the dispatch is
+           hoisted out of the element loop. *)
+        match act with
         | Db_ir.Op.Relu | Db_ir.Op.Sign -> exact.Quantized.eval_activation act
         | Db_ir.Op.Sigmoid ->
             via sigmoid_lut (exact.Quantized.eval_activation act)

@@ -184,10 +184,10 @@ let compile (design : Design.t) =
             | [ top ] -> K_input { top; shape }
             | [] | _ :: _ :: _ -> K_bad_input
           end
-        | Layer.Convolution { stride; pad; group; bias; _ } ->
+        | Layer.Conv { stride; pad; group; bias; _ } ->
             K_conv { stride; pad; group; has_bias = bias }
-        | Layer.Inner_product { bias; _ } -> K_fc { has_bias = bias }
-        | Layer.Activation act ->
+        | Layer.Fc { bias; _ } -> K_fc { has_bias = bias }
+        | Layer.Act act ->
             K_act { act; table = table_of act; in_place = false }
         | _ -> K_generic
       in
@@ -206,15 +206,7 @@ let compile (design : Design.t) =
   let sp_out =
     match Network.output_blobs net with
     | [ blob ] ->
-        (* Same classifier detection as [Quantized.output]: indices stay
-           integers instead of being dequantised. *)
-        let classifier =
-          Network.has_layer net (function Layer.Classifier _ -> true | _ -> false)
-          && (match List.rev net.Network.nodes with
-             | last :: _ -> (
-                 match last.Network.layer with Layer.Classifier _ -> true | _ -> false)
-             | [] -> false)
-        in
+        let classifier = Network.classifier_output net in
         Out_single { slot = Hashtbl.find blob_slot blob; classifier }
     | blobs -> Out_multi (List.length blobs)
   in

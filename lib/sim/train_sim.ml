@@ -319,9 +319,7 @@ let forward_pass st env =
           (Hashtbl.find_opt st.qparams n.Graph.node_name)
       in
       let y =
-        Quantized.eval_node st.fmt st.eval
-          (Op.to_layer n.Graph.op)
-          ~params ~bottoms:[ x ]
+        Quantized.eval_node st.fmt st.eval n.Graph.op ~params ~bottoms:[ x ]
       in
       Hashtbl.replace env (List.hd n.Graph.outputs) y)
     st.ff_nodes

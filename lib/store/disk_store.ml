@@ -34,7 +34,7 @@ type entry = {
 
 let magic = "DBSTORE1"
 
-let format_version = 2
+let format_version = 3
 
 type stats = {
   st_hits : int;

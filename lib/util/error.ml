@@ -76,7 +76,6 @@ let () =
       ("agu-sim", Simulation);
       ("control-playback", Simulation);
       ("simulator", Simulation);
-      ("datapath-sim", Simulation);
       ("trainer", Simulation);
       ("backprop", Simulation);
       ("ir-lower", Validation);

@@ -239,7 +239,7 @@ let prepare_classifier ~seed ~network ~make_data ~train_count ~eval_count
 let strip_softmax net =
   let nodes =
     List.filter
-      (fun n -> Db_nn.Layer.name n.Network.layer <> "SOFTMAX")
+      (fun n -> n.Network.layer <> Db_nn.Layer.Softmax)
       net.Network.nodes
   in
   Network.create ~name:(net.Network.net_name ^ "-logits") nodes

@@ -1,10 +1,9 @@
 (* Tests for the extensions beyond the paper's minimum: the cycle-accurate
-   AGU simulator, the bit-accurate datapath microsimulator, pipelined batch
-   throughput, the training-acceleration model and the LCN layer. *)
+   AGU simulator, pipelined batch throughput, the training-acceleration
+   model and the LCN layer. *)
 
 module Access_pattern = Db_mem.Access_pattern
 module Agu_sim = Db_mem.Agu_sim
-module Datapath_sim = Db_sim.Datapath_sim
 module Fixed = Db_fixed.Fixed
 module Tensor = Db_tensor.Tensor
 module Shape = Db_tensor.Shape
@@ -64,110 +63,7 @@ let prop_agu_sim_equals_closed_form =
       addrs = Access_pattern.addresses_list p
       && cycles = Agu_sim.cycles_estimate p)
 
-(* --- Datapath microsimulation ----------------------------------------- *)
-
 let fmt = Fixed.q16_8
-
-let quantized_fc features weights bias =
-  (* Reference: the quantized interpreter's FC on the same data. *)
-  let nin = Array.length features and nout = Array.length weights in
-  let net =
-    Db_nn.Network.create ~name:"ref"
-      [
-        {
-          Db_nn.Network.node_name = "in";
-          layer = Db_nn.Layer.Input { shape = Shape.vector nin };
-          bottoms = [];
-          tops = [ "x" ];
-        };
-        {
-          Db_nn.Network.node_name = "fc";
-          layer = Db_nn.Layer.Inner_product { num_output = nout; bias = bias <> None };
-          bottoms = [ "x" ];
-          tops = [ "y" ];
-        };
-      ]
-  in
-  let params = Db_nn.Params.create () in
-  let w =
-    Tensor.of_array (Shape.of_list [ nout; nin ])
-      (Array.concat (Array.to_list (Array.map (Array.map (Fixed.to_float fmt)) weights)))
-  in
-  let tensors =
-    match bias with
-    | Some b ->
-        [ w; Tensor.of_array (Shape.vector nout) (Array.map (Fixed.to_float fmt) b) ]
-    | None -> [ w ]
-  in
-  Db_nn.Params.set params "fc" tensors;
-  let input =
-    Tensor.of_array (Shape.vector nin) (Array.map (Fixed.to_float fmt) features)
-  in
-  let env = Db_nn.Quantized.forward ~fmt net params ~inputs:[ ("x", input) ] in
-  match List.assoc_opt "y" env with
-  | Some q -> q.Db_nn.Quantized.qdata
-  | None -> Alcotest.fail "no output"
-
-let rand_q rng n = Array.init n (fun _ -> Db_util.Rng.int rng 512 - 256)
-
-let test_datapath_matches_quantized () =
-  let rng = Db_util.Rng.create 77 in
-  let features = rand_q rng 13 in
-  let weights = Array.init 3 (fun _ -> rand_q rng 13) in
-  let bias = rand_q rng 3 in
-  let cfg = { Datapath_sim.lanes = 4; simd = 2; port_words = 4; fmt } in
-  let result = Datapath_sim.fc_fold cfg ~features ~weights ~bias:(Some bias) in
-  Alcotest.(check (array int)) "bit-exact vs quantized interpreter"
-    (quantized_fc features weights (Some bias))
-    result.Datapath_sim.outputs
-
-let test_datapath_no_bias () =
-  let rng = Db_util.Rng.create 78 in
-  let features = rand_q rng 8 in
-  let weights = Array.init 2 (fun _ -> rand_q rng 8) in
-  let cfg = { Datapath_sim.lanes = 2; simd = 1; port_words = 2; fmt } in
-  let result = Datapath_sim.fc_fold cfg ~features ~weights ~bias:None in
-  Alcotest.(check (array int)) "bit-exact"
-    (quantized_fc features weights None)
-    result.Datapath_sim.outputs
-
-let test_datapath_cycle_model () =
-  let cfg = { Datapath_sim.lanes = 2; simd = 4; port_words = 2; fmt } in
-  (* 16 inputs at simd 4: 4 beats, each stretched x2 by the 2-word port. *)
-  Alcotest.(check int) "issue cycles" 8 (Datapath_sim.issue_cycles cfg ~nin:16);
-  Alcotest.(check int) "pipeline depth" 4 (Datapath_sim.pipeline_depth cfg);
-  let features = Array.make 16 256 in
-  let weights = [| Array.make 16 256 |] in
-  let r = Datapath_sim.fc_fold cfg ~features ~weights ~bias:None in
-  Alcotest.(check bool) "total = issue + drain" true
-    (r.Datapath_sim.cycles >= 8 && r.Datapath_sim.cycles <= 8 + 4 + 1)
-
-let test_datapath_simd_speedup () =
-  let features = Array.make 64 100 in
-  let weights = [| Array.make 64 50 |] in
-  let run simd =
-    let cfg = { Datapath_sim.lanes = 1; simd; port_words = 16; fmt } in
-    (Datapath_sim.fc_fold cfg ~features ~weights ~bias:None).Datapath_sim.cycles
-  in
-  Alcotest.(check bool) "simd 4 faster than simd 1" true (run 4 < run 1)
-
-let prop_datapath_equals_quantized =
-  QCheck.Test.make ~name:"datapath sim = quantized FC (bit-exact)" ~count:50
-    QCheck.(triple small_int (int_range 1 20) (int_range 1 4))
-    (fun (seed, nin, lanes) ->
-      let rng = Db_util.Rng.create seed in
-      let features = rand_q rng nin in
-      let weights = Array.init lanes (fun _ -> rand_q rng nin) in
-      let cfg =
-        {
-          Datapath_sim.lanes;
-          simd = 1 + (abs seed mod 4);
-          port_words = 2;
-          fmt;
-        }
-      in
-      (Datapath_sim.fc_fold cfg ~features ~weights ~bias:None).Datapath_sim.outputs
-      = quantized_fc features weights None)
 
 (* --- Batch throughput --------------------------------------------------- *)
 
@@ -343,14 +239,6 @@ let suite =
         Alcotest.test_case "idle until trigger" `Quick test_agu_sim_idle_until_trigger;
         Alcotest.test_case "retrigger" `Quick test_agu_sim_retrigger;
         QCheck_alcotest.to_alcotest prop_agu_sim_equals_closed_form;
-      ] );
-    ( "ext.datapath_sim",
-      [
-        Alcotest.test_case "matches quantized" `Quick test_datapath_matches_quantized;
-        Alcotest.test_case "no bias" `Quick test_datapath_no_bias;
-        Alcotest.test_case "cycle model" `Quick test_datapath_cycle_model;
-        Alcotest.test_case "simd speedup" `Quick test_datapath_simd_speedup;
-        QCheck_alcotest.to_alcotest prop_datapath_equals_quantized;
       ] );
     ( "ext.batch",
       [ Alcotest.test_case "pipelined throughput" `Quick test_batch_timing ] );

@@ -45,22 +45,22 @@ let random_network rng =
           let k = if R.bool rng then 3 else 1 in
           let name = fresh "conv" in
           push name
-            (Layer.Convolution
+            (Layer.Conv
                { num_output = nout; kernel_size = k; stride = 1; pad = k / 2;
-                 group = 1; bias = R.bool rng })
+                 group = 1; bias = R.bool rng; fused = None })
             !blob name;
           blob := name;
           c := nout
       | 1 when !hw >= 4 && !hw mod 2 = 0 ->
           let name = fresh "pool" in
-          let method_ = if R.bool rng then Layer.Max else Layer.Average in
-          push name (Layer.Pooling { method_; kernel_size = 2; stride = 2 }) !blob name;
+          let method_ = if R.bool rng then Layer.Max_pool else Layer.Avg_pool in
+          push name (Layer.Pool { method_; kernel_size = 2; stride = 2 }) !blob name;
           blob := name;
           hw := !hw / 2
       | 2 ->
           let name = fresh "act" in
           let act = R.pick rng [| Layer.Relu; Layer.Sigmoid; Layer.Tanh |] in
-          push name (Layer.Activation act) !blob name;
+          push name (Layer.Act act) !blob name;
           blob := name
       | 3 ->
           let name = fresh "lrn" in
@@ -73,7 +73,7 @@ let random_network rng =
       | _ ->
           let name = fresh "fc" in
           let nout = 2 + R.int rng 12 in
-          push name (Layer.Inner_product { num_output = nout; bias = R.bool rng }) !blob name;
+          push name (Layer.Fc { num_output = nout; bias = R.bool rng; fused = None }) !blob name;
           blob := name;
           flat := true;
           c := nout
@@ -82,19 +82,19 @@ let random_network rng =
       match R.int rng 2 with
       | 0 ->
           let name = fresh "act" in
-          push name (Layer.Activation (R.pick rng [| Layer.Relu; Layer.Sigmoid; Layer.Tanh |])) !blob name;
+          push name (Layer.Act (R.pick rng [| Layer.Relu; Layer.Sigmoid; Layer.Tanh |])) !blob name;
           blob := name
       | _ ->
           let name = fresh "fc" in
           let nout = 2 + R.int rng 12 in
-          push name (Layer.Inner_product { num_output = nout; bias = R.bool rng }) !blob name;
+          push name (Layer.Fc { num_output = nout; bias = R.bool rng; fused = None }) !blob name;
           blob := name;
           c := nout
     end
   done;
   (* Always end with an FC head so the output is a small vector. *)
   let head = fresh "head" in
-  push head (Layer.Inner_product { num_output = 4; bias = true }) !blob head;
+  push head (Layer.Fc { num_output = 4; bias = true; fused = None }) !blob head;
   ( Network.create ~name:(Printf.sprintf "fuzz-%d" (R.int rng 100000))
       (List.rev !nodes),
     Shape.chw ~channels ~height:size ~width:size )
@@ -135,6 +135,11 @@ let flow_invariants seed =
   let accel =
     Db_sim.Simulator.functional_output design params ~inputs:[ ("data", input) ]
   in
+  (* 7. The specialized engine is the generic one, bit for bit. *)
+  let generic =
+    Db_sim.Simulator.functional_output_generic design params
+      ~inputs:[ ("data", input) ]
+  in
   let fmt = design.Db_core.Design.datapath.Db_sched.Datapath.fmt in
   let quantized = Db_nn.Quantized.output ~fmt net params ~inputs:[ ("data", input) ] in
   let reference = Db_ir.Interp.output (Db_ir.Lower.lower net) params ~inputs:[ ("data", input) ] in
@@ -155,6 +160,10 @@ let flow_invariants seed =
     QCheck.Test.fail_report
       (Printf.sprintf "accelerator diverges from float reference (l2 %g)"
          (Tensor.l2_distance accel reference));
+  if not (Tensor.equal_bits accel generic) then
+    QCheck.Test.fail_report
+      (Printf.sprintf "specialized engine differs from generic (l2 %g)"
+         (Tensor.l2_distance accel generic));
   true
 
 let prop_random_network_flow =
@@ -232,6 +241,43 @@ let test_hostile_prototxt () =
           Db_nn.Caffe.import_string src))
     (hostile_corpus ())
 
+(* Out-of-range layer parameters parse (the grammar has no ranges) but
+   must fail shape inference with a classified validation error, never an
+   arithmetic exception or a nonsense shape. *)
+let layer_param_corpus =
+  let one_layer type_ param =
+    Printf.sprintf
+      {|name: "bad"
+layers { name: "data" type: INPUT top: "data" input_param { dim: 2 dim: 8 dim: 8 } }
+layers { name: "l" type: %s bottom: "data" top: "l" %s }|}
+      type_ param
+  in
+  [
+    ( "conv group 0",
+      one_layer "CONVOLUTION"
+        "convolution_param { num_output: 4 kernel_size: 3 group: 0 }" );
+    ( "pool kernel_size 0",
+      one_layer "POOLING" "pooling_param { pool: MAX kernel_size: 0 stride: 1 }"
+    );
+    ( "conv pad -1",
+      one_layer "CONVOLUTION"
+        "convolution_param { num_output: 4 kernel_size: 3 pad: -1 }" );
+  ]
+
+let test_layer_param_corpus () =
+  List.iter
+    (fun (name, src) ->
+      let net = Db_nn.Caffe.import_string src in
+      match Db_ir.Lower.lower net with
+      | _ -> Alcotest.failf "%s: accepted" name
+      | exception (Db_util.Error.Deepburning_error msg as e) ->
+          Alcotest.(check bool)
+            (name ^ " is a shape-infer error: " ^ msg)
+            true
+            (String.starts_with ~prefix:"shape-infer: " msg
+            && Db_util.Error.classify_exn e = Some Db_util.Error.Validation))
+    layer_param_corpus
+
 let test_hostile_constraints () =
   let base =
     {|constraint { device: "zynq-7045" dsps: 16 luts: 60000 ffs: 40000 bram_kb: 1024 }|}
@@ -297,6 +343,8 @@ let suite =
       [
         Alcotest.test_case "hostile prototxt corpus" `Quick
           test_hostile_prototxt;
+        Alcotest.test_case "layer parameter corpus" `Quick
+          test_layer_param_corpus;
         Alcotest.test_case "hostile constraint corpus" `Quick
           test_hostile_constraints;
         QCheck_alcotest.to_alcotest prop_mutated_prototxt;

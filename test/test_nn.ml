@@ -15,8 +15,8 @@ let tiny_mlp () =
   Network.create ~name:"tiny"
     [
       node "in" (Layer.Input { shape = Shape.vector 2 }) [] [ "data" ];
-      node "fc" (Layer.Inner_product { num_output = 3; bias = true }) [ "data" ] [ "h" ];
-      node "act" (Layer.Activation Layer.Relu) [ "h" ] [ "out" ];
+      node "fc" (Layer.Fc { num_output = 3; bias = true; fused = None }) [ "data" ] [ "h" ];
+      node "act" (Layer.Act Layer.Relu) [ "h" ] [ "out" ];
     ]
 
 let test_create_and_order () =
@@ -24,8 +24,8 @@ let test_create_and_order () =
   let net =
     Network.create ~name:"disorder"
       [
-        node "act" (Layer.Activation Layer.Relu) [ "h" ] [ "out" ];
-        node "fc" (Layer.Inner_product { num_output = 3; bias = true }) [ "data" ] [ "h" ];
+        node "act" (Layer.Act Layer.Relu) [ "h" ] [ "out" ];
+        node "fc" (Layer.Fc { num_output = 3; bias = true; fused = None }) [ "data" ] [ "h" ];
         node "in" (Layer.Input { shape = Shape.vector 2 }) [] [ "data" ];
       ]
   in
@@ -48,18 +48,34 @@ let test_validation_errors () =
   expect_network_error
     [
       node "in" (Layer.Input { shape = Shape.vector 2 }) [] [ "data" ];
-      node "fc" (Layer.Inner_product { num_output = 3; bias = true }) [ "nope" ] [ "h" ];
+      node "fc"
+        (Layer.Fc { num_output = 3; bias = true; fused = None })
+        [ "nope" ] [ "h" ];
     ]
     "unknown blob";
   expect_network_error
     [
       node "a" (Layer.Input { shape = Shape.vector 2 }) [] [ "data" ];
-      node "a" (Layer.Activation Layer.Relu) [ "data" ] [ "out" ];
+      node "a" (Layer.Act Layer.Relu) [ "data" ] [ "out" ];
     ]
     "duplicate";
   expect_network_error
-    [ node "fc" (Layer.Inner_product { num_output = 3; bias = true }) [] [ "h" ] ]
-    "expects 1 bottom"
+    [ node "fc" (Layer.Fc { num_output = 3; bias = true; fused = None }) [] [ "h" ] ]
+    "expects 1 bottom";
+  (* Fused slots and training ops are IR-only; the frontend never makes
+     them, so a network holding one is rejected as a validation error. *)
+  let input = node "in" (Layer.Input { shape = Shape.vector 2 }) [] [ "data" ] in
+  expect_network_error
+    [
+      input;
+      node "fc"
+        (Layer.Fc { num_output = 3; bias = true; fused = Some Layer.Relu })
+        [ "data" ] [ "h" ];
+    ]
+    "network: layer \"fc\": fused RELU";
+  expect_network_error
+    [ input; node "up" (Layer.Sgd_update { target = "fc" }) [ "data" ] [ "w" ] ]
+    "network: layer \"up\": training op SGD_UPDATE"
 
 let test_output_blobs () =
   let net = tiny_mlp () in
@@ -265,6 +281,28 @@ let test_quantized_wider_is_closer () =
   let wide = dist Db_fixed.Fixed.q24_12 and narrow = dist Db_fixed.Fixed.q8_4 in
   Alcotest.(check bool) "wider format is at least as close" true (wide <= narrow +. 1e-9)
 
+(* A fused activation is applied, never dropped: FC+RELU evaluates to the
+   standalone RELU of the unfused FC. *)
+let test_quantized_fused_activation () =
+  let module Q = Db_nn.Quantized in
+  let fmt = Db_fixed.Fixed.q16_8 in
+  let rng = Db_util.Rng.create 11 in
+  let q shape =
+    Q.quantize fmt (Tensor.random_uniform rng shape ~min:(-1.0) ~max:1.0)
+  in
+  let params = [ q (Shape.of_list [ 4; 3 ]); q (Shape.vector 4) ]
+  and bottoms = [ q (Shape.vector 3) ] in
+  let eval layer ~params ~bottoms =
+    Q.eval_node fmt Q.exact_eval layer ~params ~bottoms
+  in
+  let fc fused = Layer.Fc { num_output = 4; bias = true; fused } in
+  let unfused = eval (fc None) ~params ~bottoms in
+  let expected = eval (Layer.Act Layer.Relu) ~params:[] ~bottoms:[ unfused ] in
+  let fused = eval (fc (Some Layer.Relu)) ~params ~bottoms in
+  Alcotest.(check bool) "FC then RELU clamps something" true
+    (expected.Q.qdata <> unfused.Q.qdata);
+  Alcotest.(check (array int)) "fused = FC then RELU" expected.Q.qdata fused.Q.qdata
+
 let test_quantized_avg_pool_shift () =
   (* Power-of-two pooling area uses the exact shifting latch. *)
   let net =
@@ -272,7 +310,7 @@ let test_quantized_avg_pool_shift () =
       [
         node "in" (Layer.Input { shape = Shape.chw ~channels:1 ~height:2 ~width:2 }) [] [ "x" ];
         node "p"
-          (Layer.Pooling { method_ = Layer.Average; kernel_size = 2; stride = 2 })
+          (Layer.Pool { method_ = Layer.Avg_pool; kernel_size = 2; stride = 2 })
           [ "x" ] [ "y" ];
       ]
   in
@@ -329,6 +367,7 @@ let suite =
         Alcotest.test_case "matches float" `Quick test_quantized_matches_float_mlp;
         Alcotest.test_case "wider closer" `Quick test_quantized_wider_is_closer;
         Alcotest.test_case "avg pool shift" `Quick test_quantized_avg_pool_shift;
+        Alcotest.test_case "fused activation" `Quick test_quantized_fused_activation;
       ] );
   ]
 

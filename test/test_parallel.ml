@@ -139,15 +139,15 @@ let test_kernels_deterministic () =
 
 let test_backprop_deterministic () =
   let layer =
-    Layer.Convolution
-      { num_output = 8; kernel_size = 3; stride = 1; pad = 1; group = 2; bias = true }
+    Layer.Conv
+      { num_output = 8; kernel_size = 3; stride = 1; pad = 1; group = 2; bias = true; fused = None }
   in
   let input = rng_tensor 21 (Shape.chw ~channels:6 ~height:9 ~width:9) in
   let weights = rng_tensor 22 (Shape.of_list [ 8; 3; 3; 3 ]) in
   let bias = rng_tensor 23 (Shape.vector 8) in
   let run () =
     let out, cache =
-      Db_train.Backprop.forward_op ~op:(Db_ir.Op.of_layer layer) ~params:[ weights; bias ] ~input
+      Db_train.Backprop.forward_op ~op:layer ~params:[ weights; bias ] ~input
     in
     let gx, gps = Db_train.Backprop.backward_layer cache ~grad_output:out in
     (Option.get gx, gps)
@@ -155,12 +155,12 @@ let test_backprop_deterministic () =
   let gx_s, gps_s = Pool.with_sequential run and gx_p, gps_p = run () in
   bitwise_eq "conv backward gx" gx_s gx_p;
   List.iter2 (bitwise_eq "conv backward gparam") gps_s gps_p;
-  let fc = Layer.Inner_product { num_output = 24; bias = true } in
+  let fc = Layer.Fc { num_output = 24; bias = true; fused = None } in
   let fw = rng_tensor 24 (Shape.of_list [ 24; 6 * 9 * 9 ]) in
   let fb = rng_tensor 25 (Shape.vector 24) in
   let run_fc () =
     let out, cache =
-      Db_train.Backprop.forward_op ~op:(Db_ir.Op.of_layer fc) ~params:[ fw; fb ] ~input
+      Db_train.Backprop.forward_op ~op:fc ~params:[ fw; fb ] ~input
     in
     let gx, gps = Db_train.Backprop.backward_layer cache ~grad_output:out in
     (Option.get gx, gps)

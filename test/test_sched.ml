@@ -9,8 +9,6 @@ module Layer = Db_nn.Layer
 
 let dp lanes = Datapath.make ~lanes ()
 
-(* The planner speaks IR ops; tests build frontend layers for brevity. *)
-let fold_layer_plan dp layer = Folding.fold_op_plan dp (Db_ir.Op.of_layer layer)
 
 let test_datapath_validation () =
   Alcotest.check_raises "zero lanes"
@@ -22,8 +20,8 @@ let test_datapath_validation () =
 
 let test_fc_folding () =
   let folds =
-    fold_layer_plan (dp 4)
-      (Layer.Inner_product { num_output = 10; bias = true })
+    Folding.fold_op_plan (dp 4)
+      (Layer.Fc { num_output = 10; bias = true; fused = None })
       ~bottoms:[ Shape.vector 6 ] ~output:(Shape.vector 10) ~node_name:"fc"
       ~layer_index:0
   in
@@ -42,9 +40,9 @@ let test_fc_folding () =
 let test_conv_folding () =
   (* 8 output channels on 3 lanes: 3 folds over channels. *)
   let folds =
-    fold_layer_plan (dp 3)
-      (Layer.Convolution
-         { num_output = 8; kernel_size = 3; stride = 1; pad = 1; group = 1; bias = true })
+    Folding.fold_op_plan (dp 3)
+      (Layer.Conv
+         { num_output = 8; kernel_size = 3; stride = 1; pad = 1; group = 1; bias = true; fused = None })
       ~bottoms:[ Shape.chw ~channels:2 ~height:8 ~width:8 ]
       ~output:(Shape.chw ~channels:8 ~height:8 ~width:8)
       ~node_name:"conv" ~layer_index:1
@@ -55,8 +53,8 @@ let test_conv_folding () =
 
 let test_no_fold_when_fits () =
   let folds =
-    fold_layer_plan (dp 16)
-      (Layer.Inner_product { num_output = 10; bias = false })
+    Folding.fold_op_plan (dp 16)
+      (Layer.Fc { num_output = 10; bias = false; fused = None })
       ~bottoms:[ Shape.vector 4 ] ~output:(Shape.vector 10) ~node_name:"fc"
       ~layer_index:0
   in
@@ -67,7 +65,7 @@ let test_no_fold_when_fits () =
 
 let test_recurrent_folding () =
   let folds =
-    fold_layer_plan (dp 4)
+    Folding.fold_op_plan (dp 4)
       (Layer.Recurrent { num_output = 6; steps = 3; bias = false })
       ~bottoms:[ Shape.vector 5 ] ~output:(Shape.vector 6) ~node_name:"rec"
       ~layer_index:0
@@ -82,8 +80,8 @@ let test_recurrent_folding () =
 
 let test_pooling_folds_over_channels () =
   let folds =
-    fold_layer_plan (dp 2)
-      (Layer.Pooling { method_ = Layer.Max; kernel_size = 2; stride = 2 })
+    Folding.fold_op_plan (dp 2)
+      (Layer.Pool { method_ = Layer.Max_pool; kernel_size = 2; stride = 2 })
       ~bottoms:[ Shape.chw ~channels:5 ~height:4 ~width:4 ]
       ~output:(Shape.chw ~channels:5 ~height:2 ~width:2)
       ~node_name:"pool" ~layer_index:0
@@ -140,8 +138,8 @@ let test_coordinator_fsm () =
 
 let test_fold_layer_rejects_bad_bottoms () =
   match
-    fold_layer_plan (dp 2)
-      (Layer.Inner_product { num_output = 4; bias = true })
+    Folding.fold_op_plan (dp 2)
+      (Layer.Fc { num_output = 4; bias = true; fused = None })
       ~bottoms:[] ~output:(Shape.vector 4) ~node_name:"fc" ~layer_index:0
   with
   | (_ : Folding.fold list) -> Alcotest.fail "expected arity failure"
@@ -154,8 +152,8 @@ let prop_folding_conserves =
     QCheck.(triple (int_range 1 16) (int_range 1 64) (int_range 1 32))
     (fun (lanes, num_output, nin) ->
       let folds =
-        fold_layer_plan (dp lanes)
-          (Layer.Inner_product { num_output; bias = false })
+        Folding.fold_op_plan (dp lanes)
+          (Layer.Fc { num_output; bias = false; fused = None })
           ~bottoms:[ Shape.vector nin ] ~output:(Shape.vector num_output)
           ~node_name:"fc" ~layer_index:0
       in

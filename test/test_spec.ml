@@ -368,7 +368,7 @@ let activations net =
   List.sort_uniq compare
     (List.filter_map
        (fun node ->
-         match node.Network.layer with Layer.Activation a -> Some a | _ -> None)
+         match node.Network.layer with Layer.Act a -> Some a | _ -> None)
        net.Network.nodes)
 
 (* Every table entry is the closure's word: for each zoo design with an
@@ -422,7 +422,7 @@ let test_activation_tables () =
                   (fun act ->
                     let label =
                       Printf.sprintf "%s Q%d.%d %s" name total_bits frac_bits
-                        (Layer.name (Layer.Activation act))
+                        (Layer.name (Layer.Act act))
                     in
                     match Specialize.activation_table sp act with
                     | None -> Alcotest.failf "%s: no table" label

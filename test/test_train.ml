@@ -30,8 +30,7 @@ let test_one_hot () =
     (Tensor.equal_approx t (Tensor.of_array (Shape.vector 4) [| 0.; 0.; 1.; 0. |]))
 
 (* Finite-difference gradient check for a single layer. *)
-let grad_check ~layer ~params ~input ~epsilon ~tol =
-  let op = Db_ir.Op.of_layer layer in
+let grad_check ~op ~params ~input ~epsilon ~tol =
   let output, cache = Db_train.Backprop.forward_op ~op ~params ~input in
   (* Loss = sum of outputs; grad_output = ones. *)
   let grad_out = Tensor.full (Tensor.shape output) 1.0 in
@@ -76,7 +75,7 @@ let rng_tensor seed shape =
 
 let test_gradcheck_fc () =
   grad_check
-    ~layer:(Layer.Inner_product { num_output = 3; bias = true })
+    ~op:(Layer.Fc { num_output = 3; bias = true; fused = None })
     ~params:
       [ rng_tensor 1 (Shape.of_list [ 3; 4 ]); rng_tensor 2 (Shape.vector 3) ]
     ~input:(rng_tensor 3 (Shape.vector 4))
@@ -84,9 +83,9 @@ let test_gradcheck_fc () =
 
 let test_gradcheck_conv () =
   grad_check
-    ~layer:
-      (Layer.Convolution
-         { num_output = 2; kernel_size = 3; stride = 1; pad = 1; group = 1; bias = true })
+    ~op:
+      (Layer.Conv
+         { num_output = 2; kernel_size = 3; stride = 1; pad = 1; group = 1; bias = true; fused = None })
     ~params:
       [ rng_tensor 4 (Shape.of_list [ 2; 2; 3; 3 ]); rng_tensor 5 (Shape.vector 2) ]
     ~input:(rng_tensor 6 (Shape.chw ~channels:2 ~height:4 ~width:4))
@@ -94,23 +93,23 @@ let test_gradcheck_conv () =
 
 let test_gradcheck_conv_stride_group () =
   grad_check
-    ~layer:
-      (Layer.Convolution
-         { num_output = 4; kernel_size = 2; stride = 2; pad = 0; group = 2; bias = false })
+    ~op:
+      (Layer.Conv
+         { num_output = 4; kernel_size = 2; stride = 2; pad = 0; group = 2; bias = false; fused = None })
     ~params:[ rng_tensor 7 (Shape.of_list [ 4; 1; 2; 2 ]) ]
     ~input:(rng_tensor 8 (Shape.chw ~channels:2 ~height:4 ~width:4))
     ~epsilon:1e-4 ~tol:1e-3
 
 let test_gradcheck_avg_pool () =
   grad_check
-    ~layer:(Layer.Pooling { method_ = Layer.Average; kernel_size = 2; stride = 2 })
+    ~op:(Layer.Pool { method_ = Layer.Avg_pool; kernel_size = 2; stride = 2 })
     ~params:[]
     ~input:(rng_tensor 9 (Shape.chw ~channels:1 ~height:4 ~width:4))
     ~epsilon:1e-4 ~tol:1e-3
 
 let test_gradcheck_max_pool () =
   grad_check
-    ~layer:(Layer.Pooling { method_ = Layer.Max; kernel_size = 2; stride = 2 })
+    ~op:(Layer.Pool { method_ = Layer.Max_pool; kernel_size = 2; stride = 2 })
     ~params:[]
     ~input:(rng_tensor 10 (Shape.chw ~channels:1 ~height:4 ~width:4))
     ~epsilon:1e-5 ~tol:1e-2
@@ -118,18 +117,18 @@ let test_gradcheck_max_pool () =
 let test_gradcheck_activations () =
   List.iter
     (fun act ->
-      grad_check ~layer:(Layer.Activation act) ~params:[]
+      grad_check ~op:(Layer.Act act) ~params:[]
         ~input:(rng_tensor 11 (Shape.vector 6))
         ~epsilon:1e-5 ~tol:1e-3)
     [ Layer.Relu; Layer.Sigmoid; Layer.Tanh ]
 
 let test_gradcheck_softmax () =
-  grad_check ~layer:Layer.Softmax ~params:[]
+  grad_check ~op:Layer.Softmax ~params:[]
     ~input:(rng_tensor 12 (Shape.vector 5))
     ~epsilon:1e-5 ~tol:1e-3
 
 let test_gradcheck_global_pool () =
-  grad_check ~layer:(Layer.Global_pooling Layer.Average) ~params:[]
+  grad_check ~op:(Layer.Global_pool Layer.Avg_pool) ~params:[]
     ~input:(rng_tensor 13 (Shape.chw ~channels:2 ~height:3 ~width:3))
     ~epsilon:1e-4 ~tol:1e-3
 
@@ -137,9 +136,9 @@ let xor_network () =
   Network.create ~name:"xor"
     [
       node "in" (Layer.Input { shape = Shape.vector 2 }) [] [ "x" ];
-      node "fc1" (Layer.Inner_product { num_output = 4; bias = true }) [ "x" ] [ "h" ];
-      node "t" (Layer.Activation Layer.Tanh) [ "h" ] [ "ht" ];
-      node "fc2" (Layer.Inner_product { num_output = 1; bias = true }) [ "ht" ] [ "y" ];
+      node "fc1" (Layer.Fc { num_output = 4; bias = true; fused = None }) [ "x" ] [ "h" ];
+      node "t" (Layer.Act Layer.Tanh) [ "h" ] [ "ht" ];
+      node "fc2" (Layer.Fc { num_output = 1; bias = true; fused = None }) [ "ht" ] [ "y" ];
     ]
 
 let test_training_learns_xor () =
@@ -195,8 +194,8 @@ let test_trainer_rejects_nonchain () =
     Network.create ~name:"fork"
       [
         node "in" (Layer.Input { shape = Shape.chw ~channels:1 ~height:2 ~width:2 }) [] [ "x" ];
-        node "a" (Layer.Convolution { num_output = 1; kernel_size = 1; stride = 1; pad = 0; group = 1; bias = false }) [ "x" ] [ "ya" ];
-        node "b" (Layer.Convolution { num_output = 1; kernel_size = 1; stride = 1; pad = 0; group = 1; bias = false }) [ "x" ] [ "yb" ];
+        node "a" (Layer.Conv { num_output = 1; kernel_size = 1; stride = 1; pad = 0; group = 1; bias = false; fused = None }) [ "x" ] [ "ya" ];
+        node "b" (Layer.Conv { num_output = 1; kernel_size = 1; stride = 1; pad = 0; group = 1; bias = false; fused = None }) [ "x" ] [ "yb" ];
         node "c" Layer.Concat [ "ya"; "yb" ] [ "y" ];
       ]
   in
@@ -337,9 +336,9 @@ let test_graphcheck_mlp () =
         (Network.create ~name:"g-mlp"
            [
              node "in" (Layer.Input { shape = Shape.vector 4 }) [] [ "x" ];
-             node "fc1" (Layer.Inner_product { num_output = 5; bias = true }) [ "x" ] [ "h" ];
-             node "s" (Layer.Activation Layer.Sigmoid) [ "h" ] [ "hs" ];
-             node "fc2" (Layer.Inner_product { num_output = 3; bias = true }) [ "hs" ] [ "y" ];
+             node "fc1" (Layer.Fc { num_output = 5; bias = true; fused = None }) [ "x" ] [ "h" ];
+             node "s" (Layer.Act Layer.Sigmoid) [ "h" ] [ "hs" ];
+             node "fc2" (Layer.Fc { num_output = 3; bias = true; fused = None }) [ "hs" ] [ "y" ];
            ]))
     seeds
 
@@ -353,13 +352,13 @@ let test_graphcheck_conv_pool () =
                (Layer.Input { shape = Shape.chw ~channels:2 ~height:5 ~width:5 })
                [] [ "x" ];
              node "c1"
-               (Layer.Convolution
-                  { num_output = 3; kernel_size = 3; stride = 1; pad = 1; group = 1; bias = true })
+               (Layer.Conv
+                  { num_output = 3; kernel_size = 3; stride = 1; pad = 1; group = 1; bias = true; fused = None })
                [ "x" ] [ "c" ];
-             node "r" (Layer.Activation Layer.Relu) [ "c" ] [ "cr" ];
-             node "p" (Layer.Pooling { method_ = Layer.Average; kernel_size = 2; stride = 2 })
+             node "r" (Layer.Act Layer.Relu) [ "c" ] [ "cr" ];
+             node "p" (Layer.Pool { method_ = Layer.Avg_pool; kernel_size = 2; stride = 2 })
                [ "cr" ] [ "cp" ];
-             node "fc" (Layer.Inner_product { num_output = 4; bias = false }) [ "cp" ] [ "y" ];
+             node "fc" (Layer.Fc { num_output = 4; bias = false; fused = None }) [ "cp" ] [ "y" ];
            ]))
     seeds
 
@@ -370,8 +369,8 @@ let test_graphcheck_softmax_tail () =
         (Network.create ~name:"g-softmax"
            [
              node "in" (Layer.Input { shape = Shape.vector 6 }) [] [ "x" ];
-             node "fc" (Layer.Inner_product { num_output = 4; bias = true }) [ "x" ] [ "h" ];
-             node "t" (Layer.Activation Layer.Tanh) [ "h" ] [ "ht" ];
+             node "fc" (Layer.Fc { num_output = 4; bias = true; fused = None }) [ "x" ] [ "h" ];
+             node "t" (Layer.Act Layer.Tanh) [ "h" ] [ "ht" ];
              node "sm" Layer.Softmax [ "ht" ] [ "y" ];
            ]))
     seeds
@@ -388,8 +387,8 @@ let test_graphcheck_lrn_pool () =
              node "n"
                (Layer.Lrn { local_size = 3; alpha = 1e-2; beta = 0.75; k = 1.0 })
                [ "x" ] [ "xn" ];
-             node "g" (Layer.Global_pooling Layer.Average) [ "xn" ] [ "xg" ];
-             node "fc" (Layer.Inner_product { num_output = 2; bias = true }) [ "xg" ] [ "y" ];
+             node "g" (Layer.Global_pool Layer.Avg_pool) [ "xn" ] [ "xg" ];
+             node "fc" (Layer.Fc { num_output = 2; bias = true; fused = None }) [ "xg" ] [ "y" ];
            ]))
     seeds
 
