@@ -140,17 +140,12 @@ let fault_bench_setup () =
   let net = design.Db_core.Design.network in
   let rng = Db_util.Rng.create cfg.Experiments.seed in
   let params = Db_nn.Params.init_xavier rng net in
-  let input_node = List.hd (Db_nn.Network.input_nodes net) in
-  let shape =
-    match input_node.Db_nn.Network.layer with
-    | Db_nn.Layer.Input { shape } -> shape
-    | _ -> assert false
-  in
+  let input_blob, shape = Db_nn.Network.first_input net in
   let inputs =
     Array.init 4 (fun _ ->
         Db_tensor.Tensor.random_uniform rng shape ~min:(-1.0) ~max:1.0)
   in
-  (design, params, List.hd input_node.Db_nn.Network.tops, inputs)
+  (design, params, input_blob, inputs)
 
 let fault_bench_trials () = if !quick then 150 else 400
 
@@ -395,13 +390,7 @@ let sim_throughput_micro () =
   let net = design.Db_core.Design.network in
   let rng = Db_util.Rng.create 7 in
   let params = Db_nn.Params.init_xavier rng net in
-  let input_node = List.hd (Db_nn.Network.input_nodes net) in
-  let shape =
-    match input_node.Db_nn.Network.layer with
-    | Db_nn.Layer.Input { shape } -> shape
-    | _ -> assert false
-  in
-  let blob = List.hd input_node.Db_nn.Network.tops in
+  let blob, shape = Db_nn.Network.first_input net in
   let inputs =
     Array.init batch_n (fun _ ->
         Db_tensor.Tensor.random_uniform rng shape ~min:(-1.0) ~max:1.0)

@@ -1,7 +1,8 @@
 (* The DeepBurning command-line tool: the "one-click" interface of Fig. 3.
+   Every MODEL argument is a bundled zoo name or a .prototxt path.
 
      deepburning generate -m model.prototxt -c constraint.prototxt -o accel.v
-     deepburning simulate -m model.prototxt -c constraint.prototxt
+     deepburning simulate -m alexnet -c constraint.prototxt
      deepburning zoo list
      deepburning zoo show alexnet > alexnet.prototxt
      deepburning ir alexnet
@@ -25,8 +26,6 @@ let write_file path content =
         ~finally:(fun () -> close_out_noerr oc)
         (fun () -> output_string oc content))
 
-let default_constraint_script = Db_serve.Serve.default_constraint_script
-
 (* [--store DIR] on work-producing subcommands: attach the persistent
    design store so generation is served from disk across process runs. *)
 let store_arg =
@@ -47,25 +46,40 @@ let with_store store f =
       Db_store.Disk_store.attach s;
       Fun.protect ~finally:Db_store.Disk_store.detach f
 
-(* Through [Design_cache], so an attached [--store] serves repeat models
-   from disk instead of regenerating. *)
-let load ~model_path ~constraint_path ~tiling =
-  let model = read_file model_path in
-  let constraint_script =
-    match constraint_path with
-    | Some path -> read_file path
-    | None -> default_constraint_script
-  in
-  let network = Db_nn.Caffe.import_string model in
-  let cons = Db_core.Constraints.parse constraint_script in
-  Db_core.Design_cache.generate ~tiling_enabled:tiling cons network
+(* A MODEL argument: its label in reports and its prototxt source, read
+   when the command runs so that a read failure is classified [Io]. *)
+type model = { label : string; source : unit -> string }
 
-let model_arg =
+let zoo_models = Db_workloads.Model_zoo.named
+
+let zoo_model (label, src) = { label; source = (fun () -> src) }
+
+(* The one converter behind every MODEL slot: a bundled zoo name (looked up
+   first) or an existing file.  Anything else is a usage error (exit 124). *)
+let model_conv =
+  let parse s =
+    match List.assoc_opt s zoo_models with
+    | Some src -> Ok (zoo_model (s, src))
+    | None when Sys.file_exists s ->
+        Ok { label = Filename.basename s; source = (fun () -> read_file s) }
+    | None ->
+        Error (`Msg (Printf.sprintf "%S is neither a zoo model nor a file" s))
+  in
+  Arg.conv ~docv:"MODEL"
+    (parse, fun ppf m -> Format.pp_print_string ppf m.label)
+
+let model_doc = "A bundled zoo model name or a Caffe-compatible .prototxt file."
+
+let model_opt ?(names = [ "m"; "model" ]) () =
+  Arg.(opt (some model_conv) None & info names ~docv:"MODEL" ~doc:model_doc)
+
+let model_arg = Arg.required (model_opt ())
+
+let model_pos_arg =
   Arg.(
     required
-    & opt (some file) None
-    & info [ "m"; "model" ] ~docv:"MODEL"
-        ~doc:"Caffe-compatible model description (.prototxt).")
+    & pos 0 (some model_conv) None
+    & info [] ~docv:"MODEL" ~doc:model_doc)
 
 let constraint_arg =
   Arg.(
@@ -82,13 +96,44 @@ let tiling_arg =
     & info [ "tiling" ] ~docv:"BOOL"
         ~doc:"Enable Method-1 data tiling (default true).")
 
+let json_arg ~doc = Arg.(value & flag & info [ "json" ] ~doc)
+
+let output_arg ~doc =
+  Arg.(
+    value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
+
+let network (m : model) = Db_nn.Caffe.import_string (m.source ())
+
+let constraints path =
+  Db_core.Constraints.parse
+    (match path with
+    | Some path -> read_file path
+    | None -> Db_serve.Serve.default_constraint_script)
+
+(* The one generation path: through [Design_cache], so an attached
+   [--store] serves repeat models from disk instead of regenerating.  The
+   term resolves [-c] and [--tiling] once; the command applies it to its
+   model(s). *)
+let generator =
+  Term.(
+    const (fun cpath tiling m ->
+        let net = network m in
+        Db_core.Design_cache.generate ~tiling_enabled:tiling
+          (constraints cpath) net)
+    $ constraint_arg $ tiling_arg)
+
 (* Every repository exception maps to one failure class and that class to
    one exit code (parse 3, validation 4, resource 5, simulation 6,
-   watchdog 7, io 8; 1 for anything unclassified — 2 belongs to cmdliner's
-   usage errors).  Foreign exceptions keep their backtrace. *)
-let report_error e =
+   watchdog 7, io 8; 1 for an unclassified repository error).  A foreign
+   exception is a bug: it is reported with its backtrace as cmdliner's
+   internal error (125). *)
+let report_error e bt =
   match Db_util.Error.classify_exn e with
-  | None -> raise e
+  | None ->
+      Printf.eprintf
+        "deepburning: internal error, uncaught exception:\n%s\n%s%!"
+        (Printexc.to_string e) (Printexc.raw_backtrace_to_string bt);
+      Cmd.Exit.internal_error
   | Some cls ->
       (match Db_util.Error.message_of_exn e with
       | Some msg -> Printf.eprintf "deepburning: %s\n" msg
@@ -97,10 +142,6 @@ let report_error e =
             (Db_util.Error.class_name cls));
       Db_util.Error.exit_code cls
 
-(* Every subcommand accepts [--trace FILE]: enable the observability layer
-   for the whole run and write a Chrome trace_event file on the way out —
-   including on a failing run, where the partial trace is exactly what you
-   want to look at. *)
 let trace_arg =
   Arg.(
     value
@@ -110,52 +151,55 @@ let trace_arg =
           "Record spans and counters for the whole run and write a Chrome \
            trace_event JSON file (open in chrome://tracing or Perfetto).")
 
-let write_trace path snap =
-  write_file path (Db_obs.Render.chrome_trace snap);
-  Printf.eprintf "deepburning: wrote trace %s\n" path
-
-let with_trace trace f =
+(* Every subcommand runs through here.  [f] returns the exit code: 0, or 2
+   when lint/check/verify report findings.  With [--trace FILE] the whole
+   run is recorded and the trace is written afterwards on every path,
+   including a failing run, whose partial trace is exactly what you want
+   to look at.  The run's own failure wins; otherwise a trace that cannot
+   be written exits 8 (io). *)
+let run ?trace f =
+  if trace <> None then Db_obs.Obs.set_enabled true;
+  let code =
+    try f () with e -> report_error e (Printexc.get_raw_backtrace ())
+  in
   match trace with
-  | None -> f ()
-  | Some path ->
-      Db_obs.Obs.set_enabled true;
-      Fun.protect
-        ~finally:(fun () -> write_trace path (Db_obs.Obs.snapshot ()))
-        f
-
-let wrap ?trace f = try with_trace trace f; 0 with e -> report_error e
+  | None -> code
+  | Some path -> (
+      let snap = Db_obs.Obs.snapshot () in
+      match write_file path (Db_obs.Render.chrome_trace snap) with
+      | () ->
+          Printf.eprintf "deepburning: wrote trace %s\n" path;
+          code
+      | exception e ->
+          let io = report_error e (Printexc.get_raw_backtrace ()) in
+          if code = 0 then io else code)
 
 let generate_cmd =
-  let output_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Write the generated Verilog here (default: stdout).")
-  in
-  let run model_path constraint_path tiling output store trace =
-    wrap ?trace (fun () ->
+  let run model generate output store trace =
+    run ?trace (fun () ->
         with_store store (fun () ->
-            let design = load ~model_path ~constraint_path ~tiling in
+            let design = generate model in
             Format.eprintf "%a@." Db_core.Design.pp_summary design;
             let verilog = Db_core.Design.verilog design in
-            match output with
+            (match output with
             | None -> print_string verilog
             | Some path ->
                 write_file path verilog;
-                Printf.eprintf "wrote %s\n" path))
+                Printf.eprintf "wrote %s\n" path);
+            0))
   in
   Cmd.v
     (Cmd.info "generate" ~doc:"Generate an accelerator (RTL to stdout or a file).")
     Term.(
-      const run $ model_arg $ constraint_arg $ tiling_arg $ output_arg
+      const run $ model_arg $ generator
+      $ output_arg ~doc:"Write the generated Verilog here (default: stdout)."
       $ store_arg $ trace_arg)
 
 let simulate_cmd =
-  let run model_path constraint_path tiling store trace =
-    wrap ?trace (fun () ->
+  let run model generate store trace =
+    run ?trace (fun () ->
         with_store store (fun () ->
-            let design = load ~model_path ~constraint_path ~tiling in
+            let design = generate model in
             Format.printf "%a@." Db_core.Design.pp_summary design;
             let report = Db_sim.Simulator.timing design in
             Format.printf "%a@." Db_sim.Simulator.pp_report report;
@@ -166,27 +210,26 @@ let simulate_cmd =
             in
             Printf.printf "CPU reference (%s): %s per forward pass\n"
               cpu.Db_baseline.Cpu_model.cpu_name
-              (Db_report.Table.ms cpu_s)))
+              (Db_report.Table.ms cpu_s);
+            0))
   in
   Cmd.v
     (Cmd.info "simulate"
        ~doc:"Generate and report one forward pass's latency, traffic and power.")
-    Term.(
-      const run $ model_arg $ constraint_arg $ tiling_arg $ store_arg
-      $ trace_arg)
+    Term.(const run $ model_arg $ generator $ store_arg $ trace_arg)
 
 let stats_cmd =
-  let run model_path trace =
-    wrap ?trace (fun () ->
-        let net = Db_nn.Caffe.import_string (read_file model_path) in
+  let run model trace =
+    run ?trace (fun () ->
+        let net = network model in
         Format.printf "%a@." Db_nn.Network.pp net;
-        Format.printf "%a@." Db_nn.Model_stats.pp (Db_nn.Model_stats.compute net))
+        Format.printf "%a@." Db_nn.Model_stats.pp
+          (Db_nn.Model_stats.compute net);
+        0)
   in
   Cmd.v
     (Cmd.info "stats" ~doc:"Show a model's layers, MACs and parameter counts.")
     Term.(const run $ model_arg $ trace_arg)
-
-let zoo_models = Db_workloads.Model_zoo.named
 
 let zoo_cmd =
   let action_arg =
@@ -198,236 +241,149 @@ let zoo_cmd =
   let name_arg =
     Arg.(value & pos 1 (some string) None & info [] ~docv:"NAME")
   in
-  let run action name trace =
-    wrap ?trace (fun () ->
-        match action with
-        | `List ->
-            List.iter (fun (n, _) -> print_endline n) zoo_models
-        | `Show -> begin
-            match name with
-            | None -> Db_util.Error.fail "zoo show: missing model name"
-            | Some n -> begin
-                match List.assoc_opt n zoo_models with
-                | Some src -> print_string src
-                | None -> Db_util.Error.fail "unknown zoo model %S" n
-              end
-          end)
+  let zoo action name trace =
+    let print text = `Ok (run ?trace (fun () -> print_string text; 0)) in
+    match (action, name) with
+    | `List, _ ->
+        print (String.concat "" (List.map (fun (n, _) -> n ^ "\n") zoo_models))
+    | `Show, None -> `Error (true, "zoo show: missing model name")
+    | `Show, Some n -> (
+        match List.assoc_opt n zoo_models with
+        | Some src -> print src
+        | None -> `Error (true, Printf.sprintf "unknown zoo model %S" n))
   in
   Cmd.v
     (Cmd.info "zoo" ~doc:"List or print the bundled model scripts.")
-    Term.(const run $ action_arg $ name_arg $ trace_arg)
+    Term.(ret (const zoo $ action_arg $ name_arg $ trace_arg))
+
+(* lint and check share one implementation: generate each target (one
+   --model, or every zoo model with --zoo), let [report] print its findings
+   (after --strict promotes warnings, through the [strict] function it is
+   given) and exit 2 when any target is left with an error. *)
+let diagnose_cmd name ~doc ~json_doc report =
+  let targets =
+    let zoo_arg =
+      Arg.(
+        value & flag
+        & info [ "zoo" ]
+            ~doc:
+              (String.capitalize_ascii name
+              ^ " the generated design of every bundled zoo model."))
+    in
+    let resolve model zoo =
+      match (model, zoo) with
+      | _, true -> `Ok (List.map zoo_model zoo_models)
+      | Some m, false -> `Ok [ m ]
+      | None, false -> `Error (true, name ^ ": pass --model FILE or --zoo")
+    in
+    Term.(ret (const resolve $ Arg.value (model_opt ()) $ zoo_arg))
+  in
+  let strict_arg =
+    Arg.(
+      value & flag
+      & info [ "strict" ] ~doc:"Treat warnings as errors (exit non-zero).")
+  in
+  let run targets generate strict json trace =
+    let strict = if strict then Db_analysis.Diagnostic.strictify else Fun.id in
+    run ?trace (fun () ->
+        List.fold_left
+          (fun code m ->
+            let diags = report ~strict ~json m.label (generate m) in
+            if Db_analysis.Diagnostic.errors diags <> [] then 2 else code)
+          0 targets)
+  in
+  Cmd.v (Cmd.info name ~doc)
+    Term.(
+      const run $ targets $ generator $ strict_arg $ json_arg ~doc:json_doc
+      $ trace_arg)
+
+let print_findings header diags =
+  Printf.printf "== %s: %s\n" header (Db_analysis.Diagnostic.summary diags);
+  List.iter
+    (fun d -> print_endline ("  " ^ Db_analysis.Diagnostic.to_string d))
+    diags
 
 let lint_cmd =
-  let model_opt_arg =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "m"; "model" ] ~docv:"MODEL"
-          ~doc:"Caffe-compatible model description (.prototxt).")
-  in
-  let zoo_arg =
-    Arg.(
-      value & flag
-      & info [ "zoo" ]
-          ~doc:"Lint the generated design of every bundled zoo model.")
-  in
-  let strict_arg =
-    Arg.(
-      value & flag
-      & info [ "strict" ] ~doc:"Treat warnings as errors (exit non-zero).")
-  in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit diagnostics as a JSON array on stdout.")
-  in
-  let run model_path constraint_path tiling zoo strict json trace =
-    let code = ref 0 in
-    let rc =
-      wrap ?trace (fun () ->
-          let targets =
-            if zoo then
-              List.map (fun (name, src) -> (name, src)) zoo_models
-            else
-              match model_path with
-              | Some path -> [ (Filename.basename path, read_file path) ]
-              | None ->
-                  Db_util.Error.fail
-                    "lint: pass --model FILE or --zoo"
-          in
-          let constraint_script =
-            match constraint_path with
-            | Some path -> read_file path
-            | None -> default_constraint_script
-          in
-          List.iter
-            (fun (name, model) ->
-              let design =
-                Db_core.Generator.generate_from_script ~tiling_enabled:tiling
-                  ~model ~constraint_script ()
-              in
-              let diags = Db_core.Design.analyze design in
-              let diags =
-                if strict then Db_analysis.Diagnostic.strictify diags
-                else diags
-              in
-              if json then
-                print_endline (Db_analysis.Diagnostic.json_of_list diags)
-              else begin
-                Printf.printf "== %s (%s): %s\n" name
-                  design.Db_core.Design.rtl.Db_hdl.Rtl.top
-                  (Db_analysis.Diagnostic.summary diags);
-                List.iter
-                  (fun d ->
-                    print_endline ("  " ^ Db_analysis.Diagnostic.to_string d))
-                  diags
-              end;
-              if Db_analysis.Diagnostic.errors diags <> [] then code := 2)
-            targets)
-    in
-    if rc <> 0 then rc else !code
-  in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:
-         "Generate a design and run the semantic RTL analyzer over it \
-          (drivers, widths, combinational loops, FSM reachability).")
-    Term.(
-      const run $ model_opt_arg $ constraint_arg $ tiling_arg $ zoo_arg
-      $ strict_arg $ json_arg $ trace_arg)
+  diagnose_cmd "lint"
+    ~doc:
+      "Generate a design and run the semantic RTL analyzer over it \
+          (drivers, widths, combinational loops, FSM reachability)."
+    ~json_doc:"Emit diagnostics as a JSON array on stdout."
+    (fun ~strict ~json name design ->
+      let diags = strict (Db_core.Design.analyze design) in
+      if json then print_endline (Db_analysis.Diagnostic.json_of_list diags)
+      else
+        print_findings
+          (Printf.sprintf "%s (%s)" name
+             design.Db_core.Design.rtl.Db_hdl.Rtl.top)
+          diags;
+      diags)
 
 let check_cmd =
-  let model_opt_arg =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "m"; "model" ] ~docv:"MODEL"
-          ~doc:"Caffe-compatible model description (.prototxt).")
-  in
-  let zoo_arg =
-    Arg.(
-      value & flag
-      & info [ "zoo" ]
-          ~doc:"Check the generated design of every bundled zoo model.")
-  in
-  let strict_arg =
-    Arg.(
-      value & flag
-      & info [ "strict" ] ~doc:"Treat warnings as errors (exit non-zero).")
-  in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the check report as JSON on stdout.")
-  in
-  let run model_path constraint_path tiling zoo strict json trace =
-    let code = ref 0 in
-    let rc =
-      wrap ?trace (fun () ->
-          let targets =
-            if zoo then zoo_models
-            else
-              match model_path with
-              | Some path -> [ (Filename.basename path, read_file path) ]
-              | None -> Db_util.Error.fail "check: pass --model FILE or --zoo"
-          in
-          let constraint_script =
-            match constraint_path with
-            | Some path -> read_file path
-            | None -> default_constraint_script
-          in
-          List.iter
-            (fun (name, model) ->
-              let design =
-                Db_core.Generator.generate_from_script ~tiling_enabled:tiling
-                  ~model ~constraint_script ()
-              in
-              let report = Db_core.Checker.check design in
-              let diags =
-                if strict then
-                  Db_analysis.Diagnostic.strictify
-                    report.Db_core.Checker.ck_diags
-                else report.Db_core.Checker.ck_diags
-              in
-              let range = report.Db_core.Checker.ck_range in
-              if json then
-                print_endline
-                  (Db_core.Checker.to_json ~design:name
-                     { report with Db_core.Checker.ck_diags = diags })
-              else begin
-                Printf.printf "== %s (%s): %s\n" name
-                  (Format.asprintf "%a" Db_fixed.Fixed.pp_format
-                     range.Db_check.Range.rp_fmt)
-                  (Db_analysis.Diagnostic.summary diags);
-                List.iter
-                  (fun d ->
-                    print_endline ("  " ^ Db_analysis.Diagnostic.to_string d))
-                  diags;
-                Printf.printf "  min accumulator width: %d bits\n"
-                  range.Db_check.Range.rp_min_acc_bits;
-                List.iter
-                  (fun (lr : Db_check.Range.layer_range) ->
-                    match lr.Db_check.Range.lr_acc_bits with
-                    | Some bits ->
-                        Printf.printf "  %-24s %-28s acc %2d bits%s\n"
-                          lr.Db_check.Range.lr_node
-                          (Db_check.Interval.to_string
-                             lr.Db_check.Range.lr_exact)
-                          bits
-                          (if lr.Db_check.Range.lr_proven then ""
-                           else "  (range proof lost)")
-                    | None -> ())
-                  range.Db_check.Range.rp_layers
-              end;
-              if Db_analysis.Diagnostic.errors diags <> [] then code := 2)
-            targets)
-    in
-    if rc <> 0 then rc else !code
-  in
-  Cmd.v
-    (Cmd.info "check"
-       ~doc:
-         "Generate a design and statically verify it: interval range \
-          analysis of the fixed-point datapath (saturation, accumulator \
-          widths) and a memory-safety proof of the schedule (buffer \
-          capacities, region containment, AGU address widths).")
-    Term.(
-      const run $ model_opt_arg $ constraint_arg $ tiling_arg $ zoo_arg
-      $ strict_arg $ json_arg $ trace_arg)
+  diagnose_cmd "check"
+    ~doc:
+      "Generate a design and statically verify it: interval range analysis \
+       of the fixed-point datapath (saturation, accumulator widths) and a \
+       memory-safety proof of the schedule (buffer capacities, region \
+       containment, AGU address widths)."
+    ~json_doc:"Emit the check report as JSON on stdout."
+    (fun ~strict ~json name design ->
+      let report = Db_core.Checker.check design in
+      let diags = strict report.Db_core.Checker.ck_diags in
+      let range = report.Db_core.Checker.ck_range in
+      if json then
+        print_endline
+          (Db_core.Checker.to_json ~design:name
+             { report with Db_core.Checker.ck_diags = diags })
+      else begin
+        print_findings
+          (Format.asprintf "%s (%a)" name Db_fixed.Fixed.pp_format
+             range.Db_check.Range.rp_fmt)
+          diags;
+        Printf.printf "  min accumulator width: %d bits\n"
+          range.Db_check.Range.rp_min_acc_bits;
+        List.iter
+          (fun (lr : Db_check.Range.layer_range) ->
+            match lr.Db_check.Range.lr_acc_bits with
+            | Some bits ->
+                Printf.printf "  %-24s %-28s acc %2d bits%s\n"
+                  lr.Db_check.Range.lr_node
+                  (Db_check.Interval.to_string lr.Db_check.Range.lr_exact)
+                  bits
+                  (if lr.Db_check.Range.lr_proven then ""
+                   else "  (range proof lost)")
+            | None -> ())
+          range.Db_check.Range.rp_layers
+      end;
+      diags)
 
 let verify_cmd =
-  let run model_path constraint_path tiling trace =
-    wrap ?trace (fun () ->
-        let design = load ~model_path ~constraint_path ~tiling in
-        let r = Db_sim.Control_playback.playback design in
+  let run model generate trace =
+    run ?trace (fun () ->
+        let r = Db_sim.Control_playback.playback (generate model) in
         Printf.printf
           "playback: %d folds, %d addresses issued over %d AGU cycles\n"
           r.Db_sim.Control_playback.folds_executed
           r.Db_sim.Control_playback.addresses_issued
           r.Db_sim.Control_playback.agu_cycles;
         match r.Db_sim.Control_playback.violations with
-        | [] -> print_endline "memory-safe: every address inside its region"
+        | [] ->
+            print_endline "memory-safe: every address inside its region";
+            0
         | vs ->
             List.iter (fun v -> Printf.printf "VIOLATION: %s\n" v) vs;
-            exit 2)
+            2)
   in
   Cmd.v
     (Cmd.info "verify"
        ~doc:
          "Replay the generated control path cycle by cycle and bound-check \
           every AGU address against the data layout.")
-    Term.(const run $ model_arg $ constraint_arg $ tiling_arg $ trace_arg)
+    Term.(const run $ model_arg $ generator $ trace_arg)
 
 let faults_cmd =
   let module Campaign = Db_fault.Campaign in
   let module Site = Db_fault.Site in
-  let net_arg =
-    Arg.(
-      required
-      & opt (some file) None
-      & info [ "m"; "model"; "net" ] ~docv:"MODEL"
-          ~doc:"Caffe-compatible model description (.prototxt).")
-  in
   let seed_arg =
     Arg.(
       value & opt int 42
@@ -499,14 +455,6 @@ let faults_cmd =
             "Comma-separated target classes: weights, biases, luts, agu, \
              buffers, fsm (default: all).")
   in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Emit the campaign result as stable JSON (no timing fields; \
-             byte-identical for a fixed seed at any DEEPBURNING_JOBS).")
-  in
   let class_of_string s =
     match String.lowercase_ascii (String.trim s) with
     | "weights" -> Site.Weights
@@ -517,26 +465,17 @@ let faults_cmd =
     | "fsm" | "control-fsm" -> Site.Control_fsm
     | other -> Db_util.Error.failf_at ~component:"fault" "unknown target class %S" other
   in
-  let run model_path constraint_path tiling seed trials budget engine ninputs
-      protect p_weights p_biases p_luts p_buffers p_agu rates targets json
-      trace =
-    wrap ?trace (fun () ->
+  let run model generate seed trials budget engine ninputs protect p_weights
+      p_biases p_luts p_buffers p_agu rates targets json trace =
+    run ?trace (fun () ->
         if ninputs <= 0 then
           Db_util.Error.failf_at ~component:"fault"
             "--inputs must be positive (got %d)" ninputs;
-        let design = load ~model_path ~constraint_path ~tiling in
+        let design = generate model in
         let net = design.Db_core.Design.network in
         let rng = Db_util.Rng.create seed in
         let params = Db_nn.Params.init_xavier rng net in
-        let input_node =
-          match Db_ir.Graph.input_nodes design.Db_core.Design.ir with
-          | n :: _ -> n
-          | [] ->
-              Db_util.Error.failf_at ~component:"fault"
-                "network has no input node"
-        in
-        let input_blob = List.hd input_node.Db_ir.Graph.outputs in
-        let shape = input_node.Db_ir.Graph.out_shape in
+        let input_blob, shape = Db_nn.Network.first_input net in
         let inputs =
           Array.init ninputs (fun _ ->
               Db_tensor.Tensor.random_uniform rng shape ~min:(-1.0) ~max:1.0)
@@ -601,7 +540,8 @@ let faults_cmd =
         in
         print_string
           (if json then Campaign.render_json result
-           else Campaign.render_text result))
+           else Campaign.render_text result);
+        0)
   in
   Cmd.v
     (Cmd.info "faults"
@@ -611,26 +551,20 @@ let faults_cmd =
           accuracy-vs-fault-rate curve and the protection schemes' resource \
           bill.")
     Term.(
-      const run $ net_arg $ constraint_arg $ tiling_arg $ seed_arg
+      const run
+      $ Arg.required (model_opt ~names:[ "m"; "model"; "net" ] ())
+      $ generator $ seed_arg
       $ trials_arg $ budget_arg $ engine_arg $ inputs_arg $ protect_arg
       $ per_class_protect "weights" $ per_class_protect "biases"
       $ per_class_protect "luts" $ per_class_protect "buffers"
-      $ per_class_protect "agu" $ rates_arg $ targets_arg $ json_arg
+      $ per_class_protect "agu" $ rates_arg $ targets_arg
+      $ json_arg
+          ~doc:
+            "Emit the campaign result as stable JSON (no timing fields; \
+             byte-identical for a fixed seed at any DEEPBURNING_JOBS)."
       $ trace_arg)
 
 let ir_cmd =
-  let model_pos_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"MODEL"
-          ~doc:"A bundled zoo model name or a .prototxt file path.")
-  in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the stable JSON form instead of text.")
-  in
   let no_passes_arg =
     Arg.(
       value & flag
@@ -638,17 +572,8 @@ let ir_cmd =
           ~doc:"Print only the raw lowered graph; skip the pass pipeline.")
   in
   let run model json no_passes trace =
-    wrap ?trace (fun () ->
-        let source =
-          match List.assoc_opt model zoo_models with
-          | Some src -> src
-          | None ->
-              if Sys.file_exists model then read_file model
-              else
-                Db_util.Error.fail "%S is neither a zoo model nor a file" model
-        in
-        let net = Db_nn.Caffe.import_string source in
-        let raw = Db_ir.Lower.lower net in
+    run ?trace (fun () ->
+        let raw = Db_ir.Lower.lower (network model) in
         Db_ir.Verify.check_exn raw;
         if no_passes then
           if json then print_endline (Db_ir.Print.to_json raw)
@@ -665,7 +590,8 @@ let ir_cmd =
             print_endline "== optimized ==";
             print_string (Db_ir.Print.to_string optimized)
           end
-        end)
+        end;
+        0)
   in
   Cmd.v
     (Cmd.info "ir"
@@ -673,29 +599,17 @@ let ir_cmd =
          "Lower a model to the typed accelerator IR and print the verified \
           graph before and after the optimization passes (dropout elision, \
           activation folding, concat canonicalization).")
-    Term.(const run $ model_pos_arg $ json_arg $ no_passes_arg $ trace_arg)
+    Term.(
+      const run $ model_pos_arg
+      $ json_arg ~doc:"Emit the stable JSON form instead of text."
+      $ no_passes_arg $ trace_arg)
 
 let profile_cmd =
-  let model_pos_arg =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"MODEL"
-          ~doc:"Caffe-compatible model description (.prototxt).")
-  in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Emit the deterministic JSON snapshot (structure and counters, \
-             no timing fields) instead of the human tree.")
-  in
-  let run model_path constraint_path tiling json trace =
-    wrap (fun () ->
+  let run model generate json trace =
+    run ?trace (fun () ->
         Db_obs.Obs.set_enabled true;
         Db_obs.Obs.reset ();
-        let design = load ~model_path ~constraint_path ~tiling in
+        let design = generate model in
         let report = Db_sim.Simulator.timing design in
         (* The watchdog scales with the design: AlexNet's AGUs replay ~66M
            cycles.  Twice the simulated latency covers ImageNet-scale
@@ -706,7 +620,6 @@ let profile_cmd =
              ~cycle_budget:((2 * report.Db_sim.Simulator.total_cycles) + 10_000_000)
              design);
         let snap = Db_obs.Obs.snapshot () in
-        Option.iter (fun path -> write_trace path snap) trace;
         if json then print_string (Db_obs.Render.stable_json snap)
         else begin
           print_string (Db_obs.Render.text snap);
@@ -730,7 +643,8 @@ let profile_cmd =
                              ".macs"; ".folds";
                            ])
                     report.Db_sim.Simulator.per_layer))
-        end)
+        end;
+        0)
   in
   Cmd.v
     (Cmd.info "profile"
@@ -739,7 +653,11 @@ let profile_cmd =
           print the span tree of every pipeline phase and the per-layer \
           cycle/stall/traffic counters (optionally as a Chrome trace).")
     Term.(
-      const run $ model_pos_arg $ constraint_arg $ tiling_arg $ json_arg
+      const run $ model_pos_arg $ generator
+      $ json_arg
+          ~doc:
+            "Emit the deterministic JSON snapshot (structure and counters, \
+             no timing fields) instead of the human tree."
       $ trace_arg)
 
 let serve_cmd =
@@ -799,7 +717,7 @@ let serve_cmd =
              megabytes on every write-through.")
   in
   let run port host workers queue quota deadline_ms budget store store_max_mb =
-    try
+    run (fun () ->
       Db_serve.Serve.run
         ~on_ready:(fun p ->
           Printf.eprintf "deepburning: serving on %s:%d%s\n%!" host p
@@ -819,8 +737,7 @@ let serve_cmd =
           store_max_bytes =
             Option.map (fun mb -> mb * 1024 * 1024) store_max_mb;
         };
-      0
-    with e -> report_error e
+      0)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -835,13 +752,6 @@ let serve_cmd =
       $ deadline_arg $ budget_arg $ store_arg $ store_max_mb_arg)
 
 let explore_cmd =
-  let model_pos_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"MODEL"
-          ~doc:"A bundled zoo model name or a .prototxt file path.")
-  in
   let budget_arg =
     Arg.(
       value
@@ -884,11 +794,6 @@ let explore_cmd =
       & info [ "population" ] ~docv:"N"
           ~doc:"Candidate proposals per generation.")
   in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the stable front JSON instead of text.")
-  in
   let out_arg =
     Arg.(
       value
@@ -898,22 +803,9 @@ let explore_cmd =
   in
   let run model constraint_path budget seed objectives epsilon population
       json out trace =
-    wrap ?trace (fun () ->
-        let source =
-          match List.assoc_opt model zoo_models with
-          | Some src -> src
-          | None ->
-              if Sys.file_exists model then read_file model
-              else
-                Db_util.Error.fail "%S is neither a zoo model nor a file" model
-        in
-        let net = Db_nn.Caffe.import_string source in
-        let constraint_script =
-          match constraint_path with
-          | Some path -> read_file path
-          | None -> default_constraint_script
-        in
-        let cons = Db_core.Constraints.parse constraint_script in
+    run ?trace (fun () ->
+        let net = network model in
+        let cons = constraints constraint_path in
         let axes =
           match objectives with
           | None -> Db_dse.Explore.default_config.Db_dse.Explore.axes
@@ -938,7 +830,8 @@ let explore_cmd =
         | Some path -> write_file path (Db_dse.Explore.render_json result)
         | None -> ());
         if json then print_string (Db_dse.Explore.render_json result)
-        else print_string (Db_dse.Explore.render_text result))
+        else print_string (Db_dse.Explore.render_text result);
+        0)
   in
   Cmd.v
     (Cmd.info "explore"
@@ -950,17 +843,11 @@ let explore_cmd =
           seed at any parallelism.")
     Term.(
       const run $ model_pos_arg $ constraint_arg $ budget_arg $ seed_arg
-      $ objectives_arg $ epsilon_arg $ population_arg $ json_arg $ out_arg
-      $ trace_arg)
+      $ objectives_arg $ epsilon_arg $ population_arg
+      $ json_arg ~doc:"Emit the stable front JSON instead of text."
+      $ out_arg $ trace_arg)
 
 let train_hw_cmd =
-  let model_pos_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"MODEL"
-          ~doc:"A bundled zoo model name or a .prototxt file path.")
-  in
   let epochs_arg =
     Arg.(
       value & opt int 8
@@ -999,36 +886,11 @@ let train_hw_cmd =
              campaign of $(docv) persistent upsets in the gradient buffers \
              and update FSMs.")
   in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the stable JSON form instead of text.")
-  in
-  let output_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Also write the BP/UP additions' Verilog here.")
-  in
   let run model constraint_path tiling epochs batch lr nsamples seed campaign
       json output trace =
-    wrap ?trace (fun () ->
-        let source =
-          match List.assoc_opt model zoo_models with
-          | Some src -> src
-          | None ->
-              if Sys.file_exists model then read_file model
-              else
-                Db_util.Error.fail "%S is neither a zoo model nor a file" model
-        in
-        let constraint_script =
-          match constraint_path with
-          | Some path -> read_file path
-          | None -> default_constraint_script
-        in
-        let net = Db_nn.Caffe.import_string source in
-        let cons = Db_core.Constraints.parse constraint_script in
+    run ?trace (fun () ->
+        let net = network model in
+        let cons = constraints constraint_path in
         let tb =
           Db_core.Train_builder.build ~tiling_enabled:tiling ~batch cons net
         in
@@ -1042,15 +904,7 @@ let train_hw_cmd =
         (* Synthetic regression data: deterministic in the seed, shaped by
            the network's input and output blobs. *)
         let ir = tb.Db_core.Train_builder.base.Db_core.Design.ir in
-        let in_shape =
-          match
-            List.find_opt
-              (fun (n : Db_ir.Graph.node) -> Db_ir.Op.is_input n.Db_ir.Graph.op)
-              ir.Db_ir.Graph.nodes
-          with
-          | Some n -> n.Db_ir.Graph.out_shape
-          | None -> Db_util.Error.fail "network has no input node"
-        in
+        let _, in_shape = Db_nn.Network.first_input net in
         let out_shape =
           match List.rev ir.Db_ir.Graph.nodes with
           | last :: _ -> last.Db_ir.Graph.out_shape
@@ -1072,7 +926,7 @@ let train_hw_cmd =
         let params =
           Db_nn.Params.init_xavier (Db_util.Rng.create seed) net
         in
-        match campaign with
+        (match campaign with
         | Some trials ->
             let config =
               {
@@ -1161,7 +1015,8 @@ let train_hw_cmd =
                 sw.Db_train.Trainer.final_loss hw.Db_train.Trainer.final_loss
                 (hw.Db_train.Trainer.final_loss
                 -. sw.Db_train.Trainer.final_loss)
-            end)
+            end);
+        0)
   in
   Cmd.v
     (Cmd.info "train-hw"
@@ -1171,8 +1026,10 @@ let train_hw_cmd =
           compare the hardware loss trajectory against the software trainer.")
     Term.(
       const run $ model_pos_arg $ constraint_arg $ tiling_arg $ epochs_arg
-      $ batch_arg $ lr_arg $ samples_arg $ seed_arg $ campaign_arg $ json_arg
-      $ output_arg $ trace_arg)
+      $ batch_arg $ lr_arg $ samples_arg $ seed_arg $ campaign_arg
+      $ json_arg ~doc:"Emit the stable JSON form instead of text."
+      $ output_arg ~doc:"Also write the BP/UP additions' Verilog here."
+      $ trace_arg)
 
 let main_cmd =
   let doc = "automatic generation of FPGA-based NN accelerators (DAC'16 reproduction)" in
@@ -1184,4 +1041,4 @@ let main_cmd =
       explore_cmd; train_hw_cmd;
     ]
 
-let () = try exit (Cmd.eval' main_cmd) with e -> exit (report_error e)
+let () = exit (Cmd.eval' main_cmd)

@@ -188,7 +188,7 @@ let build ?tiling_enabled ?(batch = 16) cons network =
   Db_obs.Obs.with_span "train_build"
     ~attrs:[ ("network", network.Db_nn.Network.net_name) ]
     (fun () ->
-      let base = Generator.generate ?tiling_enabled cons network in
+      let base = Design_cache.generate ?tiling_enabled cons network in
       let tgraph =
         Db_ir.Lower.lower_training ~fmt:cons.Constraints.fmt network
       in

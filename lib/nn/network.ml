@@ -120,6 +120,18 @@ let find_node t name = List.find (fun n -> n.node_name = name) t.nodes
 let input_nodes t =
   List.filter (fun n -> Layer.is_input n.layer) t.nodes
 
+let first_input t =
+  match
+    List.find_map
+      (fun n ->
+        match (n.layer, n.tops) with
+        | Layer.Input { shape }, blob :: _ -> Some (blob, shape)
+        | _ -> None)
+      t.nodes
+  with
+  | Some input -> input
+  | None -> fail "network %S has no input node" t.net_name
+
 let output_blobs t =
   let consumed = Hashtbl.create 16 in
   List.iter

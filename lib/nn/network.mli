@@ -32,6 +32,11 @@ val find_node : t -> string -> node
 
 val input_nodes : t -> node list
 
+val first_input : t -> string * Db_tensor.Shape.t
+(** Blob name and shape of the first input node: what a single-input
+    benchmark feeds.  Raises a classified [network] error when there is
+    none. *)
+
 val output_blobs : t -> string list
 (** Blobs produced but never consumed, in node order. *)
 

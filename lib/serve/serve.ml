@@ -198,19 +198,7 @@ let handle_simulate t body =
     else begin
       let rng = Db_util.Rng.create seed in
       let params = Db_nn.Params.init_xavier rng network in
-      let input_node =
-        match Db_nn.Network.input_nodes network with
-        | n :: _ -> n
-        | [] ->
-            Error.failf_at ~component:"serve-request" "network has no input node"
-      in
-      let blob = List.hd input_node.Db_nn.Network.tops in
-      let shape =
-        match input_node.Db_nn.Network.layer with
-        | Db_nn.Layer.Input { shape } -> shape
-        | _ ->
-            Error.failf_at ~component:"serve-request" "input node carries no shape"
-      in
+      let blob, shape = Db_nn.Network.first_input network in
       let batch =
         List.init samples (fun _ ->
             [ (blob, Db_tensor.Tensor.random_uniform rng shape ~min:(-1.0) ~max:1.0) ])

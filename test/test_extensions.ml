@@ -455,11 +455,15 @@ let test_model_assets_parse () =
   Alcotest.(check bool) "assets present" true (List.length prototxts >= 10);
   List.iter
     (fun f ->
-      let net =
-        Db_nn.Caffe.import (Db_prototxt.Parser.parse_file (Filename.concat dir f))
-      in
+      let path = Filename.concat dir f in
+      let net = Db_nn.Caffe.import (Db_prototxt.Parser.parse_file path) in
       let (_ : Db_nn.Shape_infer.t) = Db_nn.Shape_infer.infer net in
-      ())
+      (* The CLI takes a zoo name and the models/ file as the same model. *)
+      let name = Filename.chop_suffix f ".prototxt" in
+      Alcotest.(check (option string))
+        (f ^ " = Model_zoo.named source")
+        (Some (In_channel.with_open_bin path In_channel.input_all))
+        (List.assoc_opt name Db_workloads.Model_zoo.named))
     prototxts
 
 let test_zoo_lenet5_vgg16_stats () =
