@@ -401,17 +401,6 @@ let faults_cmd =
       & info [ "budget" ] ~docv:"CYCLES"
           ~doc:"Watchdog cycle budget for control playback.")
   in
-  let engine_arg =
-    Arg.(
-      value
-      & opt (enum [ ("specialized", Campaign.Specialized); ("generic", Campaign.Generic) ])
-          Campaign.Specialized
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Simulation engine: $(b,specialized) replays the design's \
-             compiled trace (fast, the default); $(b,generic) re-quantizes \
-             and interprets per trial.  Results are byte-identical.")
-  in
   let inputs_arg =
     Arg.(
       value & opt int 8
@@ -465,7 +454,7 @@ let faults_cmd =
     | "fsm" | "control-fsm" -> Site.Control_fsm
     | other -> Db_util.Error.failf_at ~component:"fault" "unknown target class %S" other
   in
-  let run model generate seed trials budget engine ninputs protect p_weights
+  let run model generate seed trials budget ninputs protect p_weights
       p_biases p_luts p_buffers p_agu rates targets json trace =
     run ?trace (fun () ->
         if ninputs <= 0 then
@@ -512,8 +501,8 @@ let faults_cmd =
               List.map
                 (fun x ->
                   match float_of_string_opt (String.trim x) with
-                  | Some f when f >= 0.0 -> f
-                  | _ ->
+                  | Some f -> f
+                  | None ->
                       Db_util.Error.failf_at ~component:"fault"
                         "bad fault rate %S" x)
                 (String.split_on_char ',' s)
@@ -526,13 +515,13 @@ let faults_cmd =
         in
         let config =
           {
-            Campaign.seed;
+            Campaign.default_config with
+            seed;
             trials;
             cycle_budget = budget;
             protection;
             rates;
             targets;
-            engine;
           }
         in
         let result =
@@ -554,7 +543,7 @@ let faults_cmd =
       const run
       $ Arg.required (model_opt ~names:[ "m"; "model"; "net" ] ())
       $ generator $ seed_arg
-      $ trials_arg $ budget_arg $ engine_arg $ inputs_arg $ protect_arg
+      $ trials_arg $ budget_arg $ inputs_arg $ protect_arg
       $ per_class_protect "weights" $ per_class_protect "biases"
       $ per_class_protect "luts" $ per_class_protect "buffers"
       $ per_class_protect "agu" $ rates_arg $ targets_arg

@@ -143,27 +143,6 @@ let quantize_luts fmt luts =
       })
     luts
 
-let tensors_equal a b =
-  Tensor.numel a = Tensor.numel b
-  &&
-  let ok = ref true in
-  for i = 0 to Tensor.numel a - 1 do
-    (* structural [<>], as before: NaN differs from everything incl. itself *)
-    if Tensor.unsafe_get a i <> Tensor.unsafe_get b i then ok := false
-  done;
-  !ok
-
-(* Shallow rebuild: every tensor shared except the one replaced, so a
-   trial never mutates the caller's parameter store (trials run in
-   parallel over one shared [params]). *)
-let substitute_param params node idx t' =
-  let p' = Params.create () in
-  Params.iter params (fun name ts ->
-      if String.equal name node then
-        Params.set p' name (List.mapi (fun i t -> if i = idx then t' else t) ts)
-      else Params.set p' name ts);
-  p'
-
 (* ------------------------------------------------------------------ *)
 (* AGU configuration-register corruption                               *)
 
@@ -247,6 +226,15 @@ type trial = {
   t_outcome : outcome;
 }
 
+(* One draw's corruption of the stored state: the edited parameter words
+   of each touched node (whole tensor lists, in [Params] order), the input
+   the buffer holds, and the evaluator (a faulted one for LUT upsets). *)
+type corruption = {
+  c_params : (string * Quantized.qtensor list) list;
+  c_input : Tensor.t;
+  c_eval : Quantized.function_eval;
+}
+
 let run ~design ~params ~input_blob ~inputs (config : config) =
   Db_obs.Obs.with_span "faults.campaign"
     ~attrs:
@@ -260,39 +248,56 @@ let run ~design ~params ~input_blob ~inputs (config : config) =
     fail "campaign needs a positive trial count (got %d)" config.trials;
   if config.cycle_budget <= 0 then
     fail "campaign needs a positive cycle budget (got %d)" config.cycle_budget;
+  List.iter
+    (fun r ->
+      (* false for NaN and the infinities too *)
+      if not (r >= 0.0 && r <= 1.0) then
+        fail "fault rate must be a finite number in [0, 1] (got %g)" r)
+    config.rates;
   let fmt = design.Design.datapath.Db_sched.Datapath.fmt in
   let word_bits = fmt.Fixed.total_bits in
   let word_mask = (1 lsl word_bits) - 1 in
   let net = design.Design.network in
   let luts = quantize_luts fmt design.Design.program.Compiler.luts in
   let eval = Db_sim.Lut_eval.of_luts luts in
-  let forward ~params ~eval input =
-    Quantized.output ~eval ~fmt net params ~inputs:[ (input_blob, input) ]
+  (* The one engine dispatch: [node_q] reads a node's stored parameter
+     words, [qforward] evaluates a corruption to the output blob's words.
+     The specialized engine binds the parameters once and swaps edited
+     tensors into the bound trace; the generic oracle dequantizes them back
+     into the float store and re-interprets — in-range Q-words round-trip
+     exactly through to_float/of_float, so both see the same fault. *)
+  let node_q, qforward =
+    match config.engine with
+    | Specialized ->
+        let bound =
+          Db_sim.Specialize.bind (Db_sim.Specialize.of_design design) params
+        in
+        ( (fun node -> Db_sim.Specialize.node_qparams bound ~node),
+          fun c ->
+            let bound =
+              List.fold_left
+                (fun b (node, qts) ->
+                  Db_sim.Specialize.with_node_params b ~node qts)
+                bound c.c_params
+            in
+            Db_sim.Specialize.qoutput ~eval:c.c_eval bound
+              ~inputs:[ (input_blob, c.c_input) ] )
+    | Generic ->
+        ( (fun node -> List.map (Quantized.quantize fmt) (Params.get params node)),
+          fun c ->
+            (* shallow rebuild: trials run in parallel over one shared
+               [params], which is never mutated *)
+            let params' = Params.create () in
+            Params.iter params (fun node ts ->
+                Params.set params' node
+                  (match List.assoc_opt node c.c_params with
+                  | Some qts -> List.map (Quantized.dequantize fmt) qts
+                  | None -> ts));
+            Quantized.qoutput ~eval:c.c_eval ~fmt net params'
+              ~inputs:[ (input_blob, c.c_input) ] )
   in
-  (* The specialized engine binds the parameter set once and replays the
-     design's compiled trace per trial; faulty trials swap in a single
-     flipped tensor in the stored-word domain instead of re-quantizing the
-     whole parameter store.  Both engines are bitwise-identical (the
-     spec-equivalence property tests compare whole campaign JSON outputs),
-     so [config.engine] only trades speed.  Forced lazily so a Generic
-     campaign never compiles the trace. *)
-  let bound0 =
-    lazy (Db_sim.Specialize.bind (Db_sim.Specialize.of_design design) params)
-  in
-  let qforward_spec ~bound ~eval input =
-    Db_sim.Specialize.qoutput ~eval bound ~inputs:[ (input_blob, input) ]
-  in
+  let clean input = { c_params = []; c_input = input; c_eval = eval } in
   let classifier = Db_nn.Network.classifier_output net in
-  let top1_of t =
-    if classifier then int_of_float (Tensor.get t 0) else Tensor.max_index t
-  in
-  (* The generic engine classifies dequantized float tensors; the
-     specialized engine classifies the underlying Q-words directly.
-     [Fixed.to_float] is injective and strictly monotone on stored words
-     (v * 2^-frac, exact in binary64), and the classifier head emits
-     [float_of_int] of class indices, so word-array equality and
-     first-strict-max argmax agree exactly with the float comparison —
-     while skipping the per-trial dequantize and Bigarray allocation. *)
   let qtop1_of (q : Quantized.qtensor) =
     if classifier then q.Quantized.qdata.(0)
     else begin
@@ -306,23 +311,8 @@ let run ~design ~params ~input_blob ~inputs (config : config) =
       !best
     end
   in
-  let golden_q =
-    match config.engine with
-    | Specialized ->
-        let bound = Lazy.force bound0 in
-        Array.map (fun i -> qforward_spec ~bound ~eval i) inputs
-    | Generic -> [||]
-  in
-  let golden =
-    match config.engine with
-    | Generic -> Array.map (fun i -> forward ~params ~eval i) inputs
-    | Specialized -> [||]
-  in
-  let golden_top1 =
-    match config.engine with
-    | Generic -> Array.map top1_of golden
-    | Specialized -> Array.map qtop1_of golden_q
-  in
+  let golden = Array.map (fun i -> qforward (clean i)) inputs in
+  let golden_top1 = Array.map qtop1_of golden in
   let stored_bits cls ~word_bits =
     Protect.stored_bits (scheme_for config.protection cls) ~word_bits
   in
@@ -330,11 +320,6 @@ let run ~design ~params ~input_blob ~inputs (config : config) =
   let space =
     Site.enumerate ~design ~params ~input_blob ~input_words ~stored_bits
       ~targets:config.targets ()
-  in
-  let classify_output input_idx out =
-    if tensors_equal out golden.(input_idx) then Masked
-    else if top1_of out = golden_top1.(input_idx) then Sdc
-    else Top1_flip
   in
   let qwords_equal a b =
     Array.length a = Array.length b
@@ -345,9 +330,10 @@ let run ~design ~params ~input_blob ~inputs (config : config) =
     in
     go 0
   in
-  let classify_qoutput input_idx (q : Quantized.qtensor) =
-    if qwords_equal q.Quantized.qdata golden_q.(input_idx).Quantized.qdata
-    then Masked
+  let classify input_idx c =
+    let q = qforward c in
+    if qwords_equal q.Quantized.qdata golden.(input_idx).Quantized.qdata then
+      Masked
     else if qtop1_of q = golden_top1.(input_idx) then Sdc
     else Top1_flip
   in
@@ -356,112 +342,61 @@ let run ~design ~params ~input_blob ~inputs (config : config) =
     let g, word, bit = Site.pick space rng in
     let input_idx = Rng.int rng (Array.length inputs) in
     let scheme = scheme_for config.protection g.Site.g_class in
+    (* Push one flip of stored word [v] through the protection scheme; a
+       silent survivor that changed the word is forwarded as [corrupt v']. *)
+    let upset v ~corrupt =
+      match
+        Protect.transmit scheme ~word_bits ~word:(v land word_mask)
+          ~flips:[ bit ]
+      with
+      | Protect.Corrected -> Corrected
+      | Protect.Reloaded -> Retried
+      | Protect.Silent w ->
+          let v' = sign_extend word_bits w in
+          if v' = v then Masked else classify input_idx (corrupt v')
+    in
+    let input = inputs.(input_idx) in
     let outcome =
       match g.Site.g_payload with
-      | Site.P_param { node; tensor } -> (
-          let tens = List.nth (Params.get params node) tensor in
-          let v = Fixed.of_float fmt (Tensor.get tens word) in
-          match
-            Protect.transmit scheme ~word_bits ~word:(v land word_mask)
-              ~flips:[ bit ]
-          with
-          | Protect.Corrected -> Corrected
-          | Protect.Reloaded -> Retried
-          | Protect.Silent w -> (
-              let v' = sign_extend word_bits w in
-              if v' = v then Masked
-              else
-                match config.engine with
-                | Generic ->
-                    let t' = Tensor.copy tens in
-                    Tensor.set t' word (Fixed.to_float fmt v');
-                    let params' = substitute_param params node tensor t' in
-                    classify_output input_idx
-                      (forward ~params:params' ~eval inputs.(input_idx))
-                | Specialized ->
-                    (* Flip directly in the pre-quantized store.  The
-                       generic path writes [to_float v'] into the float
-                       tensor and re-quantizes on entry; in-range Q-words
-                       round-trip exactly through of_float/to_float, so
-                       landing [v'] in the qdata word is the same fault. *)
-                    let bound = Lazy.force bound0 in
-                    let qts = Db_sim.Specialize.node_qparams bound ~node in
-                    let qts' =
-                      List.mapi
-                        (fun i (q : Quantized.qtensor) ->
-                          if i = tensor then begin
-                            let qdata = Array.copy q.Quantized.qdata in
-                            qdata.(word) <- v';
-                            { q with Quantized.qdata = qdata }
-                          end
-                          else q)
-                        qts
-                    in
-                    classify_qoutput input_idx
-                      (qforward_spec
-                         ~bound:(Db_sim.Specialize.with_node_params bound ~node qts')
-                         ~eval inputs.(input_idx))))
-      | Site.P_lut { lut } -> (
+      | Site.P_param { node; tensor } ->
+          let qts = node_q node in
+          let q = List.nth qts tensor in
+          upset q.Quantized.qdata.(word) ~corrupt:(fun v' ->
+              (* copy only the flipped tensor's words *)
+              let qdata = Array.copy q.Quantized.qdata in
+              qdata.(word) <- v';
+              let qts' =
+                List.mapi
+                  (fun i x -> if i = tensor then { q with Quantized.qdata } else x)
+                  qts
+              in
+              { (clean input) with c_params = [ (node, qts') ] })
+      | Site.P_lut { lut } ->
           let l =
             List.find (fun l -> String.equal l.Approx_lut.lut_name lut) luts
           in
-          let v = Fixed.of_float fmt l.Approx_lut.values.(word) in
-          match
-            Protect.transmit scheme ~word_bits ~word:(v land word_mask)
-              ~flips:[ bit ]
-          with
-          | Protect.Corrected -> Corrected
-          | Protect.Reloaded -> Retried
-          | Protect.Silent w ->
-              let v' = sign_extend word_bits w in
-              if v' = v then Masked
-              else begin
-                let values = Array.copy l.Approx_lut.values in
-                values.(word) <- Fixed.to_float fmt v';
-                let luts' =
-                  List.map
-                    (fun (x : Approx_lut.t) ->
-                      if String.equal x.Approx_lut.lut_name lut then
-                        { x with Approx_lut.values }
-                      else x)
-                    luts
-                in
-                let eval' = Db_sim.Lut_eval.of_luts luts' in
-                match config.engine with
-                | Generic ->
-                    classify_output input_idx
-                      (forward ~params ~eval:eval' inputs.(input_idx))
-                | Specialized ->
-                    classify_qoutput input_idx
-                      (qforward_spec ~bound:(Lazy.force bound0) ~eval:eval'
-                         inputs.(input_idx))
-              end)
+          upset (Fixed.of_float fmt l.Approx_lut.values.(word))
+            ~corrupt:(fun v' ->
+              let values = Array.copy l.Approx_lut.values in
+              values.(word) <- Fixed.to_float fmt v';
+              let luts' =
+                List.map
+                  (fun (x : Approx_lut.t) ->
+                    if String.equal x.Approx_lut.lut_name lut then
+                      { x with Approx_lut.values }
+                    else x)
+                  luts
+              in
+              { (clean input) with c_eval = Db_sim.Lut_eval.of_luts luts' })
+      | Site.P_buffer _ ->
+          upset (Fixed.of_float fmt (Tensor.get input word)) ~corrupt:(fun v' ->
+              let input' = Tensor.copy input in
+              Tensor.set input' word (Fixed.to_float fmt v');
+              clean input')
       | Site.P_grad _ | Site.P_upd_fsm _ ->
           (* never enumerated without [?train]; inference campaigns
              cannot reach these — training upsets live in Train_campaign *)
           fail "training fault sites require the training campaign"
-      | Site.P_buffer _ -> (
-          let input = inputs.(input_idx) in
-          let v = Fixed.of_float fmt (Tensor.get input word) in
-          match
-            Protect.transmit scheme ~word_bits ~word:(v land word_mask)
-              ~flips:[ bit ]
-          with
-          | Protect.Corrected -> Corrected
-          | Protect.Reloaded -> Retried
-          | Protect.Silent w ->
-              let v' = sign_extend word_bits w in
-              if v' = v then Masked
-              else begin
-                let input' = Tensor.copy input in
-                Tensor.set input' word (Fixed.to_float fmt v');
-                match config.engine with
-                | Generic ->
-                    classify_output input_idx (forward ~params ~eval input')
-                | Specialized ->
-                    classify_qoutput input_idx
-                      (qforward_spec ~bound:(Lazy.force bound0) ~eval input')
-              end)
       | Site.P_agu { program; transfer } -> (
           let p = List.nth design.Design.program.Compiler.programs program in
           let tr = List.nth p.Compiler.transfers transfer in
@@ -482,32 +417,11 @@ let run ~design ~params ~input_blob ~inputs (config : config) =
                   agu_with_field pat field (full land lnot agu_mask lor w)
                 in
                 classify_agu ~budget:config.cycle_budget pat corrupted)
-      | Site.P_fsm { program } ->
-          if program < 0 then Hang
-            (* coordinator stuck: no fold ever retires *)
-          else begin
-            let p = List.nth design.Design.program.Compiler.programs program in
-            match p.Compiler.transfers with
-            | [] -> Hang
-            | tr :: _ -> (
-                match config.engine with
-                | Specialized ->
-                    (* A stuck one-hot state register provably never raises
-                       [done_pulse] ([Agu_sim.step] re-enters the corrupted
-                       state forever), so with a positive budget the
-                       watchdog always fires and records no counters —
-                       clocking the machine can only ever return Hang. *)
-                    Hang
-                | Generic -> (
-                    let agu = Db_mem.Agu_sim.create tr.Compiler.pattern in
-                    Db_mem.Agu_sim.inject_stuck_state agu;
-                    match
-                      Db_mem.Agu_sim.run_to_completion
-                        ~max_cycles:config.cycle_budget agu
-                    with
-                    | _ -> Masked (* unreachable: a stuck machine never finishes *)
-                    | exception Db_util.Error.Timeout _ -> Hang))
-          end
+      | Site.P_fsm _ ->
+          (* A stuck one-hot state register — the coordinator's or an AGU's —
+             re-enters its state forever and never raises done, so under any
+             positive budget the watchdog always fires. *)
+          Hang
     in
     Db_obs.Obs.incr "faults.trials";
     Db_obs.Obs.incr ("faults.outcome." ^ outcome_name outcome);
@@ -575,72 +489,39 @@ let run ~design ~params ~input_blob ~inputs (config : config) =
             in
             if nflips = 0 then hits.(i) <- true
             else begin
-              let input' = Tensor.copy inputs.(i) in
               let flip_q v bit =
                 sign_extend word_bits ((v land word_mask) lxor (1 lsl bit))
               in
-              let flip_float_word t word bit =
-                let v = Fixed.of_float fmt (Tensor.get t word) in
-                Tensor.set t word (Fixed.to_float fmt (flip_q v bit))
-              in
-              let t1 =
-                match config.engine with
-                | Generic ->
-                    let params' = Params.copy params in
-                    for _ = 1 to nflips do
-                      let g, word, bit = Site.pick data_space rng in
-                      match g.Site.g_payload with
-                      | Site.P_param { node; tensor } ->
-                          flip_float_word
-                            (List.nth (Params.get params' node) tensor)
-                            word bit
-                      | Site.P_buffer _ -> flip_float_word input' word bit
-                      | _ -> ()
-                    done;
-                    top1_of (forward ~params:params' ~eval input')
-                | Specialized ->
-                    (* Same flips, applied in the stored-word domain over
-                       copies of the bound trace's quantized tensors —
-                       copied per touched node so the shared golden bound
-                       is never mutated.  The RNG draw order matches the
-                       generic branch exactly. *)
-                    let bound = Lazy.force bound0 in
-                    let touched : (string, Quantized.qtensor list) Hashtbl.t =
-                      Hashtbl.create 4
-                    in
-                    for _ = 1 to nflips do
-                      let g, word, bit = Site.pick data_space rng in
-                      match g.Site.g_payload with
-                      | Site.P_param { node; tensor } ->
+              (* Touched nodes' tensors are copied on first touch, so the
+                 shared stored words are never mutated. *)
+              let edits = ref [] in
+              let input' = Tensor.copy inputs.(i) in
+              for _ = 1 to nflips do
+                let g, word, bit = Site.pick data_space rng in
+                match g.Site.g_payload with
+                | Site.P_param { node; tensor } ->
+                    let qts =
+                      match List.assoc_opt node !edits with
+                      | Some qts -> qts
+                      | None ->
                           let qts =
-                            match Hashtbl.find_opt touched node with
-                            | Some qts -> qts
-                            | None ->
-                                List.map
-                                  (fun (q : Quantized.qtensor) ->
-                                    {
-                                      q with
-                                      Quantized.qdata =
-                                        Array.copy q.Quantized.qdata;
-                                    })
-                                  (Db_sim.Specialize.node_qparams bound ~node)
+                            List.map
+                              (fun (q : Quantized.qtensor) ->
+                                { q with Quantized.qdata = Array.copy q.Quantized.qdata })
+                              (node_q node)
                           in
-                          let q = List.nth qts tensor in
-                          q.Quantized.qdata.(word) <-
-                            flip_q q.Quantized.qdata.(word) bit;
-                          Hashtbl.replace touched node qts
-                      | Site.P_buffer _ -> flip_float_word input' word bit
-                      | _ -> ()
-                    done;
-                    let bound' =
-                      Hashtbl.fold
-                        (fun node qts b ->
-                          Db_sim.Specialize.with_node_params b ~node qts)
-                        touched bound
+                          edits := (node, qts) :: !edits;
+                          qts
                     in
-                    qtop1_of (qforward_spec ~bound:bound' ~eval input')
-              in
-              hits.(i) <- t1 = golden_top1.(i)
+                    let d = (List.nth qts tensor).Quantized.qdata in
+                    d.(word) <- flip_q d.(word) bit
+                | Site.P_buffer _ ->
+                    let v = Fixed.of_float fmt (Tensor.get input' word) in
+                    Tensor.set input' word (Fixed.to_float fmt (flip_q v bit))
+                | _ -> ()
+              done;
+              let c = { (clean input') with c_params = !edits } in
+              hits.(i) <- qtop1_of (qforward c) = golden_top1.(i)
             end);
         let correct =
           Array.fold_left (fun a h -> if h then a + 1 else a) 0 hits

@@ -3,7 +3,8 @@
     A campaign sweeps single-bit upsets across the enabled {!Site} classes
     of one design, pushes each through the configured {!Protect} scheme and
     — when the corrupted word survives to the datapath — through a full
-    fixed-point forward pass, then classifies the run.  Trial [t] draws
+    fixed-point forward pass, then classifies the run on the output blob's
+    stored words against the fault-free run.  Trial [t] draws
     everything from [Rng.create (seed + t)] and writes its result into its
     own slot, so the classification counts are bitwise identical for a
     fixed seed at any [DEEPBURNING_JOBS] setting. *)
@@ -23,23 +24,25 @@ val scheme_for : protection -> Site.target_class -> Protect.scheme
 
 type engine =
   | Generic
-      (** re-quantize and interpret per trial ({!Db_nn.Quantized.output}) —
+      (** re-quantize and interpret per trial ({!Db_nn.Quantized.qoutput}) —
           the oracle the specialized engine is property-tested against *)
   | Specialized
       (** replay the design's compiled trace ({!Db_sim.Specialize}):
-          parameters quantized once, faulty trials swap in single flipped
-          tensors in the stored-word domain *)
+          parameters quantized once, faulty trials swap in the edited
+          tensors' stored words *)
 
 type config = {
   seed : int;
   trials : int;
   cycle_budget : int;  (** watchdog budget for control playback (cycles) *)
   protection : protection;
-  rates : float list;  (** fault rates for the degradation curve *)
+  rates : float list;
+      (** fault rates for the degradation curve, each in [0, 1] *)
   targets : Site.target_class list;
   engine : engine;
-      (** both engines produce byte-identical results for a fixed seed;
-          [Specialized] (the default) is an order of magnitude faster *)
+      (** the oracle selector: both engines produce byte-identical results
+          for a fixed seed; [Specialized] (the default, and the CLI's) is
+          an order of magnitude faster *)
 }
 
 val default_config : config
@@ -95,7 +98,8 @@ val run :
   config ->
   result
 (** Raises {!Db_util.Error.Deepburning_error} on an empty input set, a
-    non-positive trial count or an empty fault space. *)
+    non-positive trial count or cycle budget, a rate outside [0, 1]
+    (including NaN and the infinities) or an empty fault space. *)
 
 val render_text : result -> string
 

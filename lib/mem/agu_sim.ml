@@ -6,16 +6,13 @@ type t = {
   mutable cursor_x : int;
   mutable cursor_y : int;
   mutable cursor_block : int;
-  mutable stuck : bool;
 }
 
 type cycle_output = { addr : int option; busy : bool; done_pulse : bool }
 
 let create pattern =
   Access_pattern.validate pattern;
-  { pattern; st = Idle; cursor_x = 0; cursor_y = 0; cursor_block = 0; stuck = false }
-
-let inject_stuck_state t = t.stuck <- true
+  { pattern; st = Idle; cursor_x = 0; cursor_y = 0; cursor_block = 0 }
 
 let trigger t =
   match t.st with
@@ -34,14 +31,6 @@ let current_addr t =
   + t.cursor_x
 
 let step t =
-  if t.stuck then
-    (* Corrupted next-state logic: the machine re-enters its current state
-       forever; in the burst state it keeps re-issuing the same address. *)
-    match t.st with
-    | Idle | Done -> { addr = None; busy = false; done_pulse = false }
-    | Burst -> { addr = Some (current_addr t); busy = true; done_pulse = false }
-    | Row_turn | Block_turn -> { addr = None; busy = true; done_pulse = false }
-  else
   let p = t.pattern in
   match t.st with
   | Idle -> { addr = None; busy = false; done_pulse = false }

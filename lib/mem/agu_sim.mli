@@ -28,12 +28,6 @@ val trigger : t -> unit
 val step : t -> cycle_output
 (** Advance one clock. *)
 
-val inject_stuck_state : t -> unit
-(** Fault-injection hook: corrupt the next-state logic so the machine
-    re-enters its current state forever (an SEU in the one-hot state
-    register).  A stuck burst state keeps re-issuing the same address;
-    {!run_to_completion}'s watchdog is the only way out. *)
-
 val run_to_completion : ?max_cycles:int -> t -> int list * int
 (** Trigger (if idle) and clock until [done_pulse]; returns the issued
     address stream and the cycle count.  Raises {!Db_util.Error.Timeout}

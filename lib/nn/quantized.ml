@@ -396,16 +396,19 @@ let forward ?(eval = exact_eval) ~fmt net params ~inputs =
       List.iter (fun top -> env := (top, out) :: !env) node.Network.tops);
   List.rev !env
 
-let output ?(eval = exact_eval) ~fmt net params ~inputs =
+let qoutput ?(eval = exact_eval) ~fmt net params ~inputs =
   let env = forward ~eval ~fmt net params ~inputs in
   match Network.output_blobs net with
   | [ blob ] -> begin
       match List.assoc_opt blob env with
-      | Some q ->
-          (* Classifier outputs carry integer indices, not Q-format values. *)
-          if Network.classifier_output net then
-            Tensor.of_array q.qshape (Array.map float_of_int q.qdata)
-          else dequantize fmt q
+      | Some q -> q
       | None -> fail "output blob missing from environment"
     end
   | blobs -> fail "network has %d output blobs, expected one" (List.length blobs)
+
+let output ?eval ~fmt net params ~inputs =
+  let q = qoutput ?eval ~fmt net params ~inputs in
+  (* Classifier outputs carry integer indices, not Q-format values. *)
+  if Network.classifier_output net then
+    Tensor.of_array q.qshape (Array.map float_of_int q.qdata)
+  else dequantize fmt q

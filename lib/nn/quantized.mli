@@ -40,18 +40,21 @@ val eval_node :
   qtensor
 (** Evaluate one non-input layer on already-quantised params and bottoms,
     then its fused activation, if any; training ops are rejected.  This is
-    the per-node kernel behind {!forward}; the specialized engine
+    the per-node kernel behind {!qoutput}; the specialized engine
     delegates float-order-sensitive layers (LRN, softmax, recurrent, ...)
     to it verbatim so both engines stay bitwise identical. *)
 
-val forward :
+val qoutput :
   ?eval:function_eval ->
   fmt:Db_fixed.Fixed.format ->
   Network.t ->
   Params.t ->
   inputs:(string * Db_tensor.Tensor.t) list ->
-  (string * qtensor) list
-(** Full fixed-point forward pass.  Weights are quantised on entry. *)
+  qtensor
+(** Full fixed-point forward pass (weights quantised on entry) returning
+    the stored words of the single output blob (class indices for a
+    classifier head); raises a validation error unless the network has
+    exactly one output blob. *)
 
 val output :
   ?eval:function_eval ->
@@ -60,4 +63,5 @@ val output :
   Params.t ->
   inputs:(string * Db_tensor.Tensor.t) list ->
   Db_tensor.Tensor.t
-(** Dequantised tensor of the single output blob. *)
+(** {!qoutput} dequantised, or converted to float class indices for a
+    classifier output. *)

@@ -321,23 +321,14 @@ let testbench (design : Design.t) params ~inputs =
               (Db_nn.Params.get params node.Db_nn.Network.node_name))
   in
   let eval = Lut_eval.of_luts design.Design.program.Compiler.luts in
-  let env =
-    Db_nn.Quantized.forward ~eval ~fmt design.Design.network params ~inputs
-  in
-  let expected_words =
-    match Db_nn.Network.output_blobs design.Design.network with
-    | [ blob ] -> begin
-        match List.assoc_opt blob env with
-        | Some q -> Array.to_list q.Db_nn.Quantized.qdata
-        | None -> []
-      end
-    | _ -> []
+  let expected =
+    Db_nn.Quantized.qoutput ~eval ~fmt design.Design.network params ~inputs
   in
   let report = timing design in
   Db_hdl.Testbench.generate ~top:design.Design.rtl.Db_hdl.Rtl.top
     {
       Db_hdl.Testbench.input_words;
-      expected_words;
+      expected_words = Array.to_list expected.Db_nn.Quantized.qdata;
       word_bits = fmt.Db_fixed.Fixed.total_bits;
       watchdog_cycles = 10 * (report.total_cycles + 1000);
     }

@@ -130,4 +130,6 @@ val testbench :
     words in DRAM-layout order, expectations are the accelerator's output
     words from this simulator's functional run, and the watchdog is set
     from the timing model.  A user with a real RTL simulator can replay
-    our verification, as the paper does with Vivado. *)
+    our verification, as the paper does with Vivado.  Raises a
+    [quantized] validation error unless the network has exactly one
+    output blob: a bench with nothing to check is never emitted. *)

@@ -3,7 +3,7 @@
    compiled trace, then replays it with tight loops.
 
    The contract is bitwise identity with the generic engine
-   ({!Quantized.forward} + {!Db_mem.Agu_sim}): same outputs, same observable
+   ({!Quantized.qoutput} + {!Db_mem.Agu_sim}): same outputs, same observable
    counters, same exceptions at the same logical points, at any
    DEEPBURNING_JOBS.  Three facts make the fast paths sound:
 
@@ -613,15 +613,11 @@ let qoutput ?eval bound ~inputs =
 
 let output ?eval bound ~inputs =
   let t = bound.bd_spec in
-  let slots = eval_slots ?eval bound ~inputs in
+  let q = qoutput ?eval bound ~inputs in
   match t.sp_out with
-  | Out_multi n -> qfail "network has %d output blobs, expected one" n
-  | Out_single { slot; classifier } ->
-      let q = slots.(slot) in
-      if classifier then
-        Tensor.of_array q.Quantized.qshape
-          (Array.map float_of_int q.Quantized.qdata)
-      else Quantized.dequantize t.sp_fmt q
+  | Out_single { classifier = true; _ } ->
+      Tensor.of_array q.Quantized.qshape (Array.map float_of_int q.Quantized.qdata)
+  | Out_single _ | Out_multi _ -> Quantized.dequantize t.sp_fmt q
 
 (* Batched playback: samples are independent forward passes over one bound
    trace, so they fan out across the domain pool.  The functional path

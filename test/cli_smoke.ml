@@ -70,6 +70,8 @@ let () =
   expect exe 4 ~stderr_has:"group must be positive"
     [ "generate"; "-m"; "cli/alexnet_group0.prototxt" ];
   expect exe 8 ~stderr_has:"io-cli" [ "generate"; "-m"; "mlp"; "-o"; "." ];
+  expect exe 6 ~stderr_has:"fault rate must be"
+    [ "faults"; "--net"; "ann0"; "--rates"; "inf" ];
   (* A trace that cannot be written is an io failure on a passing run; on a
      failing run the run's own failure wins. *)
   let trace = [ "--trace"; "no-such-dir/t.json" ] in
@@ -82,6 +84,7 @@ let () =
   expect exe 124 ~stderr_has:unknown [ "generate"; "-m"; "nosuch" ];
   expect exe 124 ~stderr_has:unknown [ "ir"; "nosuch" ];
   expect exe 124 ~stderr_has:unknown [ "faults"; "--net"; "nosuch" ];
+  expect exe 124 [ "faults"; "--net"; "ann0"; "--engine"; "generic" ];
   expect exe 124 ~stderr_has:"pass --model FILE or --zoo" [ "lint" ];
   expect exe 124 ~stderr_has:"pass --model FILE or --zoo" [ "check" ];
   expect exe 124 ~stderr_has:"missing model name" [ "zoo"; "show" ];

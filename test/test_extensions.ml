@@ -355,6 +355,36 @@ let test_testbench_generation () =
   Alcotest.(check bool) "stimulus rom sized to input+weights" true
     (contains tb (Printf.sprintf "stimulus [0:%d];" (4 + stats.Db_nn.Model_stats.total_params - 1)))
 
+let test_testbench_needs_one_output () =
+  (* Two FC heads on one input generate fine, but leave no single output
+     blob to check: the bench must fail classified, not emit zero
+     expectations. *)
+  let net =
+    Db_workloads.Model_zoo.build
+      {|name: "twoheads"
+layers { name: "data" type: INPUT top: "data" input_param { dim: 4 } }
+layers { name: "fc_a" type: INNER_PRODUCT bottom: "data" top: "fc_a"
+  inner_product_param { num_output: 2 } }
+layers { name: "fc_b" type: INNER_PRODUCT bottom: "data" top: "fc_b"
+  inner_product_param { num_output: 3 } }|}
+  in
+  let design =
+    Db_core.Generator.generate
+      (Db_core.Constraints.with_dsp_cap Db_core.Constraints.db_medium 2)
+      net
+  in
+  let rng = Db_util.Rng.create 5 in
+  let params = Db_nn.Params.init_xavier rng net in
+  let input = Tensor.random_uniform rng (Shape.vector 4) ~min:0.0 ~max:1.0 in
+  match Db_sim.Simulator.testbench design params ~inputs:[ ("data", input) ] with
+  | _ -> Alcotest.fail "testbench emitted for a two-output network"
+  | exception (Db_util.Error.Deepburning_error msg as e) ->
+      Alcotest.(check string) "message"
+        "quantized: network has 2 output blobs, expected one" msg;
+      Alcotest.(check (option string))
+        "classified as validation" (Some "validation")
+        (Option.map Db_util.Error.class_name (Db_util.Error.classify_exn e))
+
 let test_testbench_validation () =
   Alcotest.check_raises "bad word bits"
     (Db_util.Error.Deepburning_error "testbench: generate: word_bits out of range")
@@ -436,6 +466,8 @@ let suite =
         [
           Alcotest.test_case "generation" `Quick test_testbench_generation;
           Alcotest.test_case "validation" `Quick test_testbench_validation;
+          Alcotest.test_case "needs one output" `Quick
+            test_testbench_needs_one_output;
         ] );
       ( "ext.calibration",
         [

@@ -224,6 +224,23 @@ let test_campaign_engines_agree_lenet5 () =
       targets = [ Db_fault.Site.Weights; Db_fault.Site.Lut_tables ];
     }
 
+(* The CLI's own campaign — its default constraint, seed 42, 200 trials,
+   every class, the default rates, 8 inputs, a 200 000-cycle budget — on
+   the two CNNs, and a shorter one on the zoo's concat + LRN network. *)
+let cli_design prototxt =
+  Design_cache.generate
+    (Constraints.parse Db_serve.Serve.default_constraint_script)
+    (Zoo.build prototxt)
+
+let test_campaign_engines_agree_cli prototxt () =
+  campaign_engines_agree (cli_design prototxt) ~seed:42 ~inputs:8
+    Db_fault.Campaign.default_config
+
+let test_campaign_engines_agree_googlenet () =
+  campaign_engines_agree (cli_design Zoo.googlenet_like_prototxt) ~seed:42
+    ~inputs:2
+    { Db_fault.Campaign.default_config with Db_fault.Campaign.trials = 40 }
+
 (* --- kernel oracle --------------------------------------------------------- *)
 
 (* The direct six-deep convolution the specialized engine ran before its
@@ -465,6 +482,12 @@ let suite =
             test_campaign_engines_agree;
           Alcotest.test_case "campaign engines agree: lenet5" `Quick
             test_campaign_engines_agree_lenet5;
+          Alcotest.test_case "campaign CLI: lenet5" `Slow
+            (test_campaign_engines_agree_cli Zoo.lenet5_prototxt);
+          Alcotest.test_case "campaign CLI: cifar-lite" `Slow
+            (test_campaign_engines_agree_cli Zoo.cifar_lite_prototxt);
+          Alcotest.test_case "campaign: googlenet-like" `Slow
+            test_campaign_engines_agree_googlenet;
           QCheck_alcotest.to_alcotest prop_conv_kernel_oracle;
           Alcotest.test_case "conv kernel guard" `Quick test_conv_kernel_guard;
           Alcotest.test_case "activation tables = closure" `Slow
