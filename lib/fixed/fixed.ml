@@ -55,12 +55,17 @@ let shift_right_approx q v n =
   saturate q (v asr n)
 
 (* The typed buffer keeps each read a single unboxed load (DESIGN.md §14). *)
-let quantize_tensor q t =
+let quantize_into q t out =
   let (b : Db_tensor.Tensor.buf) = Db_tensor.Tensor.data t in
-  let out = Array.make (Bigarray.Array1.dim b) 0 in
+  if Array.length out <> Bigarray.Array1.dim b then
+    invalid_arg "Fixed.quantize_into: length mismatch";
   for i = 0 to Array.length out - 1 do
     Array.unsafe_set out i (of_float q (Bigarray.Array1.unsafe_get b i))
-  done;
+  done
+
+let quantize_tensor q t =
+  let out = Array.make (Db_tensor.Tensor.numel t) 0 in
+  quantize_into q t out;
   out
 
 let dequantize_tensor q ~shape values =

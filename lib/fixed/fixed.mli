@@ -56,6 +56,11 @@ val shift_right_approx : format -> int -> int -> int
 val quantize_tensor : format -> Db_tensor.Tensor.t -> int array
 (** Element-wise {!of_float}. *)
 
+val quantize_into : format -> Db_tensor.Tensor.t -> int array -> unit
+(** [quantize_into q t out] writes {!quantize_tensor}'s words into [out],
+    which must hold exactly [numel t] words ([Invalid_argument]
+    otherwise). *)
+
 val dequantize_tensor : format -> shape:Db_tensor.Shape.t -> int array -> Db_tensor.Tensor.t
 
 val roundtrip_error_bound : format -> float

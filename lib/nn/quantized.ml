@@ -114,13 +114,16 @@ let qfully_connected fmt ~input ~weights ~bias =
   done;
   { qshape = Shape.vector nout; qdata = out }
 
-let qpool fmt ~method_ ~input ~kernel ~stride ~eval =
+let pool_dims ~input ~kernel ~stride =
   let c = Shape.channels input.qshape
   and h = Shape.height input.qshape
   and w = Shape.width input.qshape in
   let oh = Db_tensor.Ops.conv_output_dim ~input:h ~kernel ~stride ~pad_lo:0 ~pad_hi:0 in
   let ow = Db_tensor.Ops.conv_output_dim ~input:w ~kernel ~stride ~pad_lo:0 ~pad_hi:0 in
-  let out = Array.make (c * oh * ow) 0 in
+  (c, h, w, oh, ow)
+
+(* Every word of [out] is written, so it may hold anything beforehand. *)
+let pool_words fmt ~method_ ~input ~kernel ~stride ~eval ~out (c, h, w, oh, ow) =
   let area = kernel * kernel in
   let recip_q =
     Fixed.of_float fmt (eval.eval_reciprocal (float_of_int area))
@@ -159,6 +162,16 @@ let qpool fmt ~method_ ~input ~kernel ~stride ~eval =
   done;
   { qshape = Shape.chw ~channels:c ~height:oh ~width:ow; qdata = out }
 
+let qpool_into fmt ~method_ ~input ~kernel ~stride ~eval ~out =
+  let ((c, _, _, oh, ow) as dims) = pool_dims ~input ~kernel ~stride in
+  if Array.length out <> c * oh * ow then None
+  else Some (pool_words fmt ~method_ ~input ~kernel ~stride ~eval ~out dims)
+
+let qpool fmt ~method_ ~input ~kernel ~stride ~eval =
+  let ((c, _, _, oh, ow) as dims) = pool_dims ~input ~kernel ~stride in
+  pool_words fmt ~method_ ~input ~kernel ~stride ~eval
+    ~out:(Array.make (c * oh * ow) 0) dims
+
 let qmap fmt f input =
   {
     input with
@@ -189,17 +202,20 @@ let qlrn fmt ~eval ~input ~local_size ~alpha ~beta ~k =
   and w = Shape.width input.qshape in
   let half = local_size / 2 in
   let out = Array.make (c * h * w) 0 in
+  (* [float_of_int v *. res] is [Fixed.to_float fmt v], read without the
+     boxed float a cross-module call returns under [-opaque]. *)
+  let res = Fixed.resolution fmt in
   for ch = 0 to c - 1 do
     let lo = Stdlib.max 0 (ch - half) and hi = Stdlib.min (c - 1) (ch + half) in
     for y = 0 to h - 1 do
       for x = 0 to w - 1 do
         let sq = ref 0.0 in
         for j = lo to hi do
-          let v = Fixed.to_float fmt input.qdata.((j * h * w) + (y * w) + x) in
+          let v = float_of_int input.qdata.((j * h * w) + (y * w) + x) *. res in
           sq := !sq +. (v *. v)
         done;
         let scale = k +. (alpha /. float_of_int local_size *. !sq) in
-        let v = Fixed.to_float fmt input.qdata.((ch * h * w) + (y * w) + x) in
+        let v = float_of_int input.qdata.((ch * h * w) + (y * w) + x) *. res in
         (* The hardware reads scale^-beta in one LUT lookup. *)
         let inv_denom = eval.eval_power scale (-.beta) in
         out.((ch * h * w) + (y * w) + x) <- Fixed.of_float fmt (v *. inv_denom)

@@ -31,6 +31,21 @@ val rescale_acc : Db_fixed.Fixed.format -> int -> int
     for the specialized simulation engine, whose precompiled kernels must
     rescale exactly as the generic ones do. *)
 
+val qpool_into :
+  Db_fixed.Fixed.format ->
+  method_:Layer.pool_method ->
+  input:qtensor ->
+  kernel:int ->
+  stride:int ->
+  eval:function_eval ->
+  out:int array ->
+  qtensor option
+(** Max / average pooling, the kernel {!eval_node} runs for [Pool],
+    written into [out] (whatever it held before) and returned under the
+    output shape.  [None] when [out] does not hold exactly the output's
+    words; dimension errors are raised first, as the allocating kernel
+    raises them. *)
+
 val eval_node :
   Db_fixed.Fixed.format ->
   function_eval ->

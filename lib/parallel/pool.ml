@@ -24,8 +24,6 @@ let parse_jobs () =
 
 let jobs = lazy (parse_jobs ())
 
-let job_count () = Lazy.force jobs
-
 (* Test hook: while positive, every parallel entry point degrades to a plain
    sequential loop on the calling domain. *)
 let seq_depth = Atomic.make 0
@@ -34,7 +32,7 @@ let with_sequential f =
   Atomic.incr seq_depth;
   Fun.protect ~finally:(fun () -> Atomic.decr seq_depth) f
 
-let effective_jobs () = if Atomic.get seq_depth > 0 then 1 else job_count ()
+let job_count () = if Atomic.get seq_depth > 0 then 1 else Lazy.force jobs
 
 (* --- The pool proper --------------------------------------------------- *)
 
@@ -110,7 +108,7 @@ let ensure_workers () =
   if not (Atomic.get spawned) then begin
     Mutex.lock lock;
     if not (Atomic.get spawned) then begin
-      let n = job_count () - 1 in
+      let n = Lazy.force jobs - 1 in
       workers := List.init n (fun _ -> Domain.spawn worker_loop);
       Atomic.set spawned true
     end;
@@ -119,7 +117,7 @@ let ensure_workers () =
 
 let run_batch ~len run =
   if len <= 0 then ()
-  else if len = 1 || effective_jobs () <= 1 then
+  else if len = 1 || job_count () <= 1 then
     for i = 0 to len - 1 do
       run i
     done
@@ -156,7 +154,7 @@ let run_batch ~len run =
   end
 
 let default_chunk n =
-  let target = 8 * effective_jobs () in
+  let target = 8 * job_count () in
   Stdlib.max 1 ((n + target - 1) / target)
 
 (* Below this many scalar operations a batch costs more in wakeups than it

@@ -17,7 +17,8 @@
     sequentially in ascending chunk order. *)
 
 val job_count : unit -> int
-(** Pool width: [DEEPBURNING_JOBS] if set (must be >= 1), otherwise
+(** Pool width in effect: 1 inside {!with_sequential}, otherwise
+    [DEEPBURNING_JOBS] if set (must be >= 1), otherwise
     [Domain.recommended_domain_count ()].  Raises [Invalid_argument] on a
     malformed override. *)
 

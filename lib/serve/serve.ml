@@ -10,11 +10,11 @@
    the domain pool underneath the generator/simulator are all shared.
 
    Failure surface: every response body carries the request's
-   [Error.failure_class]; a recoverable fault (poisoned store entry,
-   specialized-engine failure) degrades — regeneration, generic engine —
-   rather than erroring; only genuinely unclassified exceptions produce
-   a 500.  SIGTERM/SIGINT (via [run]) stop the accept loop, drain every
-   queued and in-flight request, then return. *)
+   [Error.failure_class]; a poisoned store entry is regenerated rather
+   than reported; only unclassified exceptions (a simulation engine bug
+   among them: there is no fallback engine to hide it) produce a 500.
+   SIGTERM/SIGINT (via [run]) stop the accept loop, drain every queued
+   and in-flight request, then return. *)
 
 module Error = Db_util.Error
 module Json = Db_util.Minijson
@@ -59,7 +59,6 @@ type counters = {
   errors : int Atomic.t;  (** classified error responses *)
   shed : int Atomic.t;  (** queue-full + deadline sheds *)
   quota_rejected : int Atomic.t;
-  degraded : int Atomic.t;  (** specialized engine fell back to generic *)
 }
 
 type t = {
@@ -81,17 +80,6 @@ let port t = t.bound_port
 
 let default_constraint_script =
   {|constraint { device: "zynq-7045" dsps: 16 luts: 60000 ffs: 40000 bram_kb: 1024 }|}
-
-(* --- graceful degradation ------------------------------------------------ *)
-
-(* Run [primary]; on any failure except a watchdog timeout, run
-   [fallback] instead.  The watchdog propagates because the fallback
-   engine honours the same cycle budget — retrying it would only double
-   the worst-case latency of a request that must fail anyway. *)
-let with_engine_fallback ~primary ~fallback =
-  try (`Primary, primary ()) with
-  | Error.Timeout _ as e -> raise e
-  | _ -> (`Fallback, fallback ())
 
 (* --- request handling ---------------------------------------------------- *)
 
@@ -193,8 +181,8 @@ let handle_simulate t body =
   if samples < 0 || samples > 1024 then
     Error.failf_at ~component:"serve-request" "samples must be in [0, 1024]";
   let report = Db_sim.Simulator.timing design in
-  let engine, output_sha =
-    if samples = 0 then ("none", "")
+  let output_sha =
+    if samples = 0 then ""
     else begin
       let rng = Db_util.Rng.create seed in
       let params = Db_nn.Params.init_xavier rng network in
@@ -203,34 +191,17 @@ let handle_simulate t body =
         List.init samples (fun _ ->
             [ (blob, Db_tensor.Tensor.random_uniform rng shape ~min:(-1.0) ~max:1.0) ])
       in
-      (* Specialized compiled-trace engine first; any engine failure that
-         is not the watchdog degrades to the generic oracle, bitwise
-         identically ([@spec] gate), so the client only ever sees a
-         correct answer or a classified error. *)
-      let engine, outputs =
-        with_engine_fallback
-          ~primary:(fun () ->
-            Db_sim.Simulator.functional_output_batch ~cycle_budget design
-              params ~batch)
-          ~fallback:(fun () ->
-            Atomic.incr t.c.degraded;
-            Obs.incr "serve.degraded";
-            List.map
-              (fun inputs ->
-                Db_sim.Simulator.functional_output_generic ~cycle_budget design
-                  params ~inputs)
-              batch)
-      in
-      ( (match engine with `Primary -> "specialized" | `Fallback -> "generic"),
-        tensor_fingerprint outputs )
+      tensor_fingerprint
+        (Db_sim.Simulator.functional_output_batch ~cycle_budget design params
+           ~batch)
     end
   in
   let body =
     Printf.sprintf
-      "{\"status\":\"ok\",\"total_cycles\":%d,\"seconds\":%.9f,\"dram_bytes\":%d,\"energy_j\":%.9f,\"samples\":%d,\"engine\":%S,\"output_sha256\":%S}"
+      "{\"status\":\"ok\",\"total_cycles\":%d,\"seconds\":%.9f,\"dram_bytes\":%d,\"energy_j\":%.9f,\"samples\":%d,\"output_sha256\":%S}"
       report.Db_sim.Simulator.total_cycles report.Db_sim.Simulator.seconds
       report.Db_sim.Simulator.dram_bytes report.Db_sim.Simulator.energy_j
-      samples engine output_sha
+      samples output_sha
   in
   (200, body)
 
@@ -242,7 +213,6 @@ let metrics_text t =
   line "serve.errors" (Atomic.get t.c.errors);
   line "serve.shed" (Atomic.get t.c.shed);
   line "serve.quota_rejected" (Atomic.get t.c.quota_rejected);
-  line "serve.degraded" (Atomic.get t.c.degraded);
   Mutex.lock t.qlock;
   let depth = Queue.length t.queue in
   Mutex.unlock t.qlock;
@@ -261,6 +231,13 @@ let metrics_text t =
   let hits, misses = Db_core.Design_cache.stats () in
   line "design_cache.hits" hits;
   line "design_cache.misses" misses;
+  (* The whole process's collector: every collection stops all domains,
+     the workers' and the pool's alike. *)
+  let gc = Gc.quick_stat () in
+  line "gc.minor_collections" gc.Gc.minor_collections;
+  line "gc.major_collections" gc.Gc.major_collections;
+  line "gc.minor_words" (int_of_float gc.Gc.minor_words);
+  line "gc.major_words" (int_of_float gc.Gc.major_words);
   Buffer.contents buf
 
 let status_of_class = function
@@ -499,7 +476,6 @@ let start cfg =
           errors = Atomic.make 0;
           shed = Atomic.make 0;
           quota_rejected = Atomic.make 0;
-          degraded = Atomic.make 0;
         };
       accept_domain = None;
       worker_domains = [];

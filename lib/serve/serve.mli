@@ -10,10 +10,10 @@
     served from cache across requests and restarts.
 
     Every error response carries the request's
-    {!Db_util.Error.failure_class}; recoverable faults degrade instead of
-    failing (corrupt store entry → regenerate; specialized simulation
-    engine failure → generic oracle).  Endpoints: [GET /health],
-    [GET /metrics], [POST /generate], [POST /simulate]. *)
+    {!Db_util.Error.failure_class}; a corrupt store entry is regenerated
+    instead of reported.  Endpoints: [GET /health], [GET /metrics]
+    (request, store, cache and [gc.*] collector counters),
+    [POST /generate], [POST /simulate]. *)
 
 type config = {
   port : int;  (** 0 picks an ephemeral port (tests) *)
@@ -58,14 +58,6 @@ val run : ?on_ready:(int -> unit) -> config -> unit
 (** {!start}, then block until SIGTERM/SIGINT, then {!stop} — the drain
     semantics the CLI's [serve] subcommand relies on.  [on_ready] is
     called with the bound port once the daemon is accepting. *)
-
-(** {2 Exposed for tests} *)
-
-val with_engine_fallback :
-  primary:(unit -> 'a) -> fallback:(unit -> 'a) -> [ `Primary | `Fallback ] * 'a
-(** Run [primary]; on any failure other than {!Db_util.Error.Timeout}
-    (which both engines honour equally, so retrying cannot help), run
-    [fallback] and tag the result. *)
 
 val default_constraint_script : string
 (** Constraint script assumed when a request omits ["constraint"]. *)

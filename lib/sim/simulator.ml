@@ -244,50 +244,12 @@ let batch_timing ?(dram = Db_mem.Dram.zynq_ddr3) ~batch (design : Design.t) =
 let replay_control ~cycle_budget (design : Design.t) =
   Specialize.replay_control ~cycle_budget (Specialize.of_design design)
 
-(* The slow path the trace compiler is verified against: clock every AGU
-   cycle by cycle.  Exposed for the spec-equivalence property tests. *)
-let replay_control_generic ~cycle_budget (design : Design.t) =
-  Db_obs.Obs.with_span "simulate.replay" @@ fun () ->
-  let spent = ref 0 in
-  List.iter
-    (fun (p : Compiler.fold_program) ->
-      List.iter
-        (fun (tr : Compiler.transfer) ->
-          if cycle_budget - !spent <= 0 then
-            Db_util.Error.timeout ~component:"simulator" ~cycles:!spent
-              ~budget:cycle_budget;
-          let agu = Db_mem.Agu_sim.create tr.Compiler.pattern in
-          match
-            Db_mem.Agu_sim.run_to_completion ~max_cycles:(cycle_budget - !spent)
-              agu
-          with
-          | _, c -> spent := !spent + c
-          | exception Db_util.Error.Timeout { cycles; _ } ->
-              Db_util.Error.timeout ~component:"simulator"
-                ~cycles:(!spent + cycles) ~budget:cycle_budget)
-        p.Compiler.transfers)
-    design.Design.program.Compiler.programs;
-  !spent
-
 let functional_output ?cycle_budget (design : Design.t) params ~inputs =
   Db_obs.Obs.with_span "simulate.functional" @@ fun () ->
   (match cycle_budget with
   | Some budget -> ignore (replay_control ~cycle_budget:budget design)
   | None -> ());
   Specialize.output (Specialize.bind (Specialize.of_design design) params) ~inputs
-
-(* The generic engine, kept as the oracle the specialized one is tested
-   against: re-quantizes every parameter and interprets the network per
-   call. *)
-let functional_output_generic ?cycle_budget (design : Design.t) params ~inputs =
-  Db_obs.Obs.with_span "simulate.functional" @@ fun () ->
-  (match cycle_budget with
-  | Some budget -> ignore (replay_control_generic ~cycle_budget:budget design)
-  | None -> ());
-  let eval = Lut_eval.of_luts design.Design.program.Compiler.luts in
-  Db_nn.Quantized.output ~eval
-    ~fmt:design.Design.datapath.Db_sched.Datapath.fmt design.Design.network
-    params ~inputs
 
 let functional_output_batch ?cycle_budget (design : Design.t) params ~batch =
   Db_obs.Obs.with_span "simulate.functional_batch" @@ fun () ->

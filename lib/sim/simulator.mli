@@ -58,12 +58,8 @@ val replay_control : cycle_budget:int -> Db_core.Design.t -> int
     FSM or AGU configuration register (which would hang real fabric) into
     a structured, catchable failure.  Runs on the design's compiled trace
     ({!Specialize}); cycles, counters and timeout payloads are identical
-    to {!replay_control_generic}. *)
-
-val replay_control_generic : cycle_budget:int -> Db_core.Design.t -> int
-(** The cycle-accurate oracle: clock every transfer on the
-    {!Db_mem.Agu_sim} machine.  The spec-equivalence tests pin
-    {!replay_control} to this, cycle for cycle and counter for counter. *)
+    to clocking every transfer on the cycle-accurate {!Db_mem.Agu_sim}
+    machine, the oracle the spec-equivalence tests pin it to. *)
 
 val functional_output :
   ?cycle_budget:int ->
@@ -76,16 +72,8 @@ val functional_output :
     replayed first under {!replay_control}'s watchdog, so a design whose
     control state was corrupted raises {!Db_util.Error.Timeout} instead of
     looping forever.  Runs on the specialized engine; bitwise-identical to
-    {!functional_output_generic}. *)
-
-val functional_output_generic :
-  ?cycle_budget:int ->
-  Db_core.Design.t ->
-  Db_nn.Params.t ->
-  inputs:(string * Db_tensor.Tensor.t) list ->
-  Db_tensor.Tensor.t
-(** The generic engine ({!Db_nn.Quantized.output} with the design's LUTs),
-    kept as the oracle the specialized engine is property-tested against. *)
+    the generic one ({!Db_nn.Quantized.output} with the design's LUTs),
+    the oracle it is property-tested against. *)
 
 val functional_output_batch :
   ?cycle_budget:int ->

@@ -18,11 +18,15 @@
      forms ({!Db_mem.Agu_sim.trace}), so control replay reduces to summing
      precomputed per-transfer cycle counts under the same watchdog.
 
-   Float-order-sensitive layers (LRN, LCN, softmax, recurrent, pooling with
-   reciprocals, ...) delegate to the generic {!Quantized.eval_node}
-   verbatim, as does any node whose parameters fail the fast path's shape
-   guard — the guard failure cases re-run the generic kernel so error
-   behaviour stays identical too. *)
+   Float-order-sensitive layers (LRN, LCN, softmax, recurrent, ...)
+   delegate to the generic {!Quantized.eval_node} verbatim, as does any
+   node whose parameters fail the fast path's shape guard — the guard
+   failure cases re-run the generic kernel so error behaviour stays
+   identical too.
+
+   The fast kernels write into a per-task arena: one [int array] per
+   node, sized at compile time from {!Db_nn.Shape_infer} and overwritten
+   by every sample the arena replays (see [eval_slots]). *)
 
 module Tensor = Db_tensor.Tensor
 module Shape = Db_tensor.Shape
@@ -33,6 +37,7 @@ module Network = Db_nn.Network
 module Layer = Db_nn.Layer
 module Quantized = Db_nn.Quantized
 module Params = Db_nn.Params
+module Shape_infer = Db_nn.Shape_infer
 module Pool = Db_parallel.Pool
 
 (* The specialized engine must be indistinguishable from the generic one,
@@ -60,10 +65,10 @@ type kernel =
   | K_bad_input  (** input node without exactly one top *)
   | K_conv of { stride : int; pad : int; group : int; has_bias : bool }
   | K_fc of { has_bias : bool }
+  | K_pool of { method_ : Layer.pool_method; kernel : int; stride : int }
   | K_act of {
       act : Layer.activation;
       table : act_table option;  (** [act] under the design's own LUTs *)
-      in_place : bool;  (** may overwrite its input's words *)
     }
   | K_generic
 
@@ -72,6 +77,9 @@ type node_plan = {
   np_layer : Layer.t;
   np_bottoms : (string * int) array;  (** blob name, producing slot *)
   np_kernel : kernel;
+  np_words : int;
+      (** size of the node's arena slot: its output blob's words when its
+          kernel writes the arena, 0 otherwise *)
 }
 
 type out_spec =
@@ -171,6 +179,7 @@ let compile (design : Design.t) =
           tables := (act, tbl) :: !tables;
           Some tbl
   in
+  let shapes = Shape_infer.infer net in
   let blob_slot = Hashtbl.create 16 in
   let plans = ref [] in
   let next = ref 0 in
@@ -187,8 +196,9 @@ let compile (design : Design.t) =
         | Layer.Conv { stride; pad; group; bias; _ } ->
             K_conv { stride; pad; group; has_bias = bias }
         | Layer.Fc { bias; _ } -> K_fc { has_bias = bias }
-        | Layer.Act act ->
-            K_act { act; table = table_of act; in_place = false }
+        | Layer.Pool { method_; kernel_size = kernel; stride } ->
+            K_pool { method_; kernel; stride }
+        | Layer.Act act -> K_act { act; table = table_of act }
         | _ -> K_generic
       in
       let np_bottoms =
@@ -199,9 +209,15 @@ let compile (design : Design.t) =
              node.Network.bottoms)
       in
       List.iter (fun top -> Hashtbl.replace blob_slot top slot) node.Network.tops;
+      let np_words =
+        match kernel, node.Network.tops with
+        | (K_input _ | K_conv _ | K_fc _ | K_pool _ | K_act _), top :: _ ->
+            Shape.numel (Shape_infer.blob_shape shapes top)
+        | _ -> 0
+      in
       plans :=
         { np_name = node.Network.node_name; np_layer = node.Network.layer;
-          np_bottoms; np_kernel = kernel }
+          np_bottoms; np_kernel = kernel; np_words }
         :: !plans);
   let sp_out =
     match Network.output_blobs net with
@@ -209,32 +225,6 @@ let compile (design : Design.t) =
         let classifier = Network.classifier_output net in
         Out_single { slot = Hashtbl.find blob_slot blob; classifier }
     | blobs -> Out_multi (List.length blobs)
-  in
-  (* An activation may overwrite its input when that input is a fresh
-     conv/FC result that nothing else reads: one consumer, and not the
-     network output.  Slots are private to [eval_slots], so no caller can
-     observe the overwritten words. *)
-  let plan = Array.of_list (List.rev !plans) in
-  let consumers = Array.make (Array.length plan) 0 in
-  Array.iter
-    (fun np ->
-      Array.iter
-        (fun (_, slot) -> if slot >= 0 then consumers.(slot) <- consumers.(slot) + 1)
-        np.np_bottoms)
-    plan;
-  let exclusive slot =
-    consumers.(slot) = 1
-    && (match sp_out with Out_single o -> o.slot <> slot | Out_multi _ -> true)
-    && match plan.(slot).np_kernel with K_conv _ | K_fc _ -> true | _ -> false
-  in
-  let plan =
-    Array.map
-      (fun np ->
-        match np.np_kernel, np.np_bottoms with
-        | K_act a, [| (_, slot) |] when slot >= 0 && exclusive slot ->
-            { np with np_kernel = K_act { a with in_place = true } }
-        | _ -> np)
-      plan
   in
   let sp_control = compile_control design in
   let sp_control_cycles =
@@ -246,7 +236,7 @@ let compile (design : Design.t) =
     sp_network = net.Network.net_name;
     sp_fmt = fmt;
     sp_eval;
-    sp_plan = plan;
+    sp_plan = Array.of_list (List.rev !plans);
     sp_out;
     sp_control;
     sp_control_cycles;
@@ -315,10 +305,9 @@ let block = 4
    the tap's precomputed output window, and rescales the planes in place.
    The accumulation order differs from the generic kernel's, but OCaml
    [int] arithmetic is modular, so every order yields the same words. *)
-let conv_blocks fmt ~idata ~wdata ~bias ~stride ~pad ~group ~cin_g ~cout ~k ~h
-    ~w ~oh ~ow =
+let conv_blocks fmt ~idata ~wdata ~bias ~out ~stride ~pad ~group ~cin_g ~cout
+    ~k ~h ~w ~oh ~ow =
   let plane = oh * ow and kk = k * k in
-  let out = Array.make (cout * plane) 0 in
   let cout_g = cout / group in
   let blocks_per_group = (cout_g + block - 1) / block in
   let y_lo, y_hi = tap_ranges ~n:h ~out:oh ~stride ~pad ~k in
@@ -330,8 +319,9 @@ let conv_blocks fmt ~idata ~wdata ~bias ~stride ~pad ~group ~cin_g ~cout ~k ~h
     let oc0 = (g * cout_g) + (b mod blocks_per_group * block) in
     let nb = Int.min block (((g + 1) * cout_g) - oc0) in
     let obase = oc0 * plane in
+    (* [out] holds the previous sample's words: seed every plane. *)
     (match bias with
-    | None -> ()
+    | None -> Array.fill out obase (nb * plane) 0
     | Some (bt : Quantized.qtensor) ->
         for c = 0 to nb - 1 do
           Array.fill out
@@ -391,14 +381,13 @@ let conv_blocks fmt ~idata ~wdata ~bias ~stride ~pad ~group ~cin_g ~cout ~k ~h
   (* Blocks write disjoint channel planes; at jobs=1 or on a small layer
      the loop runs inline on the calling domain. *)
   Pool.parallel_for ~work:(cout * plane * cin_g * kk) ~lo:0
-    ~hi:(group * blocks_per_group) run;
-  out
+    ~hi:(group * blocks_per_group) run
 
 let numel_matches (q : Quantized.qtensor) =
   Array.length q.Quantized.qdata = Shape.numel q.Quantized.qshape
 
 let conv_kernel fmt ~(input : Quantized.qtensor) ~(weights : Quantized.qtensor)
-    ~bias ~stride ~pad ~group =
+    ~bias ~stride ~pad ~group ~out =
   (* Dimension extraction in the generic kernel's order, so a malformed
      weight shape raises the same error here. *)
   let ish = input.Quantized.qshape in
@@ -418,26 +407,22 @@ let conv_kernel fmt ~(input : Quantized.qtensor) ~(weights : Quantized.qtensor)
     && cin_g = cin / group && Shape.rank wsh = 4
     && Shape.dim wsh 3 = k
     && Array.length input.Quantized.qdata = cin * h * w
+    && Array.length out = cout * oh * ow
     && numel_matches weights
     && (match bias with
        | None -> true
        | Some (bt : Quantized.qtensor) -> Array.length bt.Quantized.qdata >= cout)
   in
   if not guard then None
-  else
-    Some
-      {
-        Quantized.qshape = Shape.chw ~channels:cout ~height:oh ~width:ow;
-        qdata =
-          conv_blocks fmt ~idata:input.Quantized.qdata
-            ~wdata:weights.Quantized.qdata ~bias ~stride ~pad ~group ~cin_g
-            ~cout ~k ~h ~w ~oh ~ow;
-      }
+  else begin
+    conv_blocks fmt ~idata:input.Quantized.qdata ~wdata:weights.Quantized.qdata
+      ~bias ~out ~stride ~pad ~group ~cin_g ~cout ~k ~h ~w ~oh ~ow;
+    Some { Quantized.qshape = Shape.chw ~channels:cout ~height:oh ~width:ow; qdata = out }
+  end
 
 let fc_kernel fmt ~(input : Quantized.qtensor) ~(weights : Quantized.qtensor)
-    ~bias ~nin ~nout =
+    ~bias ~nin ~nout ~out =
   let idata = input.Quantized.qdata and wdata = weights.Quantized.qdata in
-  let out = Array.make nout 0 in
   for o = 0 to nout - 1 do
     let base = o * nin in
     let acc =
@@ -470,7 +455,7 @@ let bind t params =
         (fun np ->
           match np.np_kernel with
           | K_input _ | K_bad_input -> []
-          | K_conv _ | K_fc _ | K_act _ | K_generic ->
+          | K_conv _ | K_fc _ | K_pool _ | K_act _ | K_generic ->
               List.map (Quantized.quantize t.sp_fmt) (Params.get params np.np_name))
         t.sp_plan;
   }
@@ -513,7 +498,19 @@ let map_activation fmt (tbl : act_table) f ~src ~dst =
        else Fixed.of_float fmt (f (Fixed.to_float fmt v)))
   done
 
-let eval_slots ?eval bound ~inputs =
+(* One buffer per node, [np_words] long ([[||]] for a node that writes
+   none).  An arena belongs to one pool task, which replays its samples
+   through it one after another. *)
+type arena = int array array
+
+let new_arena t = Array.map (fun np -> Array.make np.np_words 0) t.sp_plan
+
+(* Every slot of one forward pass.  A fast kernel writes node [i]'s words
+   into [arena.(i)], overwriting the previous sample's; a [K_generic]
+   node, or a fast one whose guard fails, returns a fresh array as
+   {!Quantized.eval_node} does.  Results may therefore alias the arena:
+   they are valid until the next pass through the same arena. *)
+let eval_slots ?eval bound (arena : arena) ~inputs =
   let t = bound.bd_spec in
   let fmt = t.sp_fmt in
   let eval = Option.value eval ~default:t.sp_eval in
@@ -523,6 +520,7 @@ let eval_slots ?eval bound ~inputs =
   in
   for i = 0 to n - 1 do
     let np = Array.unsafe_get t.sp_plan i in
+    let out = Array.unsafe_get arena i in
     let generic qparams bottoms =
       Quantized.eval_node fmt eval np.np_layer ~params:qparams ~bottoms
     in
@@ -534,10 +532,11 @@ let eval_slots ?eval bound ~inputs =
           | Some tensor ->
               if not (Shape.equal (Tensor.shape tensor) shape) then
                 qfail "input %S: shape mismatch" top;
-              Quantized.quantize fmt tensor
+              Fixed.quantize_into fmt tensor out;
+              { Quantized.qshape = shape; qdata = out }
           | None -> qfail "missing input tensor for blob %S" top
         end
-      | (K_conv _ | K_fc _ | K_act _ | K_generic) as kernel -> (
+      | (K_conv _ | K_fc _ | K_pool _ | K_act _ | K_generic) as kernel -> (
           let bottoms =
             List.map
               (fun (name, slot) ->
@@ -555,8 +554,9 @@ let eval_slots ?eval bound ~inputs =
                   in
                   match
                     conv_kernel fmt ~input ~weights ~bias ~stride ~pad ~group
+                      ~out
                   with
-                  | Some out -> out
+                  | Some result -> result
                   | None -> generic qparams bottoms
                 end
               | _ -> generic qparams bottoms
@@ -573,15 +573,23 @@ let eval_slots ?eval bound ~inputs =
                     qfail "fc: input size mismatch";
                   let guard =
                     Shape.rank wsh = 2 && numel_matches weights
+                    && Array.length out = nout
                     && (match bias with
                        | None -> true
                        | Some bt -> Array.length bt.Quantized.qdata >= nout)
                   in
-                  if guard then fc_kernel fmt ~input ~weights ~bias ~nin ~nout
+                  if guard then fc_kernel fmt ~input ~weights ~bias ~nin ~nout ~out
                   else generic qparams bottoms
               | _ -> generic qparams bottoms
             end
-          | K_act { act; table; in_place }, _, [ input ] ->
+          | K_pool { method_; kernel; stride }, _, [ input ] -> begin
+              match
+                Quantized.qpool_into fmt ~method_ ~input ~kernel ~stride ~eval ~out
+              with
+              | Some result -> result
+              | None -> generic qparams bottoms
+            end
+          | K_act { act; table }, _, [ input ] ->
               (* [eval_node] runs [qmap fmt (eval.eval_activation act)] and
                  ignores the node's parameters; the same map with the
                  evaluator dispatched once, outside the element loop.  The
@@ -589,7 +597,8 @@ let eval_slots ?eval bound ~inputs =
                  stands in for it alone: any other evaluator (a campaign's
                  faulted LUTs) keeps the closure. *)
               let src = input.Quantized.qdata in
-              let dst = if in_place then src else Array.make (Array.length src) 0 in
+              let len = Array.length src in
+              let dst = if Array.length out = len then out else Array.make len 0 in
               let tbl =
                 match table with
                 | Some tbl when eval == t.sp_eval -> tbl
@@ -604,26 +613,45 @@ let eval_slots ?eval bound ~inputs =
   done;
   slots
 
-let qoutput ?eval bound ~inputs =
-  let t = bound.bd_spec in
-  let slots = eval_slots ?eval bound ~inputs in
+let output_slot t slots =
   match t.sp_out with
   | Out_multi n -> qfail "network has %d output blobs, expected one" n
   | Out_single { slot; _ } -> slots.(slot)
 
-let output ?eval bound ~inputs =
-  let t = bound.bd_spec in
-  let q = qoutput ?eval bound ~inputs in
+(* The output words as a fresh tensor, copied out of the arena. *)
+let tensor_of_output t (q : Quantized.qtensor) =
   match t.sp_out with
   | Out_single { classifier = true; _ } ->
       Tensor.of_array q.Quantized.qshape (Array.map float_of_int q.Quantized.qdata)
   | Out_single _ | Out_multi _ -> Quantized.dequantize t.sp_fmt q
 
+(* A fresh arena per call: the caller owns the words it gets back (the
+   fault campaign keeps its golden output across trials). *)
+let qoutput ?eval bound ~inputs =
+  let t = bound.bd_spec in
+  output_slot t (eval_slots ?eval bound (new_arena t) ~inputs)
+
+let output ?eval bound ~inputs =
+  tensor_of_output bound.bd_spec (qoutput ?eval bound ~inputs)
+
 (* Batched playback: samples are independent forward passes over one bound
-   trace, so they fan out across the domain pool.  The functional path
+   trace.  The batch is cut into one contiguous chunk per pool domain, and
+   each chunk's task replays its samples through one arena, copying every
+   output out before the next sample overwrites it.  The functional path
    records no per-sample counters (only [pool.*] scheduling counters, which
-   were never part of the determinism contract), and each sample's
-   arithmetic is self-contained — the batch is bitwise-identical to a
+   were never part of the determinism contract), and each sample's words
+   depend on nothing but its inputs — the batch is bitwise-identical to a
    sequential loop at any DEEPBURNING_JOBS. *)
 let output_batch ?eval bound ~batch =
-  Pool.map_list (fun inputs -> output ?eval bound ~inputs) batch
+  let t = bound.bd_spec in
+  let samples = Array.of_list batch in
+  let n = Array.length samples in
+  let tasks = Int.min n (Pool.job_count ()) in
+  let outputs = Array.make n None in
+  Pool.parallel_for ~chunk:1 ~lo:0 ~hi:tasks (fun k ->
+      let arena = new_arena t in
+      for s = k * n / tasks to ((k + 1) * n / tasks) - 1 do
+        let slots = eval_slots ?eval bound arena ~inputs:samples.(s) in
+        outputs.(s) <- Some (tensor_of_output t (output_slot t slots))
+      done);
+  Array.to_list (Array.map Option.get outputs)

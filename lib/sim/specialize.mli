@@ -15,8 +15,11 @@
     (convolution, full connection) run specialized unsafe-indexed kernels
     in their own summation order — sound because OCaml [int] arithmetic is
     modular, so every order yields the same word — activations of formats
-    of at most 16 bits read a per-design table, and float-order-sensitive
-    layers delegate to {!Db_nn.Quantized.eval_node} verbatim. *)
+    of at most 16 bits read a per-design table, pooling runs
+    {!Db_nn.Quantized.qpool_into}, and float-order-sensitive layers
+    delegate to {!Db_nn.Quantized.eval_node} verbatim.  These kernels write
+    into per-task slot arenas sized at compile time; nothing returned to a
+    caller aliases one. *)
 
 type t
 (** A compiled trace: everything derivable from the design alone. *)
@@ -64,13 +67,17 @@ val conv_kernel :
   stride:int ->
   pad:int ->
   group:int ->
+  out:int array ->
   Db_nn.Quantized.qtensor option
 (** The specialized convolution: tap-major over blocks of four output
-    channels, split across the domain pool.  [None] when the shapes fail
-    its guard (playback then runs the generic kernel, which raises the
-    generic error); otherwise the words the generic kernel computes, bit
-    for bit.  Dimension errors ({!Db_tensor.Ops.conv_output_dim}) are
-    raised in the generic kernel's order. *)
+    channels, split across the domain pool, written into [out] (whatever
+    it held before).  [None] when the shapes fail its guard, which
+    includes [out] not holding exactly the output's words (playback then
+    runs the generic kernel, which raises the generic error); otherwise
+    [out] under the output shape, holding the words the generic kernel
+    computes, bit for bit.  Dimension errors
+    ({!Db_tensor.Ops.conv_output_dim}) are raised in the generic kernel's
+    order. *)
 
 val bind : t -> Db_nn.Params.t -> bound
 (** Quantize the parameter set once, up front.  Amortises the dominant
@@ -96,7 +103,8 @@ val output :
   Db_tensor.Tensor.t
 (** One forward pass over the bound trace; bitwise-identical to
     {!Db_nn.Quantized.output} with the design's format and LUT evaluator.
-    [?eval] overrides the evaluator (LUT fault injection). *)
+    [?eval] overrides the evaluator (LUT fault injection).  The result is
+    a fresh tensor. *)
 
 val qoutput :
   ?eval:Db_nn.Quantized.function_eval ->
@@ -104,13 +112,17 @@ val qoutput :
   inputs:(string * Db_tensor.Tensor.t) list ->
   Db_nn.Quantized.qtensor
 (** The raw quantized output blob (before dequantisation / classifier
-    index conversion). *)
+    index conversion).  Each call replays through an arena of its own, so
+    the caller owns the returned words: later calls never overwrite
+    them. *)
 
 val output_batch :
   ?eval:Db_nn.Quantized.function_eval ->
   bound ->
   batch:(string * Db_tensor.Tensor.t) list list ->
   Db_tensor.Tensor.t list
-(** [output] over every sample, fanned out across the domain pool; order
-    preserved, bitwise-identical to the sequential loop at any
-    DEEPBURNING_JOBS. *)
+(** [output] over every sample: the batch is cut into one contiguous chunk
+    per pool domain, each replayed through one arena, so the per-sample
+    intermediate blobs of the fast kernels are allocated once per chunk.
+    Order preserved; every returned tensor is fresh and unaliased;
+    bitwise-identical to the sequential loop at any DEEPBURNING_JOBS. *)

@@ -187,9 +187,7 @@ let l2_distance a b =
 
 let random_uniform rng shape ~min ~max =
   let b = A1.create Bigarray.float64 Bigarray.c_layout (Shape.numel shape) in
-  for i = 0 to A1.dim b - 1 do
-    A1.unsafe_set b i (Db_util.Rng.uniform rng ~min ~max)
-  done;
+  Db_util.Rng.fill_uniform rng b ~min ~max;
   { shape; data = b }
 
 let random_gaussian rng shape ~mean ~stddev =

@@ -41,6 +41,15 @@ let[@inline] float t bound =
 
 let[@inline] uniform t ~min ~max = min +. float t (max -. min)
 
+(* The loop lives here, next to the inlined draw, so each float goes
+   straight from registers into the buffer: a caller in another module
+   pays a boxed float per [uniform] under [-opaque]. *)
+let fill_uniform t (b : (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t)
+    ~min ~max =
+  for i = 0 to Bigarray.Array1.dim b - 1 do
+    Bigarray.Array1.unsafe_set b i (uniform t ~min ~max)
+  done
+
 let gaussian t ~mean ~stddev =
   let rec draw () =
     let u1 = float t 1.0 in

@@ -29,6 +29,16 @@ val float : t -> float -> float
 val uniform : t -> min:float -> max:float -> float
 (** Uniform in [\[min, max)]. *)
 
+val fill_uniform :
+  t ->
+  (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t ->
+  min:float ->
+  max:float ->
+  unit
+(** [fill_uniform t b ~min ~max] sets [b.{0}], [b.{1}], ... in order to
+    successive {!uniform} draws: the same stream, without a boxed float
+    per element. *)
+
 val gaussian : t -> mean:float -> stddev:float -> float
 (** Normal deviate via Box-Muller. *)
 

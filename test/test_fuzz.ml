@@ -137,7 +137,7 @@ let flow_invariants seed =
   in
   (* 7. The specialized engine is the generic one, bit for bit. *)
   let generic =
-    Db_sim.Simulator.functional_output_generic design params
+    Generic_engine.functional_output design params
       ~inputs:[ ("data", input) ]
   in
   let fmt = design.Db_core.Design.datapath.Db_sched.Datapath.fmt in

@@ -62,7 +62,41 @@ let test_simulate_ok () =
       in
       Alcotest.(check int) "200" 200 status;
       Alcotest.(check bool) "has cycles" true (contains body "total_cycles");
-      Alcotest.(check bool) "names its engine" true (contains body "\"engine\""))
+      Alcotest.(check bool) "has output digest" true
+        (contains body "output_sha256"))
+
+(* The collector counters on /metrics are the whole process's: present,
+   and never falling between two scrapes around a simulation. *)
+let test_gc_metrics () =
+  with_daemon (fun port ->
+      let gc_counters () =
+        let status, body = get port "/metrics" in
+        Alcotest.(check int) "metrics 200" 200 status;
+        List.map
+          (fun name ->
+            let line =
+              List.find_opt
+                (fun l -> String.starts_with ~prefix:(name ^ " ") l)
+                (String.split_on_char '\n' body)
+            in
+            match line with
+            | Some l ->
+                (name, int_of_string (String.sub l (String.length name + 1)
+                                        (String.length l - String.length name - 1)))
+            | None -> Alcotest.failf "/metrics has no %s line" name)
+          [ "gc.minor_collections"; "gc.major_collections"; "gc.minor_words";
+            "gc.major_words" ]
+      in
+      let before = gc_counters () in
+      let status, _ =
+        post port "/simulate" (json_body [ model_field; "\"samples\":4" ])
+      in
+      Alcotest.(check int) "simulate 200" 200 status;
+      let after = gc_counters () in
+      List.iter2
+        (fun (name, b) (_, a) ->
+          if a < b then Alcotest.failf "%s fell from %d to %d" name b a)
+        before after)
 
 (* Malformed inputs at every layer answer a classified 4xx, not a 500. *)
 let test_malformed_http () =
@@ -199,27 +233,6 @@ let test_storm () =
             (List.mem s [ 200; 503; 429 ]))
         results)
 
-(* Graceful degradation unit: primary failure falls back; watchdog does not. *)
-let test_engine_fallback () =
-  let tag, v =
-    Serve.with_engine_fallback
-      ~primary:(fun () -> failwith "engine exploded")
-      ~fallback:(fun () -> 7)
-  in
-  Alcotest.(check bool) "fell back" true (tag = `Fallback && v = 7);
-  let tag, v =
-    Serve.with_engine_fallback ~primary:(fun () -> 3) ~fallback:(fun () -> 7)
-  in
-  Alcotest.(check bool) "primary wins" true (tag = `Primary && v = 3);
-  match
-    Serve.with_engine_fallback
-      ~primary:(fun () ->
-        Db_util.Error.timeout ~component:"simulator" ~cycles:10 ~budget:1)
-      ~fallback:(fun () -> 7)
-  with
-  | _ -> Alcotest.fail "watchdog must propagate, not fall back"
-  | exception Db_util.Error.Timeout _ -> ()
-
 (* Stop drains: queued work is finished, not dropped, and stop returns. *)
 let test_stop_drains () =
   let t = Serve.start { Serve.default_config with Serve.port = 0 } in
@@ -245,6 +258,7 @@ let suite =
         Alcotest.test_case "generate matches in-memory path" `Quick
           test_generate_ok;
         Alcotest.test_case "simulate" `Quick test_simulate_ok;
+        Alcotest.test_case "gc counters on metrics" `Quick test_gc_metrics;
         Alcotest.test_case "malformed http is 400" `Quick test_malformed_http;
         Alcotest.test_case "malformed json is 400" `Quick test_malformed_json;
         Alcotest.test_case "malformed model is 400" `Quick test_malformed_model;
@@ -256,7 +270,6 @@ let suite =
         Alcotest.test_case "watchdog timeout is 504" `Quick test_watchdog_504;
         Alcotest.test_case "per-client quota is 429" `Quick test_quota;
         Alcotest.test_case "storm resolves every request" `Slow test_storm;
-        Alcotest.test_case "engine fallback" `Quick test_engine_fallback;
         Alcotest.test_case "stop drains in-flight work" `Quick test_stop_drains;
       ] );
   ]

@@ -70,7 +70,7 @@ let check_model (name, prototxt) () =
   in
   let gen_out, gen_counters =
     engine_counters (fun () ->
-        Simulator.functional_output_generic design params ~inputs)
+        Generic_engine.functional_output design params ~inputs)
   in
   Alcotest.(check bool)
     (name ^ ": specialized output bitwise-equals generic")
@@ -96,12 +96,12 @@ let check_model (name, prototxt) () =
     Alcotest.(check int)
       (name ^ ": control cycles (cycle-accurate)")
       cycles
-      (Simulator.replay_control_generic ~cycle_budget:budget design)
+      (Generic_engine.replay_control ~cycle_budget:budget design)
 
 (* A conv output read both by an activation and by the concat that joins
-   the activation back in: the activation must not overwrite words the
-   concat still reads.  The head's sigmoid is the network output and may
-   overwrite its FC input. *)
+   the activation back in: the activation must write its own arena slot,
+   not the conv words the concat still reads.  The head's sigmoid is the
+   network output. *)
 let branchy_prototxt =
   {|name: "branchy"
 layers { name: "data" type: INPUT top: "data"
@@ -127,7 +127,7 @@ let test_jobs_invariance () =
   in
   Alcotest.(check bool) "jobs=4 equals jobs=1" true
     (Tensor.equal_bits wide narrow);
-  let wide_gen = Simulator.functional_output_generic design params ~inputs in
+  let wide_gen = Generic_engine.functional_output design params ~inputs in
   Alcotest.(check bool) "specialized equals generic at jobs=4" true
     (Tensor.equal_bits wide wide_gen)
 
@@ -358,9 +358,11 @@ let prop_conv_kernel_oracle =
           ~group:c.group ~cin_g:c.cin_g ~cout ~k:c.k ~h:c.h ~w:c.w ~oh:(dim c.h)
           ~ow:(dim c.w)
       in
+      (* The kernel writes over whatever its buffer held. *)
+      let out = words (Array.length expect.Quantized.qdata) in
       match
         Specialize.conv_kernel c.fmt ~input ~weights ~bias ~stride:c.stride
-          ~pad:c.pad ~group:c.group
+          ~pad:c.pad ~group:c.group ~out
       with
       | None -> QCheck.Test.fail_report "guard rejected well-formed shapes"
       | Some got ->
@@ -377,7 +379,197 @@ let test_conv_kernel_guard () =
           ~input:(q (Shape.chw ~channels:2 ~height:4 ~width:4))
           ~weights:(q (Shape.of_list [ 3; 2; 3; 3 ]))
           ~bias:(Some (q (Shape.vector 2)))
-          ~stride:1 ~pad:0 ~group:1))
+          ~stride:1 ~pad:0 ~group:1 ~out:(Array.make 12 0)))
+
+(* --- pooling kernel ---------------------------------------------------------- *)
+
+type pool_case = {
+  method_ : Layer.pool_method;
+  c : int;
+  kernel : int;
+  pstride : int;
+  ph : int;
+  pw : int;
+  pseed : int;
+}
+
+let print_pool_case p =
+  Printf.sprintf "%s c=%d k=%d stride=%d h=%d w=%d seed=%d"
+    (match p.method_ with Layer.Max_pool -> "max" | Layer.Avg_pool -> "ave")
+    p.c p.kernel p.pstride p.ph p.pw p.pseed
+
+let gen_pool_case =
+  QCheck.Gen.(
+    let* method_ = oneofl [ Layer.Max_pool; Layer.Avg_pool ] in
+    let* c = int_range 1 4 in
+    (* Areas 1, 4 and 16 divide by shifting, 9 and 25 by the reciprocal. *)
+    let* kernel = int_range 1 5 in
+    let* pstride = int_range 1 4 in
+    let* ph = int_range kernel (kernel + 8) in
+    let* pw = int_range kernel (kernel + 8) in
+    let* pseed = int_range 0 1_000_000 in
+    return { method_; c; kernel; pstride; ph; pw; pseed })
+
+(* The arena's pooling writes every word of a slot that still holds the
+   previous sample's, and refuses a slot of the wrong size. *)
+let prop_pool_into =
+  QCheck.Test.make ~name:"pool into a used slot = Quantized pooling" ~count:200
+    (QCheck.make ~print:print_pool_case gen_pool_case)
+    (fun p ->
+      let fmt = Fixed.q16_8 in
+      let rng = Rng.create p.pseed in
+      let words n =
+        Array.init n (fun _ ->
+            Fixed.min_value fmt
+            + Rng.int rng (Fixed.max_value fmt - Fixed.min_value fmt + 1))
+      in
+      let shape = Shape.chw ~channels:p.c ~height:p.ph ~width:p.pw in
+      let input = { Quantized.qshape = shape; qdata = words (Shape.numel shape) } in
+      let eval = Quantized.exact_eval in
+      let expect =
+        Quantized.eval_node fmt eval
+          (Layer.Pool { method_ = p.method_; kernel_size = p.kernel; stride = p.pstride })
+          ~params:[] ~bottoms:[ input ]
+      in
+      let into out =
+        Quantized.qpool_into fmt ~method_:p.method_ ~input ~kernel:p.kernel
+          ~stride:p.pstride ~eval ~out
+      in
+      let n = Array.length expect.Quantized.qdata in
+      Option.is_none (into (Array.make (n + 1) 0))
+      &&
+      match into (words n) with
+      | None -> QCheck.Test.fail_report "rejected a slot of the output's size"
+      | Some got ->
+          Shape.equal got.Quantized.qshape expect.Quantized.qshape
+          && got.Quantized.qdata = expect.Quantized.qdata)
+
+(* A 3x3 average pool divides through the reciprocal LUT; a campaign's
+   faulted evaluator must reach the arena kernel, not the design's word. *)
+let avgpool3_prototxt =
+  {|name: "avgpool3"
+layers { name: "data" type: INPUT top: "data"
+  input_param { dim: 2 dim: 9 dim: 9 } }
+layers { name: "conv" type: CONVOLUTION bottom: "data" top: "conv"
+  convolution_param { num_output: 4 kernel_size: 3 pad: 1 } }
+layers { name: "pool" type: POOLING bottom: "conv" top: "pool"
+  pooling_param { pool: AVE kernel_size: 3 stride: 3 } }
+layers { name: "fc" type: INNER_PRODUCT bottom: "pool" top: "fc"
+  inner_product_param { num_output: 5 } }
+|}
+
+let test_faulted_reciprocal () =
+  let design = design_of avgpool3_prototxt in
+  let params, inputs = inputs_for ~seed:3 design in
+  let sp = Specialize.of_design design in
+  let healthy = Specialize.lut_eval sp in
+  let faulted =
+    { healthy with
+      Quantized.eval_reciprocal = (fun x -> 1.75 *. healthy.Quantized.eval_reciprocal x) }
+  in
+  let bound = Specialize.bind sp params in
+  let spec = Specialize.output ~eval:faulted bound ~inputs in
+  let gen =
+    Quantized.output ~eval:faulted ~fmt:(Specialize.qformat sp)
+      design.Db_core.Design.network params ~inputs
+  in
+  Alcotest.(check bool) "faulted playback bitwise-equals generic" true
+    (Tensor.equal_bits spec gen);
+  Alcotest.(check bool) "the fault is visible" false
+    (Tensor.equal_bits spec (Specialize.output bound ~inputs))
+
+(* --- arena ownership --------------------------------------------------------- *)
+
+let lenet5_batch ~seed n =
+  let design = design_of Zoo.lenet5_prototxt in
+  let net = design.Db_core.Design.network in
+  let rng = Rng.create seed in
+  let params = Params.init_xavier rng net in
+  let blob, shape = Network.first_input net in
+  let batch =
+    List.init n (fun _ ->
+        [ (blob, Tensor.random_uniform rng shape ~min:(-1.0) ~max:1.0) ])
+  in
+  (design, params, batch)
+
+(* Every tensor [output_batch] returns is its own: scribbling over one
+   leaves the others, and a re-run, as they were. *)
+let test_batch_outputs_unaliased () =
+  List.iter
+    (fun (width, run) ->
+      List.iter
+        (fun n ->
+          let design, params, batch = lenet5_batch ~seed:41 n in
+          let play () =
+            run (fun () -> Simulator.functional_output_batch design params ~batch)
+          in
+          let saved = List.map Tensor.copy (play ()) in
+          for i = 0 to n - 1 do
+            let outs = play () in
+            let victim = List.nth outs i in
+            for j = 0 to Tensor.numel victim - 1 do
+              Tensor.set victim j Float.nan
+            done;
+            List.iteri
+              (fun k (o, s) ->
+                if k <> i && not (Tensor.equal_bits o s) then
+                  Alcotest.failf "width %d batch %d: sample %d changed with sample %d"
+                    width n k i)
+              (List.combine outs saved)
+          done;
+          List.iteri
+            (fun k (o, s) ->
+              if not (Tensor.equal_bits o s) then
+                Alcotest.failf "width %d batch %d: re-run sample %d differs" width n k)
+            (List.combine (play ()) saved))
+        [ 1; 3; 8 ])
+    [ (1, Pool.with_sequential); (4, fun f -> f ()) ]
+
+(* [qoutput] hands its caller words no later call overwrites. *)
+let test_qoutput_owned () =
+  let design, params, batch = lenet5_batch ~seed:43 3 in
+  let bound = Specialize.bind (Specialize.of_design design) params in
+  let first = Specialize.qoutput bound ~inputs:(List.hd batch) in
+  let saved = Array.copy first.Quantized.qdata in
+  List.iter (fun inputs -> ignore (Specialize.qoutput bound ~inputs)) (List.tl batch);
+  ignore (Specialize.output_batch bound ~batch);
+  Alcotest.(check (array int)) "first result intact" saved first.Quantized.qdata
+
+(* --- allocation budget ------------------------------------------------------- *)
+
+(* Both counts are taken on the calling domain at width 1, where they
+   repeat exactly.  A batch replays through one arena, so eight samples
+   may allocate little more major heap than one (binding the parameters
+   dominates both); and filling a tensor with uniform draws allocates
+   nothing per element. *)
+let test_allocation_budget () =
+  let design, params, batch = lenet5_batch ~seed:47 8 in
+  Pool.with_sequential (fun () ->
+      (* [Gc.counters] reads this domain's live counts ([Gc.quick_stat]
+         only samples them at collections). *)
+      let major_words f =
+        Gc.minor ();
+        let _, _, before = Gc.counters () in
+        ignore (Sys.opaque_identity (f ()));
+        let _, _, after = Gc.counters () in
+        after -. before
+      in
+      let play batch () = Simulator.functional_output_batch design params ~batch in
+      ignore (play batch ());
+      let one = major_words (play [ List.hd batch ]) in
+      let eight = major_words (play batch) in
+      if eight > 1.5 *. one then
+        Alcotest.failf "batch of 8 allocates %.0f major words, batch of 1 %.0f"
+          eight one);
+  let rng = Rng.create 5 in
+  let shape = Shape.vector 65536 in
+  ignore (Tensor.random_uniform rng (Shape.vector 1) ~min:0.0 ~max:1.0);
+  let before = Gc.minor_words () in
+  let t = Tensor.random_uniform rng shape ~min:(-1.0) ~max:1.0 in
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity t);
+  if words > 64.0 then
+    Alcotest.failf "random_uniform over 65536 elements: %.0f minor words" words
 
 (* --- activation tables ----------------------------------------------------- *)
 
@@ -490,6 +682,13 @@ let suite =
             test_campaign_engines_agree_googlenet;
           QCheck_alcotest.to_alcotest prop_conv_kernel_oracle;
           Alcotest.test_case "conv kernel guard" `Quick test_conv_kernel_guard;
+          QCheck_alcotest.to_alcotest prop_pool_into;
+          Alcotest.test_case "faulted reciprocal reaches the pool kernel" `Quick
+            test_faulted_reciprocal;
+          Alcotest.test_case "batch outputs unaliased" `Quick
+            test_batch_outputs_unaliased;
+          Alcotest.test_case "qoutput result owned" `Quick test_qoutput_owned;
+          Alcotest.test_case "allocation budget" `Quick test_allocation_budget;
           Alcotest.test_case "activation tables = closure" `Slow
             test_activation_tables;
         ] );
