@@ -15,6 +15,7 @@
    experiments and are skipped by the default run) *)
 
 module Experiments = Db_report.Experiments
+module Minijson = Db_util.Minijson
 
 let section_header title = Printf.printf "\n=== %s ===\n\n%!" title
 
@@ -303,18 +304,6 @@ let conv_micro (name, cin, hw, cout, k, pad, group) =
   in
   (name, naive_s, gemm_s)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* Identify the producing tree so the regression checker can tell a stale
    baseline from a slow build. *)
 let git_rev () =
@@ -554,7 +543,7 @@ let run_json () =
   let fsec = Printf.sprintf "%.6f" in
   Buffer.add_string buf "{\n";
   Printf.bprintf buf "  \"schema_version\": %d,\n" bench_schema_version;
-  Printf.bprintf buf "  \"git_rev\": \"%s\",\n" (json_escape (git_rev ()));
+  Printf.bprintf buf "  \"git_rev\": \"%s\",\n" (Minijson.escape (git_rev ()));
   Printf.bprintf buf "  \"jobs\": %d,\n" (Db_parallel.Pool.job_count ());
   Printf.bprintf buf "  \"quick\": %b,\n" !quick;
   Buffer.add_string buf "  \"sections_seconds\": {\n";
@@ -628,7 +617,7 @@ let run_json () =
             Printf.sprintf
               "    { \"layer\": \"%s\", \"naive_seconds\": %s, \
                \"gemm_seconds\": %s, \"speedup\": %.2f }"
-              (json_escape name) (fsec naive_s) (fsec gemm_s)
+              (Minijson.escape name) (fsec naive_s) (fsec gemm_s)
               (naive_s /. gemm_s))
           micros));
   Buffer.add_string buf "\n  ],\n";
@@ -639,7 +628,7 @@ let run_json () =
           (fun (name, ns) ->
             Option.map
               (fun est ->
-                Printf.sprintf "    \"%s\": %.0f" (json_escape name) est)
+                Printf.sprintf "    \"%s\": %.0f" (Minijson.escape name) est)
               ns)
           bech));
   Buffer.add_string buf "\n  }\n}\n";

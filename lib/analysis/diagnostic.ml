@@ -45,32 +45,16 @@ let to_string d =
 
 let pp fmt d = Format.pp_print_string fmt (to_string d)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json d =
   Printf.sprintf
     {|{"code":"%s","severity":"%s","module":"%s","item":%s,"message":"%s"}|}
-    (json_escape d.code)
+    (Db_util.Minijson.escape d.code)
     (severity_name d.severity)
-    (json_escape d.scope)
+    (Db_util.Minijson.escape d.scope)
     (match d.item with
-    | Some i -> Printf.sprintf {|"%s"|} (json_escape i)
+    | Some i -> Printf.sprintf {|"%s"|} (Db_util.Minijson.escape i)
     | None -> "null")
-    (json_escape d.message)
+    (Db_util.Minijson.escape d.message)
 
 let json_of_list ds =
   "[" ^ String.concat "," (List.map to_json ds) ^ "]"

@@ -113,12 +113,11 @@ let evaluate ~space ~base ~net ~config ~params ~samples ~refs ~input_blob
         | Some refs ->
             let total =
               List.fold_left2
-                (fun acc inputs reference ->
-                  let out =
-                    Simulator.functional_output design params ~inputs
-                  in
-                  acc +. mean_abs_diff out reference)
-                0.0 samples refs
+                (fun acc out reference -> acc +. mean_abs_diff out reference)
+                0.0
+                (Simulator.functional_output_batch design params
+                   ~batch:samples)
+                refs
             in
             total /. float_of_int (Stdlib.max 1 (List.length samples))
       in
@@ -352,25 +351,11 @@ let select ?config base net =
       fail "no feasible candidate within %d evaluations for %S"
         config.budget res.r_model
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let render_json (r : result) =
   let b = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   add "{\n";
-  add "  \"model\": \"%s\",\n" (json_escape r.r_model);
+  add "  \"model\": \"%s\",\n" (Db_util.Minijson.escape r.r_model);
   add "  \"seed\": %d,\n" r.r_config.seed;
   add "  \"budget\": %d,\n" r.r_config.budget;
   add "  \"objectives\": [%s],\n"

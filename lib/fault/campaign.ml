@@ -196,14 +196,6 @@ let agu_addresses_equal (g : Access_pattern.t) (c : Access_pattern.t) =
   in
   agree 0
 
-let agu_cycles (p : Access_pattern.t) =
-  let words =
-    p.Access_pattern.x_length * p.Access_pattern.y_length * p.Access_pattern.repeat
-  in
-  words
-  + ((p.Access_pattern.y_length - 1) * p.Access_pattern.repeat)
-  + (p.Access_pattern.repeat - 1) + 2
-
 (* A zeroed length register makes the down-counter wrap through 2^24 —
    the watchdog is what ends that run, so it classifies as Hang, as does
    any corrupted pattern whose cycle count exceeds the budget. *)
@@ -213,7 +205,7 @@ let classify_agu ~budget golden corrupted =
     || corrupted.Access_pattern.y_length <= 0
     || corrupted.Access_pattern.repeat <= 0
   then Hang
-  else if agu_cycles corrupted > budget then Hang
+  else if Db_mem.Agu_sim.cycles_estimate corrupted > budget then Hang
   else if agu_addresses_equal golden corrupted then Masked
   else Sdc
 
@@ -226,13 +218,16 @@ type trial = {
   t_outcome : outcome;
 }
 
-(* One draw's corruption of the stored state: the edited parameter words
-   of each touched node (whole tensor lists, in [Params] order), the input
-   the buffer holds, and the evaluator (a faulted one for LUT upsets). *)
-type corruption = {
-  c_params : (string * Quantized.qtensor list) list;
-  c_input : Tensor.t;
-  c_eval : Quantized.function_eval;
+(* One pool task's private copy of the stored parameter words.  [read]
+   and [write] address one word as a Q-word; [forward] evaluates one input
+   (under an evaluator, faulted for LUT upsets) to the output blob's
+   words, valid until the next [forward] on the same copy.  A fault writes
+   its flipped words, runs, and writes the old words back, so a copy holds
+   the fault-free words between draws. *)
+type working_copy = {
+  read : node:string -> tensor:int -> word:int -> int;
+  write : node:string -> tensor:int -> word:int -> int -> unit;
+  forward : Quantized.function_eval -> Tensor.t -> Quantized.qtensor;
 }
 
 let run ~design ~params ~input_blob ~inputs (config : config) =
@@ -260,43 +255,63 @@ let run ~design ~params ~input_blob ~inputs (config : config) =
   let net = design.Design.network in
   let luts = quantize_luts fmt design.Design.program.Compiler.luts in
   let eval = Db_sim.Lut_eval.of_luts luts in
-  (* The one engine dispatch: [node_q] reads a node's stored parameter
-     words, [qforward] evaluates a corruption to the output blob's words.
-     The specialized engine binds the parameters once and swaps edited
-     tensors into the bound trace; the generic oracle dequantizes them back
-     into the float store and re-interprets — in-range Q-words round-trip
-     exactly through to_float/of_float, so both see the same fault. *)
-  let node_q, qforward =
+  (* The one engine dispatch.  The specialized engine binds its own
+     quantized words and replays through its own arena; the generic oracle
+     keeps its own float parameters and re-interprets them, a word written
+     back as [to_float] — in-range Q-words round-trip exactly through
+     to_float/of_float, so both see the same fault. *)
+  let working_copy =
     match config.engine with
     | Specialized ->
-        let bound =
-          Db_sim.Specialize.bind (Db_sim.Specialize.of_design design) params
-        in
-        ( (fun node -> Db_sim.Specialize.node_qparams bound ~node),
-          fun c ->
-            let bound =
-              List.fold_left
-                (fun b (node, qts) ->
-                  Db_sim.Specialize.with_node_params b ~node qts)
-                bound c.c_params
-            in
-            Db_sim.Specialize.qoutput ~eval:c.c_eval bound
-              ~inputs:[ (input_blob, c.c_input) ] )
+        let spec = Db_sim.Specialize.of_design design in
+        fun () ->
+          let bound = Db_sim.Specialize.bind spec params in
+          let arena = Db_sim.Specialize.new_arena spec in
+          let qdata node tensor =
+            (List.nth (Db_sim.Specialize.node_qparams bound ~node) tensor)
+              .Quantized.qdata
+          in
+          {
+            read = (fun ~node ~tensor ~word -> (qdata node tensor).(word));
+            write =
+              (fun ~node ~tensor ~word v -> (qdata node tensor).(word) <- v);
+            forward =
+              (fun eval input ->
+                Db_sim.Specialize.qoutput ~eval ~arena bound
+                  ~inputs:[ (input_blob, input) ]);
+          }
     | Generic ->
-        ( (fun node -> List.map (Quantized.quantize fmt) (Params.get params node)),
-          fun c ->
-            (* shallow rebuild: trials run in parallel over one shared
-               [params], which is never mutated *)
-            let params' = Params.create () in
-            Params.iter params (fun node ts ->
-                Params.set params' node
-                  (match List.assoc_opt node c.c_params with
-                  | Some qts -> List.map (Quantized.dequantize fmt) qts
-                  | None -> ts));
-            Quantized.qoutput ~eval:c.c_eval ~fmt net params'
-              ~inputs:[ (input_blob, c.c_input) ] )
+        fun () ->
+          let params = Params.copy params in
+          let tensor_of node i = List.nth (Params.get params node) i in
+          {
+            read =
+              (fun ~node ~tensor ~word ->
+                Fixed.of_float fmt (Tensor.get (tensor_of node tensor) word));
+            write =
+              (fun ~node ~tensor ~word v ->
+                Tensor.set (tensor_of node tensor) word (Fixed.to_float fmt v));
+            forward =
+              (fun eval input ->
+                Quantized.qoutput ~eval ~fmt net params
+                  ~inputs:[ (input_blob, input) ]);
+          }
   in
-  let clean input = { c_params = []; c_input = input; c_eval = eval } in
+  (* One working copy per pool task, made on first use.  [chunked n f]
+     cuts [0, n) into one contiguous chunk per task, as
+     {!Db_sim.Specialize.output_batch} does, and runs [f copy i] over each
+     chunk with that task's copy: memory is O(jobs x params), whatever the
+     trial count. *)
+  let copies =
+    Array.init (Pool.job_count ()) (fun _ -> lazy (working_copy ()))
+  in
+  let chunked n f =
+    let tasks = Int.min n (Array.length copies) in
+    Pool.parallel_for ~chunk:1 ~lo:0 ~hi:tasks (fun k ->
+        for i = k * n / tasks to ((k + 1) * n / tasks) - 1 do
+          f copies.(k) i
+        done)
+  in
   let classifier = Db_nn.Network.classifier_output net in
   let qtop1_of (q : Quantized.qtensor) =
     if classifier then q.Quantized.qdata.(0)
@@ -311,7 +326,12 @@ let run ~design ~params ~input_blob ~inputs (config : config) =
       !best
     end
   in
-  let golden = Array.map (fun i -> qforward (clean i)) inputs in
+  (* Copied out of the arena, once per input. *)
+  let golden = Array.make (Array.length inputs) None in
+  chunked (Array.length inputs) (fun copy i ->
+      let q = (Lazy.force copy).forward eval inputs.(i) in
+      golden.(i) <- Some { q with Quantized.qdata = Array.copy q.Quantized.qdata });
+  let golden = Array.map Option.get golden in
   let golden_top1 = Array.map qtop1_of golden in
   let stored_bits cls ~word_bits =
     Protect.stored_bits (scheme_for config.protection cls) ~word_bits
@@ -330,20 +350,21 @@ let run ~design ~params ~input_blob ~inputs (config : config) =
     in
     go 0
   in
-  let classify input_idx c =
-    let q = qforward c in
+  let classify copy eval input_idx input =
+    let q = (Lazy.force copy).forward eval input in
     if qwords_equal q.Quantized.qdata golden.(input_idx).Quantized.qdata then
       Masked
     else if qtop1_of q = golden_top1.(input_idx) then Sdc
     else Top1_flip
   in
-  let run_trial t =
+  let run_trial copy t =
     let rng = Rng.create (config.seed + t) in
     let g, word, bit = Site.pick space rng in
     let input_idx = Rng.int rng (Array.length inputs) in
     let scheme = scheme_for config.protection g.Site.g_class in
     (* Push one flip of stored word [v] through the protection scheme; a
-       silent survivor that changed the word is forwarded as [corrupt v']. *)
+       silent survivor that changed the word is classified by
+       [corrupt v']. *)
     let upset v ~corrupt =
       match
         Protect.transmit scheme ~word_bits ~word:(v land word_mask)
@@ -353,24 +374,19 @@ let run ~design ~params ~input_blob ~inputs (config : config) =
       | Protect.Reloaded -> Retried
       | Protect.Silent w ->
           let v' = sign_extend word_bits w in
-          if v' = v then Masked else classify input_idx (corrupt v')
+          if v' = v then Masked else corrupt v'
     in
     let input = inputs.(input_idx) in
     let outcome =
       match g.Site.g_payload with
       | Site.P_param { node; tensor } ->
-          let qts = node_q node in
-          let q = List.nth qts tensor in
-          upset q.Quantized.qdata.(word) ~corrupt:(fun v' ->
-              (* copy only the flipped tensor's words *)
-              let qdata = Array.copy q.Quantized.qdata in
-              qdata.(word) <- v';
-              let qts' =
-                List.mapi
-                  (fun i x -> if i = tensor then { q with Quantized.qdata } else x)
-                  qts
-              in
-              { (clean input) with c_params = [ (node, qts') ] })
+          let c = Lazy.force copy in
+          let v = c.read ~node ~tensor ~word in
+          upset v ~corrupt:(fun v' ->
+              c.write ~node ~tensor ~word v';
+              let outcome = classify copy eval input_idx input in
+              c.write ~node ~tensor ~word v;
+              outcome)
       | Site.P_lut { lut } ->
           let l =
             List.find (fun l -> String.equal l.Approx_lut.lut_name lut) luts
@@ -387,12 +403,12 @@ let run ~design ~params ~input_blob ~inputs (config : config) =
                     else x)
                   luts
               in
-              { (clean input) with c_eval = Db_sim.Lut_eval.of_luts luts' })
+              classify copy (Db_sim.Lut_eval.of_luts luts') input_idx input)
       | Site.P_buffer _ ->
           upset (Fixed.of_float fmt (Tensor.get input word)) ~corrupt:(fun v' ->
               let input' = Tensor.copy input in
               Tensor.set input' word (Fixed.to_float fmt v');
-              clean input')
+              classify copy eval input_idx input')
       | Site.P_grad _ | Site.P_upd_fsm _ ->
           (* never enumerated without [?train]; inference campaigns
              cannot reach these — training upsets live in Train_campaign *)
@@ -431,10 +447,7 @@ let run ~design ~params ~input_blob ~inputs (config : config) =
     Array.make config.trials
       { t_class = Site.Weights; t_layer = None; t_outcome = Masked }
   in
-  Pool.parallel_for ~chunk:1
-    ~work:(config.trials * 500_000)
-    ~lo:0 ~hi:config.trials
-    (fun t -> slots.(t) <- run_trial t);
+  chunked config.trials (fun copy t -> slots.(t) <- run_trial copy t);
   let total =
     Array.fold_left (fun acc tr -> add_outcome acc tr.t_outcome) zero_counts slots
   in
@@ -478,7 +491,7 @@ let run ~design ~params ~input_blob ~inputs (config : config) =
       (fun ri rate ->
         let n = Array.length inputs in
         let hits = Array.make n false in
-        Pool.parallel_for ~chunk:1 ~work:(n * 500_000) ~lo:0 ~hi:n (fun i ->
+        chunked n (fun copy i ->
             let rng = Rng.create (config.seed + (1_000_003 * (ri + 1)) + i) in
             let expected = rate *. float_of_int data_space.Site.total_bits in
             let base = int_of_float expected in
@@ -489,39 +502,31 @@ let run ~design ~params ~input_blob ~inputs (config : config) =
             in
             if nflips = 0 then hits.(i) <- true
             else begin
+              let c = Lazy.force copy in
               let flip_q v bit =
                 sign_extend word_bits ((v land word_mask) lxor (1 lsl bit))
               in
-              (* Touched nodes' tensors are copied on first touch, so the
-                 shared stored words are never mutated. *)
-              let edits = ref [] in
+              (* Each flip's (node, tensor, word, old word), newest first:
+                 written back in that order after the pass, so a word
+                 flipped twice ends up fault-free. *)
+              let undo = ref [] in
               let input' = Tensor.copy inputs.(i) in
               for _ = 1 to nflips do
                 let g, word, bit = Site.pick data_space rng in
                 match g.Site.g_payload with
                 | Site.P_param { node; tensor } ->
-                    let qts =
-                      match List.assoc_opt node !edits with
-                      | Some qts -> qts
-                      | None ->
-                          let qts =
-                            List.map
-                              (fun (q : Quantized.qtensor) ->
-                                { q with Quantized.qdata = Array.copy q.Quantized.qdata })
-                              (node_q node)
-                          in
-                          edits := (node, qts) :: !edits;
-                          qts
-                    in
-                    let d = (List.nth qts tensor).Quantized.qdata in
-                    d.(word) <- flip_q d.(word) bit
+                    let v = c.read ~node ~tensor ~word in
+                    c.write ~node ~tensor ~word (flip_q v bit);
+                    undo := (node, tensor, word, v) :: !undo
                 | Site.P_buffer _ ->
                     let v = Fixed.of_float fmt (Tensor.get input' word) in
                     Tensor.set input' word (Fixed.to_float fmt (flip_q v bit))
                 | _ -> ()
               done;
-              let c = { (clean input') with c_params = !edits } in
-              hits.(i) <- qtop1_of (qforward c) = golden_top1.(i)
+              hits.(i) <- qtop1_of (c.forward eval input') = golden_top1.(i);
+              List.iter
+                (fun (node, tensor, word, v) -> c.write ~node ~tensor ~word v)
+                !undo
             end);
         let correct =
           Array.fold_left (fun a h -> if h then a + 1 else a) 0 hits
@@ -653,20 +658,6 @@ let json_counts c =
      \"corrected\": %d, \"retried\": %d, \"hangs\": %d}"
     c.injections c.masked c.sdc c.top1_flips c.corrected c.retried c.hangs
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 32 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let render_json r =
   let buf = Buffer.create 4096 in
   Printf.bprintf buf "{\n  \"seed\": %d,\n  \"trials\": %d,\n" r.res_seed
@@ -684,7 +675,8 @@ let render_json r =
          (List.map
             (fun row ->
               Printf.sprintf "    {\"label\": \"%s\", \"counts\": %s}"
-                (json_escape row.row_label) (json_counts row.row_counts))
+                (Db_util.Minijson.escape row.row_label)
+                (json_counts row.row_counts))
             rows))
   in
   Buffer.add_string buf (row_objects "per_class" r.res_per_class);

@@ -7,7 +7,15 @@
     stored words against the fault-free run.  Trial [t] draws
     everything from [Rng.create (seed + t)] and writes its result into its
     own slot, so the classification counts are bitwise identical for a
-    fixed seed at any [DEEPBURNING_JOBS] setting. *)
+    fixed seed at any [DEEPBURNING_JOBS] setting.
+
+    Memory: each pool task owns one private working copy of the stored
+    parameter words (on [Specialized], its own bound trace and replay
+    arena; on [Generic], its own parameter copy).  A trial writes its
+    flipped word into that copy, runs, and writes the old word back; the
+    degradation sweep writes back every flip after its pass.  The
+    caller's [params] are never written, and a campaign's memory is
+    O(jobs x parameters) whatever the trial count. *)
 
 type protection = {
   weights : Protect.scheme;
@@ -24,12 +32,14 @@ val scheme_for : protection -> Site.target_class -> Protect.scheme
 
 type engine =
   | Generic
-      (** re-quantize and interpret per trial ({!Db_nn.Quantized.qoutput}) —
-          the oracle the specialized engine is property-tested against *)
+      (** re-quantize and interpret per trial ({!Db_nn.Quantized.qoutput})
+          over a float parameter copy, a flipped word written back as
+          [Fixed.to_float] — the oracle the specialized engine is
+          property-tested against *)
   | Specialized
       (** replay the design's compiled trace ({!Db_sim.Specialize}):
-          parameters quantized once, faulty trials swap in the edited
-          tensors' stored words *)
+          parameters quantized once per working copy, a flip written
+          into the bound stored words *)
 
 type config = {
   seed : int;

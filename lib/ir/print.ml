@@ -34,24 +34,7 @@ let pp fmt (g : Graph.t) =
 
 let to_string g = Format.asprintf "%a" pp g
 
-(* JSON, with the same minimal escaping the other machine-readable
-   outputs in this repository use. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_string s = "\"" ^ json_escape s ^ "\""
+let json_string s = "\"" ^ Db_util.Minijson.escape s ^ "\""
 
 let json_string_list l = "[" ^ String.concat "," (List.map json_string l) ^ "]"
 

@@ -36,7 +36,10 @@ val run_to_completion : ?max_cycles:int -> t -> int list * int
 
 val cycles_estimate : Access_pattern.t -> int
 (** Closed-form cycle count: words + row turnarounds + block turnarounds
-    + 2 (trigger and done).  [run_to_completion] must agree. *)
+    (a one-word pattern costs 1 cycle).  The trigger takes no cycle of
+    its own and the done pulse rides the last word's cycle, so this is
+    exactly the count [run_to_completion] returns and the budget its
+    watchdog compares against. *)
 
 val trace : Access_pattern.t -> int array * int
 (** Closed-form [(addresses, cycles)] for one healthy pattern execution —

@@ -1,18 +1,4 @@
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 32 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Minijson = Db_util.Minijson
 
 let duration_str s =
   if s >= 1.0 then Printf.sprintf "%.3f s" s
@@ -64,13 +50,14 @@ let text (snap : Obs.snapshot) =
 let stable_json (snap : Obs.snapshot) =
   let buf = Buffer.create 2048 in
   let rec span (sp : Obs.span) =
-    Printf.bprintf buf "{\"name\": \"%s\"" (json_escape sp.Obs.span_name);
+    Printf.bprintf buf "{\"name\": \"%s\"" (Minijson.escape sp.Obs.span_name);
     if sp.Obs.attrs <> [] then begin
       Buffer.add_string buf ", \"attrs\": {";
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_string buf ", ";
-          Printf.bprintf buf "\"%s\": \"%s\"" (json_escape k) (json_escape v))
+          Printf.bprintf buf "\"%s\": \"%s\"" (Minijson.escape k)
+            (Minijson.escape v))
         sp.Obs.attrs;
       Buffer.add_string buf "}"
     end;
@@ -95,13 +82,13 @@ let stable_json (snap : Obs.snapshot) =
   List.iteri
     (fun i (name, v) ->
       if i > 0 then Buffer.add_string buf ", ";
-      Printf.bprintf buf "\"%s\": %d" (json_escape name) v)
+      Printf.bprintf buf "\"%s\": %d" (Minijson.escape name) v)
     snap.Obs.counters;
   Buffer.add_string buf "},\n  \"histogram_counts\": {";
   List.iteri
     (fun i (name, (h : Obs.hist)) ->
       if i > 0 then Buffer.add_string buf ", ";
-      Printf.bprintf buf "\"%s\": %d" (json_escape name) h.Obs.h_count)
+      Printf.bprintf buf "\"%s\": %d" (Minijson.escape name) h.Obs.h_count)
     snap.Obs.histograms;
   Buffer.add_string buf "}\n}\n";
   Buffer.contents buf
@@ -135,7 +122,7 @@ let chrome_trace (snap : Obs.snapshot) =
       Printf.bprintf buf
         "  {\"name\": \"%s\", \"ph\": \"X\", \"pid\": 1, \"tid\": %d, \
          \"ts\": %.3f, \"dur\": %.3f"
-        (json_escape sp.Obs.span_name)
+        (Minijson.escape sp.Obs.span_name)
         sp.Obs.domain
         (Stdlib.max 0.0 ((sp.Obs.start_s -. base) *. 1e6))
         (Stdlib.max 0.0 (sp.Obs.dur_s *. 1e6));
@@ -144,7 +131,8 @@ let chrome_trace (snap : Obs.snapshot) =
         List.iteri
           (fun j (k, v) ->
             if j > 0 then Buffer.add_string buf ", ";
-            Printf.bprintf buf "\"%s\": \"%s\"" (json_escape k) (json_escape v))
+            Printf.bprintf buf "\"%s\": \"%s\"" (Minijson.escape k)
+              (Minijson.escape v))
           sp.Obs.attrs;
         Buffer.add_string buf "}"
       end;
@@ -158,7 +146,7 @@ let chrome_trace (snap : Obs.snapshot) =
     List.iteri
       (fun i (name, v) ->
         if i > 0 then Buffer.add_string buf ", ";
-        Printf.bprintf buf "\"%s\": %d" (json_escape name) v)
+        Printf.bprintf buf "\"%s\": %d" (Minijson.escape name) v)
       snap.Obs.counters;
     Buffer.add_string buf "}}"
   end;

@@ -160,21 +160,7 @@ let write_response fd ~status ?(headers = []) ~body () =
 
 (* --- JSON rendering (strings carry whole prototxt scripts) ------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let json_escape = Db_util.Minijson.escape
 
 let error_body ~cls ~message =
   Printf.sprintf "{\"status\":\"error\",\"class\":%S,\"message\":\"%s\"}" cls

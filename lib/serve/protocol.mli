@@ -35,6 +35,7 @@ val write_response :
 val status_text : int -> string
 
 val json_escape : string -> string
+(** {!Db_util.Minijson.escape}. *)
 
 val error_body : cls:string -> message:string -> string
 (** [{"status":"error","class":cls,"message":...}] *)

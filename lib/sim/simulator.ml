@@ -265,11 +265,6 @@ let run ?dram ?cycle_budget design params ~inputs =
   Db_obs.Obs.with_span "simulate.run" @@ fun () ->
   (functional_output ?cycle_budget design params ~inputs, timing ?dram design)
 
-let run_batch ?dram ?cycle_budget design params ~batch =
-  Db_obs.Obs.with_span "simulate.run_batch" @@ fun () ->
-  ( functional_output_batch ?cycle_budget design params ~batch,
-    timing ?dram design )
-
 let testbench (design : Design.t) params ~inputs =
   let fmt = design.Design.datapath.Db_sched.Datapath.fmt in
   let quantize_tensor t = Array.to_list (Db_fixed.Fixed.quantize_tensor fmt t) in

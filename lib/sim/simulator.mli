@@ -97,15 +97,6 @@ val run :
   Db_tensor.Tensor.t * report
 (** [functional_output] (with the same optional watchdog) plus [timing]. *)
 
-val run_batch :
-  ?dram:Db_mem.Dram.t ->
-  ?cycle_budget:int ->
-  Db_core.Design.t ->
-  Db_nn.Params.t ->
-  batch:(string * Db_tensor.Tensor.t) list list ->
-  Db_tensor.Tensor.t list * report
-(** [functional_output_batch] plus [timing]. *)
-
 val pp_report : Format.formatter -> report -> unit
 
 val testbench :

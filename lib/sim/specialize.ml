@@ -625,11 +625,12 @@ let tensor_of_output t (q : Quantized.qtensor) =
       Tensor.of_array q.Quantized.qshape (Array.map float_of_int q.Quantized.qdata)
   | Out_single _ | Out_multi _ -> Quantized.dequantize t.sp_fmt q
 
-(* A fresh arena per call: the caller owns the words it gets back (the
-   fault campaign keeps its golden output across trials). *)
-let qoutput ?eval bound ~inputs =
+(* Without [?arena], a fresh arena per call: the caller owns the words it
+   gets back.  With one, the result may alias it until its next pass. *)
+let qoutput ?eval ?arena bound ~inputs =
   let t = bound.bd_spec in
-  output_slot t (eval_slots ?eval bound (new_arena t) ~inputs)
+  let arena = match arena with Some a -> a | None -> new_arena t in
+  output_slot t (eval_slots ?eval bound arena ~inputs)
 
 let output ?eval bound ~inputs =
   tensor_of_output bound.bd_spec (qoutput ?eval bound ~inputs)

@@ -18,8 +18,8 @@
     of at most 16 bits read a per-design table, pooling runs
     {!Db_nn.Quantized.qpool_into}, and float-order-sensitive layers
     delegate to {!Db_nn.Quantized.eval_node} verbatim.  These kernels write
-    into per-task slot arenas sized at compile time; nothing returned to a
-    caller aliases one. *)
+    into per-task slot arenas sized at compile time; only {!qoutput} given
+    the caller's own arena returns words that alias one. *)
 
 type t
 (** A compiled trace: everything derivable from the design alone. *)
@@ -87,8 +87,11 @@ val bind : t -> Db_nn.Params.t -> bound
 val spec : bound -> t
 
 val node_qparams : bound -> node:string -> Db_nn.Quantized.qtensor list
-(** The pre-quantized parameter tensors of one node (fault injection reads
-    these to flip bits in the stored-weight domain). *)
+(** The bound's live pre-quantized parameter tensors of one node, not a
+    copy: a word written into one is what every later playback of this
+    bound reads.  Fault injection flips stored words through them on a
+    private bound and writes the old words back.  Raises a
+    simulator-component error for an unknown node name. *)
 
 val with_node_params :
   bound -> node:string -> Db_nn.Quantized.qtensor list -> bound
@@ -106,15 +109,24 @@ val output :
     [?eval] overrides the evaluator (LUT fault injection).  The result is
     a fresh tensor. *)
 
+type arena
+(** One slot buffer per node of a trace, reused by every pass replayed
+    through it.  An arena belongs to one domain at a time. *)
+
+val new_arena : t -> arena
+
 val qoutput :
   ?eval:Db_nn.Quantized.function_eval ->
+  ?arena:arena ->
   bound ->
   inputs:(string * Db_tensor.Tensor.t) list ->
   Db_nn.Quantized.qtensor
 (** The raw quantized output blob (before dequantisation / classifier
-    index conversion).  Each call replays through an arena of its own, so
-    the caller owns the returned words: later calls never overwrite
-    them. *)
+    index conversion).  Without [?arena], each call replays through an
+    arena of its own, so the caller owns the returned words: later calls
+    never overwrite them.  Given an arena (of this bound's trace), the
+    pass allocates no slot buffers and the result may alias the arena: it
+    is valid only until the next pass through the same arena. *)
 
 val output_batch :
   ?eval:Db_nn.Quantized.function_eval ->

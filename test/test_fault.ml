@@ -258,6 +258,30 @@ let test_campaign_fsm_faults_hang () =
     "every stuck-FSM trial hangs" r.Campaign.res_total.Campaign.injections
     r.Campaign.res_total.Campaign.hangs
 
+(* Trials and the degradation sweep flip stored words in private working
+   copies and write them back: on both engines the caller's parameters
+   come out bitwise unchanged, and a second run reproduces the first. *)
+let test_campaign_leaves_params_intact () =
+  let design, params, inputs = campaign_fixture () in
+  let before = Db_nn.Params.copy params in
+  List.iter
+    (fun engine ->
+      let run () =
+        Campaign.render_json
+          (Campaign.run ~design ~params ~input_blob:"data" ~inputs
+             { small_config with Campaign.rates = [ 1e-3; 1e-2 ]; engine })
+      in
+      let first = run () in
+      Alcotest.(check string) "second run identical" first (run ());
+      Db_nn.Params.iter before (fun node ts ->
+          List.iter2
+            (fun a b ->
+              if not (Tensor.equal_bits a b) then
+                Alcotest.failf "%s: parameters changed" node)
+            ts
+            (Db_nn.Params.get params node)))
+    [ Campaign.Generic; Campaign.Specialized ]
+
 let test_campaign_rejects_bad_rates () =
   (* A non-finite or out-of-range rate would overflow the expected flip
      count into a negative one that flips nothing — a perfect score. *)
@@ -403,6 +427,8 @@ let suite =
         Alcotest.test_case "ECC removes weight SDC" `Quick
           test_campaign_ecc_removes_weight_sdc;
         Alcotest.test_case "stuck FSM hangs" `Quick test_campaign_fsm_faults_hang;
+        Alcotest.test_case "leaves parameters intact" `Quick
+          test_campaign_leaves_params_intact;
         Alcotest.test_case "rejects bad rates" `Quick
           test_campaign_rejects_bad_rates;
       ] );

@@ -537,6 +537,16 @@ let test_qoutput_owned () =
 
 (* --- allocation budget ------------------------------------------------------- *)
 
+(* Major words [f] allocates on the calling domain.  [Gc.counters] reads
+   this domain's live counts ([Gc.quick_stat] only samples them at
+   collections). *)
+let major_words f =
+  Gc.minor ();
+  let _, _, before = Gc.counters () in
+  ignore (Sys.opaque_identity (f ()));
+  let _, _, after = Gc.counters () in
+  after -. before
+
 (* Both counts are taken on the calling domain at width 1, where they
    repeat exactly.  A batch replays through one arena, so eight samples
    may allocate little more major heap than one (binding the parameters
@@ -545,15 +555,6 @@ let test_qoutput_owned () =
 let test_allocation_budget () =
   let design, params, batch = lenet5_batch ~seed:47 8 in
   Pool.with_sequential (fun () ->
-      (* [Gc.counters] reads this domain's live counts ([Gc.quick_stat]
-         only samples them at collections). *)
-      let major_words f =
-        Gc.minor ();
-        let _, _, before = Gc.counters () in
-        ignore (Sys.opaque_identity (f ()));
-        let _, _, after = Gc.counters () in
-        after -. before
-      in
       let play batch () = Simulator.functional_output_batch design params ~batch in
       ignore (play batch ());
       let one = major_words (play [ List.hd batch ]) in
@@ -570,6 +571,38 @@ let test_allocation_budget () =
   ignore (Sys.opaque_identity t);
   if words > 64.0 then
     Alcotest.failf "random_uniform over 65536 elements: %.0f minor words" words
+
+(* A campaign's trials flip words of one working copy in place and write
+   them back, so at width 1 eighty weight/bias trials may allocate little
+   more major heap than ten: binding the parameters and the golden runs
+   dominate both. *)
+let test_campaign_allocation_budget () =
+  List.iter
+    (fun (name, prototxt) ->
+      let design = cli_design prototxt in
+      let rng = Rng.create 11 in
+      let params = Params.init_xavier rng design.Db_core.Design.network in
+      let blob, shape = Network.first_input design.Db_core.Design.network in
+      let inputs =
+        Array.init 2 (fun _ -> Tensor.random_uniform rng shape ~min:(-1.0) ~max:1.0)
+      in
+      let campaign trials () =
+        Db_fault.Campaign.run ~design ~params ~input_blob:blob ~inputs
+          {
+            Db_fault.Campaign.default_config with
+            Db_fault.Campaign.trials;
+            rates = [];
+            targets = [ Db_fault.Site.Weights; Db_fault.Site.Biases ];
+          }
+      in
+      Pool.with_sequential (fun () ->
+          ignore (campaign 10 ());
+          let ten = major_words (campaign 10) in
+          let eighty = major_words (campaign 80) in
+          if eighty > 1.2 *. ten then
+            Alcotest.failf "%s: 80 trials allocate %.0f major words, 10 trials %.0f"
+              name eighty ten))
+    [ ("lenet5", Zoo.lenet5_prototxt); ("cifar-lite", Zoo.cifar_lite_prototxt) ]
 
 (* --- activation tables ----------------------------------------------------- *)
 
@@ -689,6 +722,8 @@ let suite =
             test_batch_outputs_unaliased;
           Alcotest.test_case "qoutput result owned" `Quick test_qoutput_owned;
           Alcotest.test_case "allocation budget" `Quick test_allocation_budget;
+          Alcotest.test_case "campaign allocation budget" `Quick
+            test_campaign_allocation_budget;
           Alcotest.test_case "activation tables = closure" `Slow
             test_activation_tables;
         ] );

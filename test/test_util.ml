@@ -183,8 +183,20 @@ let test_error_message () =
     (Db_util.Error.Deepburning_error "unit-test: boom 42") (fun () ->
       Db_util.Error.failf_at ~component:"unit-test" "boom %d" 42)
 
+(* Every byte below 0x80 survives escape-then-parse, and the named
+   escapes are the two-character ones. *)
+let test_json_escape () =
+  let module Json = Db_util.Minijson in
+  let all = String.init 128 Char.chr in
+  Alcotest.(check string) "round trip" all
+    (Json.to_string (Json.parse ("\"" ^ Json.escape all ^ "\"")));
+  Alcotest.(check string) "named escapes" {|a\"b\\c\nd\re\tf\u0001|}
+    (Json.escape "a\"b\\c\nd\re\tf\001")
+
 let suite =
   [
+    ( "util.json",
+      [ Alcotest.test_case "escape" `Quick test_json_escape ] );
     ( "util.rng",
       [
         Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
