@@ -92,32 +92,18 @@ let bulk_fetch blob_entry ~name ~words ~offset =
         ~length:(Stdlib.max 1 words);
   }
 
-(* The fraction is pure in (plan, height, width).  A cold walk costs
-   O(windows x k^2) on the NHWC plans the zoo streams, ~0.1-3 ms for an
-   ImageNet-scale blob (more for plans that store maps apart), and
-   Db_dse.Explore, Experiments and Train_sim recompile the same layers
-   in-process, so memoise it.  Guarded by a mutex: compilation may run from
-   several pool workers at once. *)
-let seq_fraction_cache : (Tiling.plan * int * int, float) Hashtbl.t =
-  Hashtbl.create 64
-
-let seq_fraction_lock = Mutex.create ()
-
+(* The Method-1 locality of a streamed window sweep, recomputed on every
+   compile: [Tiling.window_sequential_fraction] is closed-form (O(1) per
+   window on the NHWC plans the zoo streams, O(k^2) per window on plans that
+   store maps apart), so [compile] keeps no memo and takes no lock. *)
 let window_seq_fraction ~tiling_enabled entry ~bottoms_shape =
   match entry.Layout.tile_plan, bottoms_shape with
-  | Some plan, Some shape when Shape.rank shape = 3 -> (
+  | Some plan, Some shape when Shape.rank shape = 3 ->
       let plan =
         if tiling_enabled then plan else Tiling.row_major plan.Tiling.plan_spec
       in
-      let height = Shape.height shape and width = Shape.width shape in
-      let key = (plan, height, width) in
-      let locked f = Mutex.protect seq_fraction_lock f in
-      match locked (fun () -> Hashtbl.find_opt seq_fraction_cache key) with
-      | Some f -> f
-      | None ->
-          let f = Tiling.window_sequential_fraction plan ~height ~width in
-          locked (fun () -> Hashtbl.replace seq_fraction_cache key f);
-          f)
+      Tiling.window_sequential_fraction plan ~height:(Shape.height shape)
+        ~width:(Shape.width shape)
   | Some _, _ | None, _ -> if tiling_enabled then 0.9 else 0.4
 
 let compile ?(tiling_enabled = true) (g : Graph.t) ~datapath ~schedule ~layout =

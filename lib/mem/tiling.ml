@@ -114,18 +114,30 @@ let address plan ~height ~width ~map ~y ~x =
 
    No sort and no address table.  Addresses are a bijection, so a window's
    addresses are distinct, and its in-window sequential steps are those
-   addresses [a] whose [a - 1] is also in the window.  [stamp.(a - lo + 1)]
-   holds the last window that contained [a], where [lo] is that window's
-   least address; window indices never repeat, so it needs no clearing and
-   only spans one window's address range.  The step between windows joins
-   the previous window's max to this window's min.  Each window cell
-   (ky, kx) costs one [base_stride]; its maps are then [base + m * stride].
-   When [stride = 1] (interleaved 1x1 tiles, the NHWC case) a cell is one
-   run [base, base + maps), otherwise [maps] runs of one word.  A run of
-   [r] words holds [r - 1] steps, and only its head can follow another
-   run's word, which is that run's tail, so only tails are stamped and
-   only heads tested.  Cost: O(windows x k^2), plus the words of every
-   cell that is not one run. *)
+   addresses [a] whose [a - 1] is also in the window.  Pixel (m, y, x)
+   lives at [A + m * S] ([base_stride]), and the count takes one of three
+   closed forms:
+
+   - Map-interleaved 1x1 tiles (NHWC, [S = 1]): a window row is one run of
+     [k * maps] words, and two rows touch only when [k = W], so a window
+     holds [k^2 * maps - runs] steps, [runs = 1] if [k = W] else [k].
+     O(1) per window.
+   - Maps stored apart (every plan that does not interleave them,
+     [S = H * W]): the window is [B + m * S] over the k^2 cell bases [B] of
+     map 0's plane, all in [0, S).  Word [b + m * S] follows another window
+     word when [b - 1] is in [B], or at [b = 0], [m > 0] when [S - 1] is, so
+     the window holds [maps * seq(B) + (maps - 1)] steps if [B] spans
+     [0 .. S - 1], else [maps * seq(B)].  O(k^2) per window, whatever
+     [maps].
+   - Interleaved tiles with t > 1 (no zoo layer reaches it): [S = th * tw]
+     shrinks at clipped edge tiles, and a tile's maps sit between its
+     neighbours, so every word of the window is counted: O(k^2 * maps).
+
+   [seq(B)] and the last case share one stamp array: [stamp.(a - lo + 1)]
+   holds the last window that contained the counted word [a], [lo] being
+   the least one; window indices never repeat, so it needs no clearing and
+   only spans one window's counted range.  The step between windows joins
+   the previous window's max to this window's min. *)
 let window_sequential_fraction plan ~height ~width =
   let spec = plan.plan_spec in
   let k = spec.kernel and s = spec.stride and maps = spec.map_count in
@@ -135,48 +147,60 @@ let window_sequential_fraction plan ~height ~width =
     (* Cap the sweep for very large maps: locality statistics converge after
        a few hundred windows. *)
     let oy_max = Stdlib.min oy_max 23 and ox_max = Stdlib.min ox_max 23 in
-    let cells = k * k in
+    let cells = k * k and plane = height * width in
+    let nhwc = plan.interleave_maps && plan.tile = 1 in
+    (* Counted words per cell: map 0's alone when maps are stored apart. *)
+    let copies = if plan.interleave_maps then maps else 1 in
     let bases = Array.make cells 0 and strides = Array.make cells 0 in
     let stamp = ref [||] in
     let seq = ref 0 and prev_max = ref 0 in
     for oy = 0 to oy_max do
       for ox = 0 to ox_max do
         let w = (oy * (ox_max + 1)) + ox in
+        let y0 = oy * s and x0 = ox * s in
         let lo = ref max_int and hi = ref (-1) in
-        for ky = 0 to k - 1 do
-          for kx = 0 to k - 1 do
-            let base, stride =
-              base_stride plan ~height ~width ~y:((oy * s) + ky)
-                ~x:((ox * s) + kx)
-            in
-            let c = (ky * k) + kx in
-            bases.(c) <- base;
-            strides.(c) <- stride;
-            if base < !lo then lo := base;
-            hi := Int.max !hi (base + ((maps - 1) * stride))
-          done
-        done;
-        let lo = !lo in
-        if !hi - lo + 2 > Array.length !stamp then
-          stamp := Array.make (!hi - lo + 2) (-1);
-        let stamp = !stamp in
-        for c = 0 to cells - 1 do
-          let base = bases.(c) - lo and stride = strides.(c) in
-          let runs = if stride = 1 then 1 else maps in
-          let past_tail = base + (maps / runs) in
-          for i = 0 to runs - 1 do
-            stamp.(past_tail + (i * stride)) <- w
-          done
-        done;
-        for c = 0 to cells - 1 do
-          let base = bases.(c) - lo and stride = strides.(c) in
-          let runs = if stride = 1 then 1 else maps in
-          seq := !seq + maps - runs;
-          for i = 0 to runs - 1 do
-            if stamp.(base + (i * stride)) = w then incr seq
-          done
-        done;
-        if w > 0 && lo = !prev_max + 1 then incr seq;
+        if nhwc then begin
+          seq := !seq + (cells * maps) - (if k = width then 1 else k);
+          lo := ((y0 * width) + x0) * maps;
+          hi := ((((y0 + k - 1) * width) + x0 + k) * maps) - 1
+        end
+        else begin
+          for ky = 0 to k - 1 do
+            for kx = 0 to k - 1 do
+              let base, stride =
+                base_stride plan ~height ~width ~y:(y0 + ky) ~x:(x0 + kx)
+              in
+              let c = (ky * k) + kx in
+              bases.(c) <- base;
+              strides.(c) <- stride;
+              if base < !lo then lo := base;
+              hi := Int.max !hi (base + ((copies - 1) * stride))
+            done
+          done;
+          let least = !lo in
+          if !hi - least + 2 > Array.length !stamp then
+            stamp := Array.make (!hi - least + 2) (-1);
+          let stamp = !stamp in
+          for c = 0 to cells - 1 do
+            for m = 0 to copies - 1 do
+              stamp.(bases.(c) - least + (m * strides.(c)) + 1) <- w
+            done
+          done;
+          let counted = ref 0 in
+          for c = 0 to cells - 1 do
+            for m = 0 to copies - 1 do
+              if stamp.(bases.(c) - least + (m * strides.(c))) = w then
+                incr counted
+            done
+          done;
+          if plan.interleave_maps then seq := !seq + !counted
+          else begin
+            seq := !seq + (maps * !counted);
+            if least = 0 && !hi = plane - 1 then seq := !seq + maps - 1;
+            hi := !hi + ((maps - 1) * plane)
+          end
+        end;
+        if w > 0 && !lo = !prev_max + 1 then incr seq;
         prev_max := !hi
       done
     done;

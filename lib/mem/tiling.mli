@@ -52,7 +52,8 @@ val window_sequential_fraction : plan -> height:int -> width:int -> float
 (** Average fraction of address-stream steps that are sequential when
     fetching every kernel window of a convolution sweep, each window's
     words in sorted address order (the quantity the DRAM model consumes).
-    1.0 means perfectly streaming.  O(windows x k^2) plus the words of
-    every window cell whose maps are not one contiguous run (they are on
-    map-interleaved 1x1 tiles, the NHWC layout); no sort and no address
-    table. *)
+    1.0 means perfectly streaming.  Closed form, no sort and no address
+    table: O(1) per window on map-interleaved 1x1 tiles (the NHWC layout),
+    O(k^2) per window when maps are stored apart (independent of
+    [map_count]), O(k^2 x map_count) per window on map-interleaved tiles
+    larger than one pixel.  At most 24 x 24 windows are swept. *)

@@ -196,12 +196,12 @@ let qrecurrent fmt ~eval ~w_in ~w_rec ~bias ~steps input =
   done;
   !state
 
-let qlrn fmt ~eval ~input ~local_size ~alpha ~beta ~k =
-  let c = Shape.channels input.qshape
-  and h = Shape.height input.qshape
-  and w = Shape.width input.qshape in
+let lrn_dims input =
+  (Shape.channels input.qshape, Shape.height input.qshape, Shape.width input.qshape)
+
+(* Every word of [out] is written, so it may hold anything beforehand. *)
+let lrn_words fmt ~eval ~input ~local_size ~alpha ~beta ~k ~out (c, h, w) =
   let half = local_size / 2 in
-  let out = Array.make (c * h * w) 0 in
   (* [float_of_int v *. res] is [Fixed.to_float fmt v], read without the
      boxed float a cross-module call returns under [-opaque]. *)
   let res = Fixed.resolution fmt in
@@ -223,6 +223,16 @@ let qlrn fmt ~eval ~input ~local_size ~alpha ~beta ~k =
     done
   done;
   { qshape = input.qshape; qdata = out }
+
+let qlrn_into fmt ~eval ~input ~local_size ~alpha ~beta ~k ~out =
+  let ((c, h, w) as dims) = lrn_dims input in
+  if Array.length out <> c * h * w then None
+  else Some (lrn_words fmt ~eval ~input ~local_size ~alpha ~beta ~k ~out dims)
+
+let qlrn fmt ~eval ~input ~local_size ~alpha ~beta ~k =
+  let ((c, h, w) as dims) = lrn_dims input in
+  lrn_words fmt ~eval ~input ~local_size ~alpha ~beta ~k
+    ~out:(Array.make (c * h * w) 0) dims
 
 let qsoftmax fmt ~eval input =
   let floats = Array.map (Fixed.to_float fmt) input.qdata in

@@ -46,6 +46,21 @@ val qpool_into :
     words; dimension errors are raised first, as the allocating kernel
     raises them. *)
 
+val qlrn_into :
+  Db_fixed.Fixed.format ->
+  eval:function_eval ->
+  input:qtensor ->
+  local_size:int ->
+  alpha:float ->
+  beta:float ->
+  k:float ->
+  out:int array ->
+  qtensor option
+(** Cross-channel local response normalisation, the kernel {!eval_node}
+    runs for [Lrn], written into [out] (whatever it held before) and
+    returned under the input's shape.  [None] when [out] does not hold
+    exactly the input's [channels x height x width] words. *)
+
 val eval_node :
   Db_fixed.Fixed.format ->
   function_eval ->

@@ -18,7 +18,9 @@
      forms ({!Db_mem.Agu_sim.trace}), so control replay reduces to summing
      precomputed per-transfer cycle counts under the same watchdog.
 
-   Float-order-sensitive layers (LRN, LCN, softmax, recurrent, ...)
+   Pooling and LRN run the generic kernels' own loops
+   ({!Quantized.qpool_into}, {!Quantized.qlrn_into}) into their slots.
+   The other float-order-sensitive layers (LCN, softmax, recurrent, ...)
    delegate to the generic {!Quantized.eval_node} verbatim, as does any
    node whose parameters fail the fast path's shape guard — the guard
    failure cases re-run the generic kernel so error behaviour stays
@@ -66,6 +68,7 @@ type kernel =
   | K_conv of { stride : int; pad : int; group : int; has_bias : bool }
   | K_fc of { has_bias : bool }
   | K_pool of { method_ : Layer.pool_method; kernel : int; stride : int }
+  | K_lrn of { local_size : int; alpha : float; beta : float; k : float }
   | K_act of {
       act : Layer.activation;
       table : act_table option;  (** [act] under the design's own LUTs *)
@@ -198,6 +201,8 @@ let compile (design : Design.t) =
         | Layer.Fc { bias; _ } -> K_fc { has_bias = bias }
         | Layer.Pool { method_; kernel_size = kernel; stride } ->
             K_pool { method_; kernel; stride }
+        | Layer.Lrn { local_size; alpha; beta; k } ->
+            K_lrn { local_size; alpha; beta; k }
         | Layer.Act act -> K_act { act; table = table_of act }
         | _ -> K_generic
       in
@@ -211,7 +216,7 @@ let compile (design : Design.t) =
       List.iter (fun top -> Hashtbl.replace blob_slot top slot) node.Network.tops;
       let np_words =
         match kernel, node.Network.tops with
-        | (K_input _ | K_conv _ | K_fc _ | K_pool _ | K_act _), top :: _ ->
+        | (K_input _ | K_conv _ | K_fc _ | K_pool _ | K_lrn _ | K_act _), top :: _ ->
             Shape.numel (Shape_infer.blob_shape shapes top)
         | _ -> 0
       in
@@ -455,7 +460,7 @@ let bind t params =
         (fun np ->
           match np.np_kernel with
           | K_input _ | K_bad_input -> []
-          | K_conv _ | K_fc _ | K_pool _ | K_act _ | K_generic ->
+          | K_conv _ | K_fc _ | K_pool _ | K_lrn _ | K_act _ | K_generic ->
               List.map (Quantized.quantize t.sp_fmt) (Params.get params np.np_name))
         t.sp_plan;
   }
@@ -536,7 +541,8 @@ let eval_slots ?eval bound (arena : arena) ~inputs =
               { Quantized.qshape = shape; qdata = out }
           | None -> qfail "missing input tensor for blob %S" top
         end
-      | (K_conv _ | K_fc _ | K_pool _ | K_act _ | K_generic) as kernel -> (
+      | (K_conv _ | K_fc _ | K_pool _ | K_lrn _ | K_act _ | K_generic) as kernel
+        -> (
           let bottoms =
             List.map
               (fun (name, slot) ->
@@ -585,6 +591,14 @@ let eval_slots ?eval bound (arena : arena) ~inputs =
           | K_pool { method_; kernel; stride }, _, [ input ] -> begin
               match
                 Quantized.qpool_into fmt ~method_ ~input ~kernel ~stride ~eval ~out
+              with
+              | Some result -> result
+              | None -> generic qparams bottoms
+            end
+          | K_lrn { local_size; alpha; beta; k }, _, [ input ] -> begin
+              match
+                Quantized.qlrn_into fmt ~eval ~input ~local_size ~alpha ~beta ~k
+                  ~out
               with
               | Some result -> result
               | None -> generic qparams bottoms

@@ -16,8 +16,9 @@
     in their own summation order — sound because OCaml [int] arithmetic is
     modular, so every order yields the same word — activations of formats
     of at most 16 bits read a per-design table, pooling runs
-    {!Db_nn.Quantized.qpool_into}, and float-order-sensitive layers
-    delegate to {!Db_nn.Quantized.eval_node} verbatim.  These kernels write
+    {!Db_nn.Quantized.qpool_into}, LRN {!Db_nn.Quantized.qlrn_into}, and
+    the other float-order-sensitive layers delegate to
+    {!Db_nn.Quantized.eval_node} verbatim.  These kernels write
     into per-task slot arenas sized at compile time; only {!qoutput} given
     the caller's own arena returns words that alias one. *)
 

@@ -164,27 +164,44 @@ let prop_tiling_partition =
       Array.length order = map_count * height * width
       && Hashtbl.length seen = Array.length order)
 
-(* Random Method-1 plans over random images: kernel 1-12, stride 1-5, port
-   1-16, maps 1-6 and images up to 40x40, so clipped edge tiles and the
-   24x24 window cap are both reached; tiled ([decide]) or [row_major]. *)
-let arb_plan_image =
+(* Every plan case the locality count distinguishes, over kernels 1-12,
+   strides 1-5, ports 1-16, 1-64 maps and images up to 40x40 (so clipped
+   edge tiles and the 24x24 window cap are both reached): Method-1's own
+   choice ([decide]), [row_major], NHWC forced onto any spec (map-interleaved
+   1x1 tiles) and map-interleaved tiles of edge 2-5. *)
+type plan_kind = Decided | Row_major | Nhwc | Interleaved of int
+
+let arb_locality_plan =
   QCheck.(
     pair
-      (quad (int_range 1 12) (int_range 1 5) (int_range 1 16) (int_range 1 6))
-      (triple (int_range 1 40) (int_range 1 40) bool))
+      (quad (int_range 1 12) (int_range 1 5) (int_range 1 16) (int_range 1 64))
+      (triple (int_range 1 40) (int_range 1 40)
+         (oneof
+            [
+              always Decided;
+              always Row_major;
+              always Nhwc;
+              map (fun t -> Interleaved t) (int_range 2 5);
+            ])))
 
-let plan_of (kernel, stride, port_width, map_count) tiled =
+let locality_plan (kernel, stride, port_width, map_count) kind =
   let spec = { Tiling.kernel; stride; port_width; map_count } in
-  if tiled then Tiling.decide spec else Tiling.row_major spec
+  match kind with
+  | Decided -> Tiling.decide spec
+  | Row_major -> Tiling.row_major spec
+  | Nhwc -> { (Tiling.decide spec) with Tiling.tile = 1; interleave_maps = true }
+  | Interleaved tile ->
+      { (Tiling.decide spec) with Tiling.tile; interleave_maps = true }
 
 (* Property: the closed-form address is a permutation of 0 .. n-1 that
-   inverts the pixel order.  The sort-free locality count relies on it: a
-   window's addresses are then distinct. *)
+   inverts the pixel order.  The locality count relies on it (a window's
+   addresses are then distinct), and the sorting oracle below reads
+   addresses through it. *)
 let prop_address_inverse =
   QCheck.Test.make ~name:"closed-form address inverts pixel order" ~count:200
-    arb_plan_image
-    (fun (spec, (height, width, tiled)) ->
-      let plan = plan_of spec tiled in
+    arb_locality_plan
+    (fun (spec, (height, width, kind)) ->
+      let plan = locality_plan spec kind in
       let order = Tiling.pixel_order plan ~height ~width in
       let maps = plan.Tiling.plan_spec.Tiling.map_count in
       let n = maps * height * width in
@@ -206,19 +223,16 @@ let prop_address_inverse =
         order;
       n = Array.length order && Array.for_all Fun.id hit && !inverts)
 
-(* The original locality count, kept here as the oracle: invert the
-   materialised pixel order, then sort each window's addresses and count
-   the unit steps. *)
+(* The definition of the locality count, kept here as the oracle: sort each
+   window's addresses and count the unit steps.  Addresses come from
+   [Tiling.address], which [prop_address_inverse] holds to the materialised
+   pixel order, so the oracle needs no table the size of the blob. *)
 let sorted_window_fraction plan ~height ~width =
   let spec = plan.Tiling.plan_spec in
   let k = spec.Tiling.kernel and s = spec.Tiling.stride in
   let maps = spec.Tiling.map_count in
   if height < k || width < k then 1.0
   else begin
-    let table = Array.make (maps * height * width) (-1) in
-    Array.iteri
-      (fun addr (m, y, x) -> table.(((m * height) + y) * width + x) <- addr)
-      (Tiling.pixel_order plan ~height ~width);
     let seq = ref 0 and steps = ref 0 in
     let oy_max = Stdlib.min ((height - k) / s) 23 in
     let ox_max = Stdlib.min ((width - k) / s) 23 in
@@ -227,16 +241,17 @@ let sorted_window_fraction plan ~height ~width =
     for oy = 0 to oy_max do
       for ox = 0 to ox_max do
         let pos = ref 0 in
-        for m = 0 to maps - 1 do
+        for map = 0 to maps - 1 do
           for ky = 0 to k - 1 do
             for kx = 0 to k - 1 do
               window.(!pos) <-
-                table.(((m * height) + (oy * s) + ky) * width + (ox * s) + kx);
+                Tiling.address plan ~height ~width ~map ~y:((oy * s) + ky)
+                  ~x:((ox * s) + kx);
               incr pos
             done
           done
         done;
-        Array.sort compare window;
+        Array.sort Int.compare window;
         Array.iter
           (fun a ->
             if !prev >= 0 then begin
@@ -250,22 +265,25 @@ let sorted_window_fraction plan ~height ~width =
     if !steps = 0 then 1.0 else float_of_int !seq /. float_of_int !steps
   end
 
-(* Property: the sort-free count is bit-identical to the sorting oracle. *)
+(* Property: the closed-form count is bit-identical to the sorting oracle
+   on every plan case. *)
 let prop_window_fraction_matches_sort =
   QCheck.Test.make ~name:"sort-free locality = sorted oracle" ~count:200
-    arb_plan_image
-    (fun (spec, (height, width, tiled)) ->
-      let plan = plan_of spec tiled in
+    arb_locality_plan
+    (fun (spec, (height, width, kind)) ->
+      let plan = locality_plan spec kind in
       Int64.equal
         (Int64.bits_of_float
            (Tiling.window_sequential_fraction plan ~height ~width))
         (Int64.bits_of_float (sorted_window_fraction plan ~height ~width)))
 
-(* The random plans above stop at 6 maps; the zoo's streamed layers carry
-   up to 256, where the NHWC run path does almost all the counting.  Check
-   every (plan, height, width) the compiler walks for AlexNet and NiN under
-   the default constraint, with tiling on and off, against the sorting
-   oracle. *)
+(* The random plans above stop at 64 maps and 40x40 images; the zoo's
+   streamed layers carry up to 512 maps over up to 227x227 pixels.  Check
+   every (plan, height, width) the compiler walks for AlexNet, NiN and
+   VGG16 under the default constraint, with tiling on and off, against the
+   sorting oracle.  AlexNet and NiN stream map-interleaved 1x1 tiles (the
+   NHWC closed form); VGG16's 2x2/2 pools get [Stride_tiles], which store
+   maps apart (the per-plane closed form). *)
 let test_zoo_window_fraction_matches_sort () =
   let constraint_script =
     {|constraint { device: "zynq-7045" dsps: 16 luts: 60000 ffs: 40000 bram_kb: 1024 }|}
@@ -295,15 +313,22 @@ let test_zoo_window_fraction_matches_sort () =
                     Db_tensor.Shape.width shape )
             | _ -> None)
           design.Db_core.Design.program.Db_core.Compiler.programs)
-      Db_workloads.Model_zoo.[ alexnet_prototxt; nin_prototxt ]
+      Db_workloads.Model_zoo.[ alexnet_prototxt; nin_prototxt; vgg16_prototxt ]
     |> List.sort_uniq compare
   in
-  Alcotest.(check int) "streamed keys" 6 (List.length keys);
+  Alcotest.(check int) "streamed keys" 20 (List.length keys);
   Alcotest.(check bool) "a run layout with over 100 maps" true
     (List.exists
        (fun (plan, _, _) ->
          plan.Tiling.interleave_maps && plan.Tiling.tile = 1
          && plan.Tiling.plan_spec.Tiling.map_count > 100)
+       keys);
+  Alcotest.(check bool) "a maps-apart Stride_tiles plan with 64+ maps" true
+    (List.exists
+       (fun (plan, _, _) ->
+         plan.Tiling.plan_case = Tiling.Stride_tiles
+         && (not plan.Tiling.interleave_maps)
+         && plan.Tiling.plan_spec.Tiling.map_count >= 64)
        keys);
   List.iter
     (fun (tiled, height, width) ->
@@ -319,6 +344,32 @@ let test_zoo_window_fraction_matches_sort () =
                (Tiling.window_sequential_fraction plan ~height ~width)))
         [ tiled; Tiling.row_major spec ])
     keys
+
+(* On a plan that stores maps apart the count touches one map plane's
+   window bases only, so the words it allocates (read from [Gc.counters],
+   live on the calling domain) do not grow with the map count, as a stamp
+   array over [maps * H * W] words would. *)
+let test_locality_allocation_independent_of_maps () =
+  let plan map_count =
+    Tiling.decide { Tiling.kernel = 2; stride = 2; port_width = 16; map_count }
+  in
+  Alcotest.(check bool) "Stride_tiles, maps apart" true
+    ((plan 8).Tiling.plan_case = Tiling.Stride_tiles
+    && not (plan 8).Tiling.interleave_maps);
+  let words map_count =
+    let plan = plan map_count in
+    let minor0, promoted0, major0 = Gc.counters () in
+    ignore
+      (Sys.opaque_identity
+         (Tiling.window_sequential_fraction plan ~height:224 ~width:224));
+    let minor1, promoted1, major1 = Gc.counters () in
+    minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+  in
+  ignore (words 8);
+  let few = words 8 and many = words 512 in
+  if few <> many then
+    Alcotest.failf "locality count allocates %.0f words at 8 maps, %.0f at 512"
+      few many
 
 let test_tiling_improves_window_locality () =
   (* The paper's example: 12x12 kernel at stride 4, port width 4. *)
@@ -402,6 +453,8 @@ let suite =
         QCheck_alcotest.to_alcotest prop_window_fraction_matches_sort;
         Alcotest.test_case "zoo locality = sorted oracle" `Slow
           test_zoo_window_fraction_matches_sort;
+        Alcotest.test_case "locality allocation independent of maps" `Quick
+          test_locality_allocation_independent_of_maps;
       ] );
     ( "mem.layout",
       [
