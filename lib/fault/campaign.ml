@@ -165,48 +165,27 @@ let agu_with_field (p : Access_pattern.t) field v =
   | Site.Offset -> { p with Access_pattern.offset = v }
   | Site.Repeat -> { p with Access_pattern.repeat = v }
 
-(* Address streams straight from the counter arithmetic, with no
-   validation: a corrupted register produces whatever the counters
-   produce.  Compared in place — equal iff the streams have the same
-   length and agree pointwise — so the common early-mismatch case
-   (a flipped start or stride register) costs a couple of integer
-   comparisons instead of materialising both streams. *)
-let agu_addresses_equal (g : Access_pattern.t) (c : Access_pattern.t) =
-  let row_g = g.Access_pattern.x_length
-  and row_c = c.Access_pattern.x_length in
-  let block_g = row_g * g.Access_pattern.y_length
-  and block_c = row_c * c.Access_pattern.y_length in
-  let n = block_g * g.Access_pattern.repeat in
-  n = block_c * c.Access_pattern.repeat
-  &&
-  let rec agree i =
-    i >= n
-    ||
-    let bg = i / block_g and wg = i mod block_g in
-    let bc = i / block_c and wc = i mod block_c in
-    g.Access_pattern.start
-    + (bg * g.Access_pattern.offset)
-    + (wg / row_g * g.Access_pattern.stride)
-    + (wg mod row_g)
-    = c.Access_pattern.start
-      + (bc * c.Access_pattern.offset)
-      + (wc / row_c * c.Access_pattern.stride)
-      + (wc mod row_c)
-    && agree (i + 1)
-  in
-  agree 0
+(* The counters issue [start + block*offset + row*stride + col]; a stride
+   is never read by a one-row pattern, nor an offset by a one-block one.
+   Any other new value moves the address at index 0 (start), [x_length]
+   (stride) or [x_length * y_length] (offset), or changes the word count
+   (a length), so the stream differs. *)
+let agu_upset_masked (p : Access_pattern.t) = function
+  | Site.Stride -> p.Access_pattern.y_length = 1
+  | Site.Offset -> p.Access_pattern.repeat = 1
+  | Site.Start | Site.X_length | Site.Y_length | Site.Repeat -> false
 
 (* A zeroed length register makes the down-counter wrap through 2^24 —
    the watchdog is what ends that run, so it classifies as Hang, as does
    any corrupted pattern whose cycle count exceeds the budget. *)
-let classify_agu ~budget golden corrupted =
+let classify_agu ~budget field corrupted =
   if
     corrupted.Access_pattern.x_length <= 0
     || corrupted.Access_pattern.y_length <= 0
     || corrupted.Access_pattern.repeat <= 0
   then Hang
   else if Db_mem.Agu_sim.cycles_estimate corrupted > budget then Hang
-  else if agu_addresses_equal golden corrupted then Masked
+  else if agu_upset_masked corrupted field then Masked
   else Sdc
 
 (* ------------------------------------------------------------------ *)
@@ -432,7 +411,7 @@ let run ~design ~params ~input_blob ~inputs (config : config) =
                 let corrupted =
                   agu_with_field pat field (full land lnot agu_mask lor w)
                 in
-                classify_agu ~budget:config.cycle_budget pat corrupted)
+                classify_agu ~budget:config.cycle_budget field corrupted)
       | Site.P_fsm _ ->
           (* A stuck one-hot state register — the coordinator's or an AGU's —
              re-enters its state forever and never raises done, so under any

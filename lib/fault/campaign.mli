@@ -82,6 +82,14 @@ val zero_counts : counts
 val silent_fraction : counts -> float
 (** (sdc + top1_flips) / injections — the figure protection must shrink. *)
 
+val agu_upset_masked : Db_mem.Access_pattern.t -> Site.agu_field -> bool
+(** [agu_upset_masked p f]: whether writing any other value into register
+    [f] of [p] leaves the address stream unchanged, given the pattern's
+    three lengths stay positive (a non-positive length is a hang).  Only a
+    stride under one row ([y_length = 1]) and an offset under one block
+    ([repeat = 1]) qualify.  An upset of [f] leaves the field the rule
+    reads alone, so [p] may be the pattern before or after it. *)
+
 type row = { row_label : string; row_counts : counts }
 
 type result = {

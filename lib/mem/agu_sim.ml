@@ -68,28 +68,6 @@ let step t =
       t.st <- Burst;
       { addr = None; busy = true; done_pulse = false }
 
-(* Closed-form replay of the FSM: the burst state issues [start + block*offset
-   + y*stride + x] in x-major order, and the reload bubbles issue nothing, so
-   the address stream is exactly the row-major enumeration of the three
-   counters.  [run_to_completion] on a healthy machine must agree word for
-   word — the spec-equivalence property tests pin that down. *)
-let trace p =
-  Access_pattern.validate p;
-  let row = p.Access_pattern.x_length in
-  let block = row * p.Access_pattern.y_length in
-  let n = block * p.Access_pattern.repeat in
-  let addrs =
-    Array.init n (fun i ->
-        let b = i / block and w = i mod block in
-        p.Access_pattern.start
-        + (b * p.Access_pattern.offset)
-        + (w / row * p.Access_pattern.stride)
-        + (w mod row))
-  in
-  let row_turns = (p.Access_pattern.y_length - 1) * p.Access_pattern.repeat in
-  let block_turns = p.Access_pattern.repeat - 1 in
-  (addrs, n + row_turns + block_turns)
-
 let cycles_estimate p =
   let words = Access_pattern.word_count p in
   let row_turns = (p.Access_pattern.y_length - 1) * p.Access_pattern.repeat in

@@ -40,10 +40,3 @@ val cycles_estimate : Access_pattern.t -> int
     its own and the done pulse rides the last word's cycle, so this is
     exactly the count [run_to_completion] returns and the budget its
     watchdog compares against. *)
-
-val trace : Access_pattern.t -> int array * int
-(** Closed-form [(addresses, cycles)] for one healthy pattern execution —
-    the exact stream and count {!run_to_completion} would produce, without
-    clocking the FSM.  Validates the pattern.  Used by the specialized
-    simulation engine to precompile replay traces; records no [agu.*]
-    counters (the replayer accounts for those itself). *)

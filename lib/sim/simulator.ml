@@ -277,9 +277,10 @@ let testbench (design : Design.t) params ~inputs =
           @ List.concat_map quantize_tensor
               (Db_nn.Params.get params node.Db_nn.Network.node_name))
   in
-  let eval = Lut_eval.of_luts design.Design.program.Compiler.luts in
   let expected =
-    Db_nn.Quantized.qoutput ~eval ~fmt design.Design.network params ~inputs
+    Specialize.qoutput
+      (Specialize.bind (Specialize.of_design design) params)
+      ~inputs
   in
   let report = timing design in
   Db_hdl.Testbench.generate ~top:design.Design.rtl.Db_hdl.Rtl.top

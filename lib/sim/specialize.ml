@@ -14,9 +14,11 @@
      a checked design);
    - an activation's result depends only on its input word, so for formats
      of at most 16 bits it is tabulated once per design;
-   - a healthy AGU pattern's address stream and cycle count have closed
-     forms ({!Db_mem.Agu_sim.trace}), so control replay reduces to summing
-     precomputed per-transfer cycle counts under the same watchdog.
+   - a healthy AGU pattern's word and cycle counts are closed forms of its
+     six registers ({!Db_mem.Access_pattern.word_count},
+     {!Db_mem.Agu_sim.cycles_estimate}), so control replay reduces to
+     summing precomputed per-transfer cycle counts under the same watchdog,
+     and compiling the trace costs O(transfers), not O(addresses).
 
    Pooling and LRN run the generic kernels' own loops
    ({!Quantized.qpool_into}, {!Quantized.qlrn_into}) into their slots.
@@ -90,7 +92,6 @@ type out_spec =
   | Out_multi of int
 
 type t = {
-  sp_network : string;
   sp_fmt : Fixed.format;
   sp_eval : Quantized.function_eval;
   sp_plan : node_plan array;
@@ -116,35 +117,27 @@ let activation_table t act =
 
 (* --- trace compilation ---------------------------------------------------- *)
 
-(* The control trace is compiled from the checker's plant view of the
-   schedule — the exact program/transfer enumeration Mem_safety proves —
-   and cross-checked against the raw compiled programs the generic replay
-   iterates.  Any divergence means the two views of the schedule have
-   drifted apart, which is a compiler bug, not a simulation result. *)
+(* One control step per compiled transfer, in the order the generic replay
+   clocks them.  A pattern's word and cycle counts are closed forms of its
+   six registers, so no address is ever generated; a pattern that fails
+   validation keeps the exception [Agu_sim.create] would raise on it. *)
 let compile_control (design : Design.t) =
-  let raw =
-    List.concat_map
-      (fun (p : Compiler.fold_program) ->
-        List.map (fun (tr : Compiler.transfer) -> tr.Compiler.pattern) p.Compiler.transfers)
-      design.Design.program.Compiler.programs
-  in
-  let plant_view =
-    List.concat_map
-      (fun (s : Db_check.Mem_safety.step) ->
-        List.map
-          (fun (a : Db_check.Mem_safety.access) -> a.Db_check.Mem_safety.ac_pattern)
-          s.Db_check.Mem_safety.st_accesses)
-      (Db_core.Checker.steps_of_design design)
-  in
-  if raw <> plant_view then
-    sfail "trace compiler: compiled transfers diverge from the checker plant view";
   Array.of_list
-    (List.map
-       (fun p ->
-         match Db_mem.Agu_sim.trace p with
-         | addrs, cycles -> Healthy { words = Array.length addrs; cycles }
-         | exception e -> Invalid e)
-       raw)
+    (List.concat_map
+       (fun (p : Compiler.fold_program) ->
+         List.map
+           (fun (tr : Compiler.transfer) ->
+             let pat = tr.Compiler.pattern in
+             match Db_mem.Access_pattern.validate pat with
+             | () ->
+                 Healthy
+                   {
+                     words = Db_mem.Access_pattern.word_count pat;
+                     cycles = Db_mem.Agu_sim.cycles_estimate pat;
+                   }
+             | exception e -> Invalid e)
+           p.Compiler.transfers)
+       design.Design.program.Compiler.programs)
 
 (* Widest format whose activations are tabulated: a 16-bit table holds
    65536 two-byte entries, 128 KB per distinct activation. *)
@@ -238,7 +231,6 @@ let compile (design : Design.t) =
       0 sp_control
   in
   {
-    sp_network = net.Network.net_name;
     sp_fmt = fmt;
     sp_eval;
     sp_plan = Array.of_list (List.rev !plans);

@@ -4,7 +4,8 @@
     sorted network, the folding plan's transfer schedule, and every AGU
     access pattern — into a flat trace: per-node kernel plans with
     resolved blob slots, and per-transfer closed-form [(words, cycles)]
-    control steps from {!Db_mem.Agu_sim.trace}.  [bind] then pre-quantizes
+    control steps ({!Db_mem.Access_pattern.word_count},
+    {!Db_mem.Agu_sim.cycles_estimate}).  [bind] then pre-quantizes
     one parameter set against the trace, and [output] / [output_batch]
     replay it with tight integer kernels.
 
@@ -29,11 +30,12 @@ type bound
 (** A trace bound to one pre-quantized parameter set. *)
 
 val compile : Db_core.Design.t -> t
-(** Compile the design's trace.  The control steps are extracted from the
-    checker's plant view ({!Db_core.Checker.steps_of_design}) and
-    cross-checked against the raw compiled programs; a divergence raises a
-    simulator-component error.  Invalid AGU patterns are recorded and
-    re-raised at replay time, where the generic engine would hit them. *)
+(** Compile the design's trace in O(nodes + transfers): one control step
+    per compiled transfer, its word and cycle counts taken from the
+    pattern's closed forms, so no address stream is built.  A pattern that
+    fails {!Db_mem.Access_pattern.validate} is recorded with the exception
+    it raised and re-raised at replay time, where the generic engine hits
+    it. *)
 
 val of_design : Db_core.Design.t -> t
 (** [compile] memoised per design via {!Db_core.Design_cache.Artifact}

@@ -306,6 +306,105 @@ let test_campaign_rejects_bad_rates () =
     [ infinity; nan; -1e-3; 2.0 ]
 
 (* ------------------------------------------------------------------ *)
+(* AGU masked rule                                                     *)
+
+module Access_pattern = Db_mem.Access_pattern
+
+(* The oracle: both address streams straight from the counter arithmetic,
+   unvalidated, equal iff they have the same length and agree pointwise. *)
+let streams_equal (g : Access_pattern.t) (c : Access_pattern.t) =
+  let addr (p : Access_pattern.t) i =
+    let row = p.Access_pattern.x_length in
+    let block = row * p.Access_pattern.y_length in
+    p.Access_pattern.start
+    + (i / block * p.Access_pattern.offset)
+    + (i mod block / row * p.Access_pattern.stride)
+    + (i mod row)
+  in
+  let count (p : Access_pattern.t) = Access_pattern.word_count p in
+  let n = count g in
+  n = count c
+  &&
+  let rec agree i = i >= n || (addr g i = addr c i && agree (i + 1)) in
+  agree 0
+
+let field_value (p : Access_pattern.t) = function
+  | Site.Start -> p.Access_pattern.start
+  | Site.X_length -> p.Access_pattern.x_length
+  | Site.Y_length -> p.Access_pattern.y_length
+  | Site.Stride -> p.Access_pattern.stride
+  | Site.Offset -> p.Access_pattern.offset
+  | Site.Repeat -> p.Access_pattern.repeat
+
+let with_field (p : Access_pattern.t) field v =
+  match field with
+  | Site.Start -> { p with Access_pattern.start = v }
+  | Site.X_length -> { p with Access_pattern.x_length = v }
+  | Site.Y_length -> { p with Access_pattern.y_length = v }
+  | Site.Stride -> { p with Access_pattern.stride = v }
+  | Site.Offset -> { p with Access_pattern.offset = v }
+  | Site.Repeat -> { p with Access_pattern.repeat = v }
+
+let field_name = function
+  | Site.Start -> "start"
+  | Site.X_length -> "x_length"
+  | Site.Y_length -> "y_length"
+  | Site.Stride -> "stride"
+  | Site.Offset -> "offset"
+  | Site.Repeat -> "repeat"
+
+(* A healthy pattern of at most 6x6x6 words, one of its six registers and
+   a different value for it: small, or anywhere in the 24-bit register. *)
+let gen_agu_upset =
+  QCheck.Gen.(
+    let* start = int_range 0 64 in
+    let* x_length = int_range 1 6 in
+    let* y_length = int_range 1 6 in
+    let* stride = int_range 0 16 in
+    let* offset = int_range 0 64 in
+    let* repeat = int_range 1 6 in
+    let p =
+      {
+        Access_pattern.pattern_name = "upset";
+        start;
+        footprint = 1;
+        x_length;
+        y_length;
+        stride;
+        offset;
+        repeat;
+      }
+    in
+    let* field = oneofa Site.agu_fields in
+    let old = field_value p field in
+    let* v =
+      frequency
+        [ (3, int_range 0 80); (1, int_range 0 ((1 lsl Site.agu_register_bits) - 1)) ]
+    in
+    return (p, field, if v = old then old + 1 else v))
+
+let print_agu_upset ((p : Access_pattern.t), field, v) =
+  Printf.sprintf "start=%d x=%d y=%d stride=%d offset=%d repeat=%d; %s := %d"
+    p.Access_pattern.start p.Access_pattern.x_length p.Access_pattern.y_length
+    p.Access_pattern.stride p.Access_pattern.offset p.Access_pattern.repeat
+    (field_name field) v
+
+(* Wherever the upset pattern's lengths stay positive (the others hang),
+   the rule agrees with comparing both streams, read from either side. *)
+let prop_agu_upset_masked =
+  QCheck.Test.make ~name:"AGU masked rule = stream comparison" ~count:3000
+    (QCheck.make ~print:print_agu_upset gen_agu_upset)
+    (fun (p, field, v) ->
+      let c = with_field p field v in
+      QCheck.assume
+        (c.Access_pattern.x_length > 0
+        && c.Access_pattern.y_length > 0
+        && c.Access_pattern.repeat > 0);
+      let same = streams_equal p c in
+      Campaign.agu_upset_masked p field = same
+      && Campaign.agu_upset_masked c field = same)
+
+(* ------------------------------------------------------------------ *)
 (* Watchdog                                                            *)
 
 let test_watchdog_agu_over_budget_times_out () =
@@ -432,6 +531,7 @@ let suite =
         Alcotest.test_case "rejects bad rates" `Quick
           test_campaign_rejects_bad_rates;
       ] );
+    ("fault.agu", [ QCheck_alcotest.to_alcotest prop_agu_upset_masked ]);
     ( "fault.watchdog",
       [
         Alcotest.test_case "AGU over budget timeout" `Quick

@@ -20,6 +20,7 @@ module Quantized = Db_nn.Quantized
 module Fixed = Db_fixed.Fixed
 module Shape = Db_tensor.Shape
 module Rng = Db_util.Rng
+module Compiler = Db_core.Compiler
 
 (* Every model the zoo serves by name (the `ir`/`lint` gates enumerate the
    same twelve) plus the trainable CMAC stand-in. *)
@@ -667,6 +668,95 @@ let test_campaign_allocation_budget () =
       ("mnist", Zoo.mnist_prototxt, 1.3);
     ]
 
+(* Words [f] allocates on the calling domain, minor plus major. *)
+let allocated_words f =
+  let minor0, _, major0 = Gc.counters () in
+  ignore (Sys.opaque_identity (f ()));
+  let minor1, _, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. major0)
+
+(* Compiling a trace costs O(nodes + transfers), never O(addresses):
+   AlexNet's transfers move 65.8M words and VGG16's 287.6M. *)
+let test_compile_allocation () =
+  List.iter
+    (fun (name, prototxt) ->
+      let design = design_of prototxt in
+      let words = allocated_words (fun () -> Specialize.compile design) in
+      if words >= 1e6 then
+        Alcotest.failf "%s: compiling the trace allocates %.0f words" name words)
+    [ ("alexnet", Zoo.alexnet_prototxt); ("vgg16", Zoo.vgg16_prototxt) ]
+
+(* --- invalid control patterns ---------------------------------------------- *)
+
+(* [design] with the [k]-th compiled transfer's pattern rewritten by [f]. *)
+let with_pattern (design : Db_core.Design.t) k f =
+  let seen = ref (-1) in
+  let transfer (tr : Compiler.transfer) =
+    incr seen;
+    if !seen = k then { tr with Compiler.pattern = f tr.Compiler.pattern } else tr
+  in
+  let programs =
+    List.map
+      (fun (p : Compiler.fold_program) ->
+        { p with Compiler.transfers = List.map transfer p.Compiler.transfers })
+      design.Db_core.Design.program.Compiler.programs
+  in
+  { design with
+    Db_core.Design.program = { design.Db_core.Design.program with Compiler.programs } }
+
+let replay engine ~cycle_budget design =
+  match engine ~cycle_budget design with
+  | cycles -> Ok cycles
+  | exception e -> Error e
+
+(* A pattern that fails validation halfway through the schedule: both
+   engines raise its validation error once the replay reaches it, and the
+   same watchdog payload when the budget runs out on the way, at the
+   transfer boundary before it or inside an earlier transfer. *)
+let test_invalid_pattern_parity () =
+  let design = design_of Zoo.lenet5_prototxt in
+  let patterns =
+    List.concat_map
+      (fun (p : Compiler.fold_program) ->
+        List.map (fun (tr : Compiler.transfer) -> tr.Compiler.pattern) p.Compiler.transfers)
+      design.Db_core.Design.program.Compiler.programs
+  in
+  let k = List.length patterns / 2 in
+  let cost = List.map Db_mem.Agu_sim.cycles_estimate patterns in
+  let before = List.fold_left ( + ) 0 (List.filteri (fun i _ -> i < k) cost) in
+  let last = List.nth cost (k - 1) in
+  Alcotest.(check bool) "the transfer before the corrupted one takes cycles" true
+    (last > 1);
+  List.iter
+    (fun (label, corrupt) ->
+      let bad = with_pattern design k corrupt in
+      List.iter
+        (fun (budget, expect_timeout) ->
+          let spec = replay Simulator.replay_control ~cycle_budget:budget bad in
+          let gen = replay Generic_engine.replay_control ~cycle_budget:budget bad in
+          let what = Printf.sprintf "%s, budget %d" label budget in
+          (match spec, expect_timeout with
+          | Error (Db_util.Error.Timeout _), true
+          | Error (Db_util.Error.Deepburning_error _), false -> ()
+          | Ok _, _ | Error _, _ ->
+              Alcotest.failf "%s: not the expected failure" what);
+          if spec <> gen then Alcotest.failf "%s: the engines disagree" what)
+        [
+          ((2 * List.fold_left ( + ) 0 cost) + 1_000, false);
+          (before, true);
+          (before - 1, true);
+          (before - last + 1, true);
+        ])
+    [
+      ("x_length = 0", fun p -> { p with Db_mem.Access_pattern.x_length = 0 });
+      ("negative start", fun p -> { p with Db_mem.Access_pattern.start = -1 });
+      ( "escapes its footprint",
+        fun p ->
+          { p with
+            Db_mem.Access_pattern.x_length =
+              p.Db_mem.Access_pattern.footprint + 1 } );
+    ]
+
 (* --- activation tables ----------------------------------------------------- *)
 
 let activations net =
@@ -789,6 +879,10 @@ let suite =
           Alcotest.test_case "allocation budget" `Quick test_allocation_budget;
           Alcotest.test_case "campaign allocation budget" `Quick
             test_campaign_allocation_budget;
+          Alcotest.test_case "trace compile is O(transfers)" `Quick
+            test_compile_allocation;
+          Alcotest.test_case "invalid pattern parity" `Quick
+            test_invalid_pattern_parity;
           Alcotest.test_case "activation tables = closure" `Slow
             test_activation_tables;
         ] );
