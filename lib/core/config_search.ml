@@ -80,8 +80,7 @@ let evaluate cons (g : Graph.t) ~lanes =
       let layout =
         Db_obs.Obs.with_span "layout" (fun () ->
             Db_mem.Layout.build
-              ~bytes_per_word:
-                ((cons.Constraints.fmt.Db_fixed.Fixed.total_bits + 7) / 8)
+              ~bytes_per_word:(Db_fixed.Fixed.word_bytes cons.Constraints.fmt)
               ~port_width:datapath.Db_sched.Datapath.port_words g)
       in
       let block_set =

@@ -12,6 +12,8 @@ let q8_4 = format ~total_bits:8 ~frac_bits:4
 let q24_12 = format ~total_bits:24 ~frac_bits:12
 let q32_16 = format ~total_bits:32 ~frac_bits:16
 
+let word_bytes q = (q.total_bits + 7) / 8
+
 let max_value q = (1 lsl (q.total_bits - 1)) - 1
 
 let min_value q = -(1 lsl (q.total_bits - 1))

@@ -20,6 +20,10 @@ val q24_12 : format
 
 val q32_16 : format
 
+val word_bytes : format -> int
+(** Bytes one stored word occupies in DRAM: [total_bits] rounded up to
+    whole bytes. *)
+
 val max_value : format -> int
 (** Largest representable scaled integer. *)
 

@@ -4,9 +4,9 @@
    - the pool must never change *what* is computed, only *where*: callers
      split work into tasks whose writes are disjoint, so results are
      bitwise-identical for any DEEPBURNING_JOBS value;
-   - reductions go through [reduce], whose chunk boundaries are a caller
-     supplied constant (never derived from the worker count) and whose
-     partial results are combined sequentially in ascending chunk order;
+   - a cross-task reduction has each task write its own per-index slot,
+     and the caller folds the slots sequentially in index order, so no
+     combine order ever depends on the worker count;
    - nested parallel sections must not deadlock: the submitting domain
      always helps execute its own batch, so a batch completes even when
      every worker is busy elsewhere. *)
@@ -185,23 +185,6 @@ let parallel_for ?chunk ?work ~lo ~hi f =
         for i = s to e - 1 do
           f i
         done)
-  end
-
-let reduce ~chunk ~lo ~hi ~init ~map ~combine =
-  if chunk < 1 then invalid_arg (Printf.sprintf "Pool.reduce: chunk %d" chunk);
-  let n = hi - lo in
-  if n <= 0 then init
-  else begin
-    let nchunks = (n + chunk - 1) / chunk in
-    let results = Array.make nchunks None in
-    run_batch ~len:nchunks (fun c ->
-        let s = lo + (c * chunk) in
-        let e = Stdlib.min hi (s + chunk) in
-        results.(c) <- Some (map s e));
-    Array.fold_left
-      (fun acc r ->
-        match r with Some v -> combine acc v | None -> assert false)
-      init results
   end
 
 let map_list f xs =

@@ -12,9 +12,9 @@
     Determinism contract: callers must split work so that tasks write to
     disjoint locations; under that contract results are bitwise-identical
     for every [DEEPBURNING_JOBS] value, because task boundaries never feed
-    back into the values computed.  Cross-task reductions must go through
-    {!reduce}, whose chunking is caller-fixed and whose combine runs
-    sequentially in ascending chunk order. *)
+    back into the values computed.  A cross-task reduction writes one
+    result slot per index (as {!map_list} does) and the caller folds the
+    slots sequentially in index order. *)
 
 val job_count : unit -> int
 (** Pool width in effect: 1 inside {!with_sequential}, otherwise
@@ -31,22 +31,6 @@ val parallel_for :
     count (ranges too small to be worth a batch run inline); neither ever
     affects results.  Exceptions raised by [f] are re-raised in the caller
     (first one wins). *)
-
-val reduce :
-  chunk:int ->
-  lo:int ->
-  hi:int ->
-  init:'a ->
-  map:(int -> int -> 'a) ->
-  combine:('a -> 'a -> 'a) ->
-  'a
-(** [reduce ~chunk ~lo ~hi ~init ~map ~combine] evaluates
-    [map s e] on consecutive index ranges [\[s, e)] of fixed width [chunk]
-    (the last may be short) and folds the partial results with [combine] in
-    ascending chunk order: [combine (combine init r0) r1 ...].  Because the
-    chunk width is caller-supplied and the fold is ordered, the result is
-    bitwise-deterministic for any pool width — including floating-point
-    accumulation. *)
 
 val map_list : ('a -> 'b) -> 'a list -> 'b list
 (** Order-preserving parallel [List.map]; each element is mapped as one

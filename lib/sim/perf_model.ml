@@ -14,6 +14,19 @@ let reconfiguration_overhead_cycles = 4
 
 let div_ceil a b = (a + b - 1) / b
 
+(* The board's one off-chip memory: every DRAM price below reads it. *)
+let dram = Db_mem.Dram.zynq_ddr3
+
+let transfer_bytes dp (tr : Compiler.transfer) =
+  tr.Compiler.words * Db_fixed.Fixed.word_bytes dp.Datapath.fmt
+
+let transfer_cycles dp (tr : Compiler.transfer) =
+  Db_mem.Dram.transfer_cycles dram ~bytes:(transfer_bytes dp tr)
+    ~sequential_fraction:tr.Compiler.seq_fraction
+
+let burst_cycles ~bytes =
+  Db_mem.Dram.transfer_cycles dram ~bytes ~sequential_fraction:1.0
+
 let pipeline_fill_cycles dp =
   (* multiplier + adder tree + activation + crossbar *)
   5
@@ -22,7 +35,7 @@ let pipeline_fill_cycles dp =
        int_of_float
          (Float.ceil (log (float_of_int dp.Datapath.simd) /. log 2.0)))
 
-let fold_cost dp ~dram ~bytes_per_word (p : Compiler.fold_program) =
+let fold_cost dp (p : Compiler.fold_program) =
   let fold = p.Compiler.fold in
   let macs_rate = Datapath.macs_per_cycle dp in
   let mac_cycles = div_ceil fold.Folding.macs macs_rate in
@@ -39,12 +52,8 @@ let fold_cost dp ~dram ~bytes_per_word (p : Compiler.fold_program) =
   in
   let memory_cycles, dram_bytes =
     List.fold_left
-      (fun (cyc, bytes) (tr : Compiler.transfer) ->
-        let b = tr.Compiler.words * bytes_per_word in
-        ( cyc
-          + Db_mem.Dram.transfer_cycles dram ~bytes:b
-              ~sequential_fraction:tr.Compiler.seq_fraction,
-          bytes + b ))
+      (fun (cyc, bytes) tr ->
+        (cyc + transfer_cycles dp tr, bytes + transfer_bytes dp tr))
       (0, 0) p.Compiler.transfers
   in
   {

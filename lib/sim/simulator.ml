@@ -44,12 +44,10 @@ let record_layer_counters per_layer =
         Db_obs.Obs.incr ~by:r.lr_folds (p ^ ".folds"))
       per_layer
 
-let timing_core ~dram (design : Design.t) =
+let timing_core (design : Design.t) =
   let dp = design.Design.datapath in
-  let bytes_per_word = (dp.Db_sched.Datapath.fmt.Db_fixed.Fixed.total_bits + 7) / 8 in
   let costs =
-    List.map
-      (fun p -> (p, Perf_model.fold_cost dp ~dram ~bytes_per_word p))
+    List.map (fun p -> (p, Perf_model.fold_cost dp p))
       design.Design.program.Compiler.programs
   in
   (* Aggregate per layer, preserving execution order. *)
@@ -122,25 +120,19 @@ let timing_core ~dram (design : Design.t) =
       (if seconds > 0.0 then float_of_int macs /. seconds /. 1e9 else 0.0);
   }
 
-(* The report is a pure function of the design at the default DRAM model,
-   and the experiment harness re-times the same cached designs constantly —
-   memoise it next to the design.  Counters and spans stay per-call (below),
-   so observability output is unchanged by the cache. *)
+(* The report is a pure function of the design, and the experiment harness
+   re-times the same cached designs constantly — memoise it next to the
+   design.  Counters and spans stay per-call (below), so observability
+   output is unchanged by the cache. *)
 module Timing_cache = Db_core.Design_cache.Artifact (struct
   type t = report
 end)
 
-let timing ?dram (design : Design.t) =
+let timing (design : Design.t) =
   Db_obs.Obs.with_span "simulate.timing"
     ~attrs:[ ("network", design.Design.network.Db_nn.Network.net_name) ]
   @@ fun () ->
-  let r =
-    match dram with
-    | Some dram -> timing_core ~dram design
-    | None ->
-        Timing_cache.find design
-          ~compile:(timing_core ~dram:Db_mem.Dram.zynq_ddr3)
-  in
+  let r = Timing_cache.find design ~compile:timing_core in
   record_layer_counters r.per_layer;
   r
 
@@ -152,16 +144,13 @@ type batch_report = {
   speedup_over_serial : float;
 }
 
-let batch_timing ?(dram = Db_mem.Dram.zynq_ddr3) ~batch (design : Design.t) =
+let batch_timing ~batch (design : Design.t) =
   if batch <= 0 then
     Db_util.Error.failf_at ~component:"simulator"
       "batch_timing: batch must be positive";
   let dp = design.Design.datapath in
-  let bytes_per_word = (dp.Db_sched.Datapath.fmt.Db_fixed.Fixed.total_bits + 7) / 8 in
   let costs =
-    List.map
-      (fun p -> Perf_model.fold_cost dp ~dram ~bytes_per_word p)
-      design.Design.program.Compiler.programs
+    List.map (Perf_model.fold_cost dp) design.Design.program.Compiler.programs
   in
   let serial_image =
     List.fold_left (fun acc c -> acc + c.Perf_model.fold_cycles) 0 costs
@@ -210,10 +199,7 @@ let batch_timing ?(dram = Db_mem.Dram.zynq_ddr3) ~batch (design : Design.t) =
               match tr.Compiler.stream with
               | `Weight_in -> acc
               | `Feature_in | `Output_back ->
-                  acc
-                  + Db_mem.Dram.transfer_cycles dram
-                      ~bytes:(tr.Compiler.words * bytes_per_word)
-                      ~sequential_fraction:tr.Compiler.seq_fraction)
+                  acc + Perf_model.transfer_cycles dp tr)
             acc p.Compiler.transfers)
       0 design.Design.program.Compiler.programs costs
   in
@@ -261,9 +247,9 @@ let functional_output_batch ?cycle_budget (design : Design.t) params ~batch =
   Specialize.output_batch (Specialize.bind (Specialize.of_design design) params)
     ~batch
 
-let run ?dram ?cycle_budget design params ~inputs =
+let run ?cycle_budget design params ~inputs =
   Db_obs.Obs.with_span "simulate.run" @@ fun () ->
-  (functional_output ?cycle_budget design params ~inputs, timing ?dram design)
+  (functional_output ?cycle_budget design params ~inputs, timing design)
 
 let testbench (design : Design.t) params ~inputs =
   let fmt = design.Design.datapath.Db_sched.Datapath.fmt in

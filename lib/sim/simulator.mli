@@ -1,7 +1,7 @@
 (** Cycle-level simulation of a generated accelerator.
 
-    Timing follows the compiled fold programs against the DRAM and buffer
-    models; function follows the fixed-point interpreter with the design's
+    Timing follows the compiled fold programs through the one cost model,
+    {!Perf_model}; function follows the fixed-point interpreter with the design's
     Approx LUTs substituted for the exact non-linear functions — the same
     arithmetic the datapath performs, so the output is what the board
     would produce. *)
@@ -31,8 +31,9 @@ type report = {
   effective_gmacs : float;  (** achieved GMAC/s *)
 }
 
-val timing : ?dram:Db_mem.Dram.t -> Db_core.Design.t -> report
-(** One forward propagation's latency and energy. *)
+val timing : Db_core.Design.t -> report
+(** One forward propagation's latency and energy, every fold priced by
+    {!Perf_model.fold_cost}.  Memoised per design. *)
 
 type batch_report = {
   batch : int;
@@ -43,13 +44,16 @@ type batch_report = {
       (** pipelined batch vs [batch] independent single-image passes *)
 }
 
-val batch_timing : ?dram:Db_mem.Dram.t -> batch:int -> Db_core.Design.t -> batch_report
+val batch_timing : batch:int -> Db_core.Design.t -> batch_report
 (** Back-to-back processing of [batch] inputs with double-buffered DRAM
     traffic: after the first image fills the pipeline, the steady-state
     per-image cost is bounded by whichever aggregate dominates — total
     compute beats or total memory beats — instead of their per-fold max.
     This is the training/inference *throughput* mode the paper's intro
-    motivates (repeated forward passes over an input set). *)
+    motivates (repeated forward passes over an input set).  A layer whose
+    weights fit the weight buffer stays resident across images: its folds
+    are re-priced without their weight stream, transfer by transfer
+    ({!Perf_model.transfer_cycles}). *)
 
 val replay_control : cycle_budget:int -> Db_core.Design.t -> int
 (** Replay every compiled AGU transfer under one shared cycle budget;
@@ -89,7 +93,6 @@ val functional_output_batch :
     control path is input-independent). *)
 
 val run :
-  ?dram:Db_mem.Dram.t ->
   ?cycle_budget:int ->
   Db_core.Design.t ->
   Db_nn.Params.t ->

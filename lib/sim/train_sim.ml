@@ -7,10 +7,7 @@
      ordinary [Schedule.t] underneath) and prices every fold with
      [Perf_model.fold_cost], attributing folds to FF/BP/UP by the node's
      phase.  Inter-phase activation spills (the [Act_cache] plan) are
-     priced as one bulk DRAM burst per step.  A compiled flat trace — one
-     cycle count per fold, in schedule order — replays a step without
-     touching the compiler again; [generic_step] recomputes everything
-     from scratch and the two must agree exactly (tested).
+     priced as one sequential DRAM burst per step.
 
    - The *functional* half interprets the training graph in fixed point:
      FF nodes run through [Quantized.eval_node] (bitwise identical to the
@@ -59,22 +56,17 @@ type cycle_report = {
   spill_cycles : int;
   spill_bytes : int;
   step_cycles : int;  (** one full FF→BP→UP SGD step *)
-  trace : (string * int) array;
-      (** compiled flat trace: (fold event, cycles) in schedule order *)
 }
 
-let bytes_per_word (dp : Datapath.t) =
-  (dp.Datapath.fmt.Fixed.total_bits + 7) / 8
-
-let compile_programs ?tiling_enabled (tb : Train_builder.t) =
+let compile_programs (tb : Train_builder.t) =
   let dp = tb.Train_builder.base.Db_core.Design.datapath in
   let tgraph = tb.Train_builder.tgraph in
   let layout =
-    Db_mem.Layout.build ~bytes_per_word:(bytes_per_word dp)
+    Db_mem.Layout.build ~bytes_per_word:(Fixed.word_bytes dp.Datapath.fmt)
       ~port_width:dp.Datapath.port_words tgraph
   in
   let program =
-    Compiler.compile ?tiling_enabled tgraph ~datapath:dp
+    Compiler.compile tgraph ~datapath:dp
       ~schedule:tb.Train_builder.tschedule.Train_schedule.schedule ~layout
   in
   program.Compiler.programs
@@ -87,16 +79,12 @@ let phase_table (tgraph : Graph.t) =
     tgraph.Graph.nodes;
   tbl
 
-let spill_cost ~dram (tb : Train_builder.t) =
+let spill_cost (tb : Train_builder.t) =
   let dp = tb.Train_builder.base.Db_core.Design.datapath in
   let words = Act_cache.dram_words_per_step tb.Train_builder.act_cache in
-  let bytes = words * bytes_per_word dp in
+  let bytes = words * Fixed.word_bytes dp.Datapath.fmt in
   (* Spills are whole-tensor bursts: write after FF, read during BP. *)
-  let cycles =
-    if bytes = 0 then 0
-    else Db_mem.Dram.transfer_cycles dram ~bytes ~sequential_fraction:1.0
-  in
-  (cycles, bytes)
+  (Perf_model.burst_cycles ~bytes, bytes)
 
 let empty_phase phase =
   {
@@ -108,46 +96,39 @@ let empty_phase phase =
     pc_folds = 0;
   }
 
-let compile_trace ?tiling_enabled ?(dram = Db_mem.Dram.zynq_ddr3)
-    (tb : Train_builder.t) =
+let compile_trace (tb : Train_builder.t) =
   Db_obs.Obs.with_span "train_sim.compile_trace" (fun () ->
       let dp = tb.Train_builder.base.Db_core.Design.datapath in
-      let bpw = bytes_per_word dp in
-      let programs = compile_programs ?tiling_enabled tb in
       let phases = phase_table tb.Train_builder.tgraph in
       let acc = Hashtbl.create 3 in
       List.iter
         (fun p -> Hashtbl.replace acc p (empty_phase p))
         [ Train_schedule.Ff; Train_schedule.Bp; Train_schedule.Up ];
-      let trace =
-        List.map
-          (fun (p : Compiler.fold_program) ->
-            let c = Perf_model.fold_cost dp ~dram ~bytes_per_word:bpw p in
-            let phase =
-              match
-                Hashtbl.find_opt phases p.Compiler.fold.Folding.fold_layer
-              with
-              | Some ph -> ph
-              | None ->
-                  fail "fold %S names no node of the training graph"
-                    p.Compiler.fold.Folding.fold_layer
-            in
-            let r = Hashtbl.find acc phase in
-            Hashtbl.replace acc phase
-              {
-                r with
-                pc_cycles = r.pc_cycles + c.Perf_model.fold_cycles;
-                pc_compute_cycles =
-                  r.pc_compute_cycles + c.Perf_model.compute_cycles;
-                pc_memory_cycles =
-                  r.pc_memory_cycles + c.Perf_model.memory_cycles;
-                pc_dram_bytes = r.pc_dram_bytes + c.Perf_model.dram_bytes;
-                pc_folds = r.pc_folds + 1;
-              };
-            (p.Compiler.fold.Folding.event, c.Perf_model.fold_cycles))
-          programs
-      in
-      let spill_cycles, spill_bytes = spill_cost ~dram tb in
+      List.iter
+        (fun (p : Compiler.fold_program) ->
+          let c = Perf_model.fold_cost dp p in
+          let phase =
+            match
+              Hashtbl.find_opt phases p.Compiler.fold.Folding.fold_layer
+            with
+            | Some ph -> ph
+            | None ->
+                fail "fold %S names no node of the training graph"
+                  p.Compiler.fold.Folding.fold_layer
+          in
+          let r = Hashtbl.find acc phase in
+          Hashtbl.replace acc phase
+            {
+              r with
+              pc_cycles = r.pc_cycles + c.Perf_model.fold_cycles;
+              pc_compute_cycles =
+                r.pc_compute_cycles + c.Perf_model.compute_cycles;
+              pc_memory_cycles = r.pc_memory_cycles + c.Perf_model.memory_cycles;
+              pc_dram_bytes = r.pc_dram_bytes + c.Perf_model.dram_bytes;
+              pc_folds = r.pc_folds + 1;
+            })
+        (compile_programs tb);
+      let spill_cycles, spill_bytes = spill_cost tb in
       let ff = Hashtbl.find acc Train_schedule.Ff in
       let bp = Hashtbl.find acc Train_schedule.Bp in
       let up = Hashtbl.find acc Train_schedule.Up in
@@ -160,28 +141,7 @@ let compile_trace ?tiling_enabled ?(dram = Db_mem.Dram.zynq_ddr3)
         spill_bytes;
         step_cycles =
           ff.pc_cycles + bp.pc_cycles + up.pc_cycles + spill_cycles;
-        trace = Array.of_list trace;
       })
-
-(* Flat-trace replay: what the specialized engine does — no compiler, no
-   cost model, just the precompiled per-fold cycle counts. *)
-let replay_step (r : cycle_report) =
-  Array.fold_left (fun acc (_, c) -> acc + c) r.spill_cycles r.trace
-
-(* Full recomputation through the generic cost model; must equal
-   [replay_step (compile_trace tb)] for the same DRAM model. *)
-let generic_step ?tiling_enabled ?(dram = Db_mem.Dram.zynq_ddr3)
-    (tb : Train_builder.t) =
-  let dp = tb.Train_builder.base.Db_core.Design.datapath in
-  let bpw = bytes_per_word dp in
-  let programs = compile_programs ?tiling_enabled tb in
-  let spill_cycles, _ = spill_cost ~dram tb in
-  List.fold_left
-    (fun acc p ->
-      acc
-      + (Perf_model.fold_cost dp ~dram ~bytes_per_word:bpw p)
-          .Perf_model.fold_cycles)
-    spill_cycles programs
 
 let steps_per_second (tb : Train_builder.t) (r : cycle_report) =
   let clock =

@@ -2,9 +2,8 @@
 
     The cycle half prices the training-lowered graph's folds through the
     same compiler and cost model as the inference simulator, grouped by
-    FF/BP/UP phase, plus the {!Db_mem.Act_cache} spill traffic; a
-    compiled flat trace replays a step without recompiling, and
-    [generic_step] must agree with it exactly.  The functional half runs
+    FF/BP/UP phase, plus the {!Db_mem.Act_cache} spill traffic as one
+    sequential burst ({!Perf_model.burst_cycles}).  The functional half runs
     quantized SGD with the update-unit arithmetic, consuming the RNG
     exactly as {!Db_train.Trainer.train} does so the hardware and
     software loss trajectories are directly comparable. *)
@@ -25,29 +24,12 @@ type cycle_report = {
   spill_cycles : int;  (** inter-phase activation spill traffic *)
   spill_bytes : int;
   step_cycles : int;  (** one full FF→BP→UP SGD step *)
-  trace : (string * int) array;
-      (** compiled flat trace: (fold event, cycles) in schedule order *)
 }
 
-val compile_trace :
-  ?tiling_enabled:bool ->
-  ?dram:Db_mem.Dram.t ->
-  Db_core.Train_builder.t ->
-  cycle_report
-(** Compile the training graph's AGU programs and price every fold
-    (default DRAM: {!Db_mem.Dram.zynq_ddr3}). *)
-
-val replay_step : cycle_report -> int
-(** Replay one step from the flat trace alone: sum of the per-fold
-    cycles plus the spill burst.  Equals {!cycle_report.step_cycles}. *)
-
-val generic_step :
-  ?tiling_enabled:bool ->
-  ?dram:Db_mem.Dram.t ->
-  Db_core.Train_builder.t ->
-  int
-(** Recompute a step's cycles from scratch through the generic cost
-    model; must equal [replay_step (compile_trace tb)]. *)
+val compile_trace : Db_core.Train_builder.t -> cycle_report
+(** Compile the training graph's AGU programs and price every fold with
+    {!Perf_model.fold_cost}; [step_cycles] is the phases' sum plus the
+    spill burst. *)
 
 val steps_per_second :
   Db_core.Train_builder.t -> cycle_report -> float

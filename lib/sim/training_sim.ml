@@ -12,12 +12,12 @@ type iteration = {
 
 let div_ceil a b = (a + b - 1) / b
 
-let iteration ?(dram = Db_mem.Dram.zynq_ddr3) (design : Design.t) =
+let iteration (design : Design.t) =
   let stats = Db_nn.Model_stats.compute design.Design.network in
   let dp = design.Design.datapath in
   let macs_rate = Datapath.macs_per_cycle dp in
   let forward_cycles =
-    (Simulator.batch_timing ~dram ~batch:2 design).Simulator.batch_cycles / 2
+    (Simulator.batch_timing ~batch:2 design).Simulator.batch_cycles / 2
   in
   (* Backward: the dX sweep and the dW sweep each revisit every forward MAC
      once; the activation-derivative pass costs one beat per activation. *)
@@ -33,14 +33,11 @@ let iteration ?(dram = Db_mem.Dram.zynq_ddr3) (design : Design.t) =
     + div_ceil backward_aux dp.Datapath.lanes
   in
   (* Update: read every weight, add the scaled gradient, write it back. *)
-  let bytes_per_word = (dp.Datapath.fmt.Db_fixed.Fixed.total_bits + 7) / 8 in
+  let params = stats.Db_nn.Model_stats.total_params in
   let update_cycles =
-    Db_mem.Dram.transfer_cycles dram
-      ~bytes:(2 * stats.Db_nn.Model_stats.total_weight_bytes)
-      ~sequential_fraction:1.0
-    + div_ceil
-        (stats.Db_nn.Model_stats.total_weight_bytes / bytes_per_word)
-        macs_rate
+    Perf_model.burst_cycles
+      ~bytes:(2 * params * Db_fixed.Fixed.word_bytes dp.Datapath.fmt)
+    + div_ceil params macs_rate
   in
   let iteration_cycles = forward_cycles + backward_cycles + update_cycles in
   let timing_model =

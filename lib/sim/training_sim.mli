@@ -10,8 +10,9 @@
     - backward: two MAC sweeps per weighted layer (dX and dW), executed on
       the same lanes with the same folding, plus the activation-derivative
       pass on the auxiliary units;
-    - update: one read-modify-write sweep over the weights, bounded by
-      DRAM bandwidth.
+    - update: one read-modify-write sweep over the weights at the
+      design's word size, priced as a sequential DRAM burst
+      ({!Perf_model.burst_cycles}) plus one lane beat per parameter.
 
     Like the rest of the performance model this is timing-only; training
     numerics stay in float on the host (the paper trains off-board too —
@@ -26,6 +27,6 @@ type iteration = {
   samples_per_second : float;
 }
 
-val iteration : ?dram:Db_mem.Dram.t -> Db_core.Design.t -> iteration
+val iteration : Db_core.Design.t -> iteration
 (** One sample's forward + backward + update on the accelerator. *)
 

@@ -102,6 +102,20 @@ let test_training_iteration () =
   Alcotest.(check bool) "samples/s positive" true
     (it.Db_sim.Training_sim.samples_per_second > 0.0)
 
+(* The SGD update sweeps every parameter at the design's own word size:
+   narrower words move fewer DRAM bytes, wider words more, while the
+   per-parameter lane beats stay put. *)
+let test_training_update_word_size () =
+  let net = Db_workloads.Model_zoo.build Db_workloads.Model_zoo.mlp_prototxt in
+  List.iter
+    (fun (fmt, expected) ->
+      let cons = { Db_core.Constraints.db_medium with Db_core.Constraints.fmt } in
+      let it = Db_sim.Training_sim.iteration (Db_core.Generator.generate cons net) in
+      Alcotest.(check int)
+        (Printf.sprintf "update cycles, %d-bit words" fmt.Fixed.total_bits)
+        expected it.Db_sim.Training_sim.update_cycles)
+    [ (Fixed.q8_4, 114); (Fixed.q16_8, 177); (Fixed.q32_16, 303) ]
+
 let test_training_cpu_baseline () =
   let cpu = Db_baseline.Cpu_model.xeon_2_4ghz in
   let net = Db_workloads.Model_zoo.build Db_workloads.Model_zoo.mnist_prototxt in
@@ -245,6 +259,7 @@ let suite =
     ( "ext.training",
       [
         Alcotest.test_case "iteration" `Quick test_training_iteration;
+        Alcotest.test_case "update word size" `Quick test_training_update_word_size;
         Alcotest.test_case "cpu baseline" `Quick test_training_cpu_baseline;
         Alcotest.test_case "experiment rows" `Quick test_training_experiment_rows;
       ] );

@@ -56,22 +56,6 @@ let test_exception_propagates () =
     Alcotest.fail "exception was swallowed"
   with Boom -> ()
 
-let harmonic_map s e =
-  let acc = ref 0.0 in
-  for i = s to e - 1 do
-    acc := !acc +. (1.0 /. float_of_int (i + 1))
-  done;
-  !acc
-
-let test_reduce_deterministic () =
-  let run () =
-    Pool.reduce ~chunk:7 ~lo:0 ~hi:1000 ~init:0.0 ~map:harmonic_map
-      ~combine:( +. )
-  in
-  let seq = Pool.with_sequential run in
-  let par = run () in
-  Alcotest.(check (float 0.0)) "bitwise-identical reduction" seq par
-
 let test_map_list_order () =
   let xs = List.init 100 (fun i -> i) in
   Alcotest.(check (list int))
@@ -234,7 +218,6 @@ let suite =
         Alcotest.test_case "nested sections" `Quick test_nesting;
         Alcotest.test_case "exception propagation" `Quick
           test_exception_propagates;
-        Alcotest.test_case "reduce determinism" `Quick test_reduce_deterministic;
         Alcotest.test_case "map_list order" `Quick test_map_list_order;
       ] );
     ( "parallel.kernels",

@@ -50,7 +50,7 @@ let test_fold_cost_overlap () =
   let dp = design.Design.datapath in
   List.iter
     (fun p ->
-      let c = Perf_model.fold_cost dp ~dram:Db_mem.Dram.zynq_ddr3 ~bytes_per_word:2 p in
+      let c = Perf_model.fold_cost dp p in
       Alcotest.(check int) "overlap"
         (Stdlib.max c.Perf_model.compute_cycles c.Perf_model.memory_cycles
         + Perf_model.reconfiguration_overhead_cycles)
@@ -112,16 +112,6 @@ let test_run_returns_both () =
   Alcotest.(check int) "output size" 4 (Tensor.numel out);
   Alcotest.(check bool) "report present" true (report.Simulator.total_cycles > 0)
 
-let test_slow_dram_slows_only_memory_bound () =
-  let design = design_of (ann_net ()) in
-  let fast = Simulator.timing design in
-  let slow_dram =
-    { Db_mem.Dram.zynq_ddr3 with Db_mem.Dram.peak_bytes_per_cycle = 0.5 }
-  in
-  let slow = Simulator.timing ~dram:slow_dram design in
-  Alcotest.(check bool) "slower dram, slower or equal run" true
-    (slow.Simulator.total_cycles >= fast.Simulator.total_cycles)
-
 let suite =
   [
     ( "sim.timing",
@@ -130,7 +120,6 @@ let suite =
         Alcotest.test_case "per-layer sums" `Quick test_per_layer_sums_to_total;
         Alcotest.test_case "lanes scale" `Quick test_more_lanes_faster;
         Alcotest.test_case "compute/memory overlap" `Quick test_fold_cost_overlap;
-        Alcotest.test_case "dram sensitivity" `Quick test_slow_dram_slows_only_memory_bound;
       ] );
     ( "sim.function",
       [
