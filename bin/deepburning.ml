@@ -307,10 +307,17 @@ let lint_cmd =
   diagnose_cmd "lint"
     ~doc:
       "Generate a design and run the semantic RTL analyzer over it \
-          (drivers, widths, combinational loops, FSM reachability)."
+          (drivers, widths, combinational loops, FSM reachability) and \
+          the text lint over its Verilog (balanced constructs, a closed \
+          module graph)."
     ~json_doc:"Emit diagnostics as a JSON array on stdout."
     (fun ~strict ~json name design ->
-      let diags = strict (Db_core.Design.analyze design) in
+      let diags =
+        strict
+          (Db_analysis.Diagnostic.sort
+             (Db_core.Design.analyze design
+             @ Db_analysis.Analyze.verilog design.Db_core.Design.rtl))
+      in
       if json then print_endline (Db_analysis.Diagnostic.json_of_list diags)
       else
         print_findings

@@ -21,6 +21,7 @@ let code_comb_loop = "DB-E004"
 let code_param_unknown = "DB-E005"
 let code_redeclared = "DB-E006"
 let code_fsm_invalid = "DB-E007"
+let code_verilog_lint = "DB-E008"
 let code_undriven_net = "DB-W101"
 let code_unused_net = "DB-W102"
 let code_undriven_output = "DB-W103"
@@ -490,6 +491,15 @@ let design ?(fsms = []) (d : Rtl.design) =
     d.Rtl.modules;
   List.iter (fun f -> List.iter add (fsm f)) fsms;
   D.sort (List.rev !acc)
+
+(* The emitted text: balanced constructs and a closed module graph,
+   including the instances a template leaf writes in its own body. *)
+let verilog (d : Rtl.design) =
+  List.map
+    (fun { Lint.line; message } ->
+      D.v ~code:code_verilog_lint ~severity:D.Error ~scope:d.Rtl.top
+        (Printf.sprintf "emitted Verilog line %d: %s" line message))
+    (Lint.check (Db_hdl.Verilog.emit_design d))
 
 let assert_no_errors ?(strict = false) ?(fsms = []) d =
   let diags = design ~fsms d in

@@ -13,6 +13,9 @@
     - [DB-E005] — parameter override the callee does not declare
     - [DB-E006] — net redeclared (or shadows a port)
     - [DB-E007] — FSM failed validation
+    - [DB-E008] — the emitted Verilog fails {!Db_hdl.Lint.check}
+      (unbalanced construct, instance of an undeclared module, module
+      other than the top never instantiated); reported by {!verilog}
 
     Warnings:
     - [DB-W101] — net read but never driven
@@ -33,6 +36,7 @@ val code_comb_loop : string
 val code_param_unknown : string
 val code_redeclared : string
 val code_fsm_invalid : string
+val code_verilog_lint : string
 val code_undriven_net : string
 val code_unused_net : string
 val code_undriven_output : string
@@ -48,6 +52,11 @@ val design :
     RTL is not a [Machine] module, so the design does not expose their
     graph.  Each template leaf is stripped and tokenised once.  Diagnostics
     come back sorted errors-first. *)
+
+val verilog : Db_hdl.Rtl.design -> Diagnostic.t list
+(** [DB-E008] findings: {!Db_hdl.Lint.check} over the emitted Verilog.
+    Kept out of {!design} because emitting and scanning the text costs
+    more than the rest of the analysis; the [lint] command runs both. *)
 
 val fsm : Db_hdl.Fsm.t -> Diagnostic.t list
 (** Analyze a single FSM: validation, unreachable states, sink states. *)

@@ -3,9 +3,11 @@
     A complex function (sigmoid, tanh, reciprocal, exp, x^beta, ...) is
     approximated by a table of sampled points; inputs that miss the table
     are served by interpolating between the two adjacent keys ("super-
-    linear interpolation" in the paper).  The table's size and contents
-    are produced by the NN-Gen compiler; the hardware is a BRAM plus one
-    multiplier's worth of interpolation logic. *)
+    linear interpolation" in the paper).  The hardware is a BRAM plus one
+    multiplier's worth of interpolation logic.  Which tables a design has,
+    and the Q-words they store, are decided once by the NN-Gen compiler
+    ({!Db_core.Lut_set.of_graph}, from the stock functions below); this
+    module only samples, evaluates, costs and emits one table. *)
 
 type t = {
   lut_name : string;

@@ -8,8 +8,8 @@ type kind =
   | Synergy_neuron of { simd : int }
   | Accumulator of { depth : int; acc_bits : int }
   | Pooling_unit of { window : int; pool : pool_kind }
-  | Activation_unit of { lut : Approx_lut.t }
-  | Lrn_unit of { local_size : int; lut : Approx_lut.t }
+  | Activation_unit of { fn : string; roms : Approx_lut.t list }
+  | Lrn_unit of { local_size : int; power : Approx_lut.t option }
   | Dropout_unit
   | Connection_box of { in_ports : int; out_ports : int; shift_latch : bool }
   | Classifier_ksorter of { k : int; fan_in : int }
@@ -94,6 +94,7 @@ let kind_label = function
    the quadratic term that dominates wide (DB-L, NiN-class) designs. *)
 let resource t =
   let w = t.fmt.Db_fixed.Fixed.total_bits in
+  let rom_cost = List.map (fun lut -> Approx_lut.resource lut ~word_bits:w) in
   match t.kind with
   | Synergy_neuron { simd } ->
       Resource.make ~dsps:simd
@@ -104,12 +105,12 @@ let resource t =
       Resource.make ~luts:((w / 2) + 2 + (depth / 8)) ~ffs:w ()
   | Pooling_unit { window; _ } ->
       Resource.make ~luts:((4 * window) + (w / 2)) ~ffs:w ()
-  | Activation_unit { lut } ->
-      Resource.add (Approx_lut.resource lut ~word_bits:w) (Resource.make ~luts:10 ())
-  | Lrn_unit { local_size; lut } ->
-      Resource.add
-        (Approx_lut.resource lut ~word_bits:w)
-        (Resource.make ~luts:(120 + (8 * local_size)) ~ffs:(3 * w) ())
+  | Activation_unit { roms; _ } ->
+      Resource.sum (Resource.make ~luts:10 () :: rom_cost roms)
+  | Lrn_unit { local_size; power } ->
+      Resource.sum
+        (Resource.make ~luts:(120 + (8 * local_size)) ~ffs:(3 * w) ()
+        :: rom_cost (Option.to_list power))
   | Dropout_unit -> Resource.make ~luts:4 ~ffs:2 ()
   | Connection_box { in_ports; out_ports; shift_latch } ->
       Resource.make
@@ -185,8 +186,9 @@ let to_module t =
       Templates.accumulator ~name ~fmt ~depth ~acc_bits
   | Pooling_unit { window; pool } ->
       Templates.pooling_unit ~name ~fmt ~window ~average:(pool = Avg_pool)
-  | Activation_unit { lut } -> Templates.activation_unit ~name ~fmt ~lut
-  | Lrn_unit { local_size; lut } -> Templates.lrn_unit ~name ~fmt ~local_size ~lut
+  | Activation_unit { fn; roms } -> Templates.activation_unit ~name ~fmt ~fn ~roms
+  | Lrn_unit { local_size; power } ->
+      Templates.lrn_unit ~name ~fmt ~local_size ~power
   | Dropout_unit -> Templates.dropout_unit ~name ~fmt
   | Connection_box { in_ports; out_ports; shift_latch } ->
       Templates.connection_box ~name ~fmt ~in_ports ~out_ports ~shift_latch

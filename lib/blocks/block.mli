@@ -4,8 +4,8 @@
     generator fixes its parameters (bit-width, parallelism, ports) from the
     target model and constraint, queries its resource cost against the
     budget, and emits its Verilog.  The paper's blocks are all here:
-    synergy neuron, accumulator, pooling unit, activation unit (backed by
-    an Approx LUT), LRN unit, drop-out unit, connection box (with the
+    synergy neuron, accumulator, pooling unit, activation unit (a
+    comparator, or backed by Approx-LUT ROMs), LRN unit, drop-out unit, connection box (with the
     shifting latch for approximate division), classifier (k-sorter after
     Beigel & Gill), AGUs, the scheduling coordinator, and the on-chip
     feature/weight buffers. *)
@@ -27,8 +27,14 @@ type kind =
           word and normally the minimum proven by [Db_check.Range] so the
           wide sum cannot overflow before the saturating write-back *)
   | Pooling_unit of { window : int; pool : pool_kind }
-  | Activation_unit of { lut : Approx_lut.t }
-  | Lrn_unit of { local_size : int; lut : Approx_lut.t }
+  | Activation_unit of { fn : string; roms : Approx_lut.t list }
+      (** the unit computing [fn]: a comparator (ReLU, Sign) holds no ROM;
+          a tabulated function reads the first of its Approx-LUT [roms],
+          and the reciprocal unit also holds softmax's [exp] table *)
+  | Lrn_unit of { local_size : int; power : Approx_lut.t option }
+      (** LRN/LCN unit; [power] is LRN's [scale ** -beta] table (LCN
+          divides through the reciprocal unit, so an LCN-only design has
+          none) *)
   | Dropout_unit
   | Connection_box of { in_ports : int; out_ports : int; shift_latch : bool }
   | Classifier_ksorter of { k : int; fan_in : int }

@@ -97,38 +97,80 @@ let pooling_unit ~name ~fmt ~window ~average =
     [ ("WINDOW", window) ]
     body
 
-let activation_unit ~name ~fmt ~lut =
+(* The ROMs of a unit, one [approx_lut_<name>] instance per table: the
+   top bits of [src] index every table, the remainder interpolates.  The
+   first table drives [value]; each further table [t] drives [value_t]. *)
+let rom_lines ~fmt ~src ~src_bits luts =
   let w = word fmt in
-  let rom = Approx_lut.to_module lut ~fmt in
-  let addr_bits =
-    match rom.Rtl.ports with
-    | { Rtl.port_name = "key"; width; _ } :: _ -> width
-    | _ -> 8
+  List.concat
+    (List.mapi
+       (fun i lut ->
+         let rom = Approx_lut.to_module lut ~fmt in
+         let addr_bits =
+           match rom.Rtl.ports with
+           | { Rtl.port_name = "key"; width; _ } :: _ -> width
+           | _ -> 8
+         in
+         let suffix = if i = 0 then "" else "_" ^ lut.Approx_lut.lut_name in
+         (Printf.sprintf "// range [%g, %g] mapped onto the %d-entry %s table"
+            lut.Approx_lut.lo lut.Approx_lut.hi (Approx_lut.entries lut)
+            lut.Approx_lut.lut_name
+         :: (if i > 0 then []
+             else
+               [
+                 (if addr_bits <= src_bits then
+                    Printf.sprintf "wire [%d:0] key = %s[%d:%d];" (addr_bits - 1)
+                      src (src_bits - 1) (src_bits - addr_bits)
+                  else
+                    Printf.sprintf "wire [%d:0] key = {{%d{1'b0}}, %s};"
+                      (addr_bits - 1) (addr_bits - src_bits) src);
+                 Printf.sprintf "wire [%d:0] frac = %s << %d;" (w - 1) src
+                   (Stdlib.min addr_bits (w - 1));
+               ]))
+         @ [
+             Printf.sprintf "wire [%d:0] value%s;" (w - 1) suffix;
+             Printf.sprintf "%s rom%s_i (.key(key), .frac(frac), .value(value%s));"
+               rom.Rtl.mod_name suffix suffix;
+           ])
+       luts)
+
+let lut_entries = function
+  | [] -> []
+  | lut :: _ -> [ ("LUT_ENTRIES", Approx_lut.entries lut) ]
+
+let activation_unit ~name ~fmt ~fn ~roms =
+  let w = word fmt in
+  let extra = match roms with [] -> [] | _ :: extra -> extra in
+  let body =
+    match roms with
+    | [] ->
+        (* ReLU and Sign are comparators on the sign bit, not tables. *)
+        let one = 1 lsl fmt.Db_fixed.Fixed.frac_bits in
+        [
+          Printf.sprintf "// %s: a comparator on the sign bit" fn;
+          (if fn = "sign" then
+             Printf.sprintf "assign y = x[%d] ? -%d'sd%d : %d'sd%d;" (w - 1) w
+               one w one
+           else Printf.sprintf "assign y = x[%d] ? %d'd0 : x;" (w - 1) w);
+        ]
+    | _ :: _ ->
+        rom_lines ~fmt ~src:"x" ~src_bits:w roms
+        @ "assign y = value;"
+          :: List.map
+               (fun lut ->
+                 let n = lut.Approx_lut.lut_name in
+                 Printf.sprintf "assign y_%s = value_%s;" n n)
+               extra
   in
   behavioural name
-    (clk_rst @ [ in_port "x" w; out_port "y" w ])
-    [ ("LUT_ENTRIES", Approx_lut.entries lut) ]
-    ([
-       Printf.sprintf "// range [%g, %g] mapped onto the %d-entry %s table"
-         lut.Approx_lut.lo lut.Approx_lut.hi (Approx_lut.entries lut)
-         lut.Approx_lut.lut_name;
-       (* top bits of x index the table; the remainder interpolates *)
-       (if addr_bits <= w then
-          Printf.sprintf "wire [%d:0] key = x[%d:%d];" (addr_bits - 1) (w - 1)
-            (w - addr_bits)
-        else
-          Printf.sprintf "wire [%d:0] key = {{%d{1'b0}}, x};" (addr_bits - 1)
-            (addr_bits - w));
-       Printf.sprintf "wire [%d:0] frac = x << %d;" (w - 1)
-         (Stdlib.min addr_bits (w - 1));
-       Printf.sprintf "wire [%d:0] value;" (w - 1);
-       Printf.sprintf "%s rom_i (.key(key), .frac(frac), .value(value));"
-         rom.Rtl.mod_name;
-       "assign y = value;";
-     ])
+    (clk_rst
+    @ [ in_port "x" w; out_port "y" w ]
+    @ List.map (fun lut -> out_port ("y_" ^ lut.Approx_lut.lut_name) w) extra)
+    (lut_entries roms) body
 
-let lrn_unit ~name ~fmt ~local_size ~lut =
-  let w = word fmt in
+let lrn_unit ~name ~fmt ~local_size ~power =
+  let w = word fmt and frac = fmt.Db_fixed.Fixed.frac_bits in
+  let power = Option.to_list power in
   behavioural name
     (clk_rst
     @ [
@@ -137,15 +179,26 @@ let lrn_unit ~name ~fmt ~local_size ~lut =
         in_port "neighbours" (local_size * w);
         out_port "normalised" w;
       ])
-    [ ("LOCAL_SIZE", local_size); ("LUT_ENTRIES", Approx_lut.entries lut) ]
-    [
-      "// sum of squares over the local window, then x * recip(scale)^beta";
-      Printf.sprintf "reg signed [%d:0] sumsq;" ((2 * w) + 3);
-      "always @(posedge clk) if (valid_in) sumsq <= sumsq + centre * centre;";
-      "// the power/reciprocal path reads the compiler-filled Approx LUT";
-      Printf.sprintf "assign normalised = centre; // placeholder tap, LUT %s"
-        lut.Approx_lut.lut_name;
-    ]
+    (("LOCAL_SIZE", local_size) :: lut_entries power)
+    ([
+       "// sum of squares over the local window, then centre * scale^-beta";
+       Printf.sprintf "reg signed [%d:0] sumsq;" ((2 * w) + 3);
+       "always @(posedge clk) if (valid_in) sumsq <= sumsq + centre * centre;";
+     ]
+    @
+    match power with
+    | [] ->
+        (* LCN divides through the reciprocal unit's table *)
+        [ "assign normalised = centre;" ]
+    | _ :: _ ->
+        (* scale - k indexes the compiler-filled power table *)
+        rom_lines ~fmt ~src:"sumsq" ~src_bits:((2 * w) + 4) power
+        @ [
+            Printf.sprintf "wire signed [%d:0] scaled = centre * value;"
+              ((2 * w) - 1);
+            Printf.sprintf "assign normalised = scaled[%d:%d];" (w + frac - 1)
+              frac;
+          ])
 
 let dropout_unit ~name ~fmt =
   let w = word fmt in

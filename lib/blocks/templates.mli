@@ -23,14 +23,23 @@ val pooling_unit :
   Db_hdl.Rtl.module_decl
 
 val activation_unit :
-  name:string -> fmt:Db_fixed.Fixed.format -> lut:Approx_lut.t -> Db_hdl.Rtl.module_decl
+  name:string ->
+  fmt:Db_fixed.Fixed.format ->
+  fn:string ->
+  roms:Approx_lut.t list ->
+  Db_hdl.Rtl.module_decl
+(** With no [roms], a comparator ([fn] ["sign"] gives +-1, anything else
+    ReLU).  Otherwise the first ROM drives [y] and each further table
+    [t] drives its own output [y_t]; every ROM is instantiated here as
+    [approx_lut_<name>]. *)
 
 val lrn_unit :
   name:string ->
   fmt:Db_fixed.Fixed.format ->
   local_size:int ->
-  lut:Approx_lut.t ->
+  power:Approx_lut.t option ->
   Db_hdl.Rtl.module_decl
+(** Instantiates [approx_lut_lrn_power] when given the power table. *)
 
 val dropout_unit : name:string -> fmt:Db_fixed.Fixed.format -> Db_hdl.Rtl.module_decl
 

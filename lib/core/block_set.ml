@@ -10,21 +10,6 @@ let addr_bits_for words =
     (int_of_float
        (Float.ceil (log (float_of_int (Stdlib.max 2 words)) /. log 2.0)))
 
-let activation_lut dp act =
-  let entries = dp.Db_sched.Datapath.lut_entries in
-  match act with
-  | Op.Relu ->
-      (* ReLU itself is a comparator, but the unit still carries the LUT
-         infrastructure so new functions can be loaded (Section 3.2). *)
-      Db_blocks.Approx_lut.build ~name:"relu" ~f:(fun x -> Float.max 0.0 x)
-        ~lo:(-8.0) ~hi:8.0 ~entries
-  | Op.Sigmoid -> Db_blocks.Approx_lut.sigmoid ~entries
-  | Op.Tanh -> Db_blocks.Approx_lut.tanh_lut ~entries
-  | Op.Sign ->
-      Db_blocks.Approx_lut.build ~name:"sign"
-        ~f:(fun x -> if x >= 0.0 then 1.0 else -1.0)
-        ~lo:(-1.0) ~hi:1.0 ~entries
-
 (* Standalone activation nodes, fused activations and the recurrent unit's
    tanh, first-seen order. *)
 let distinct_activations (g : Graph.t) =
@@ -97,14 +82,15 @@ let build ?acc_bits (g : Graph.t) dp ~schedule ~layout =
       push (mk (Printf.sprintf "pool_%d" i) (Block.Pooling_unit { window; pool }))
     done
   end;
-  (* One activation unit per distinct activation function. *)
+  (* One activation unit per distinct activation function, holding the
+     ROM of its table (none for the comparators). *)
+  let luts = Lut_set.of_graph dp g in
+  let rom fn = Option.to_list (Lut_set.find luts fn) in
   List.iter
     (fun act ->
-      let lut = activation_lut dp act in
-      push
-        (mk
-           ("act_" ^ String.lowercase_ascii (Op.activation_name act))
-           (Block.Activation_unit { lut })))
+      let fn = String.lowercase_ascii (Op.activation_name act) in
+      let roms = Option.fold ~none:[] ~some:rom (Lut_set.of_activation act) in
+      push (mk ("act_" ^ fn) (Block.Activation_unit { fn; roms })))
     (distinct_activations g);
   (* The paper maps both LRN and LCN onto the LRN unit. *)
   if has g (function Op.Lrn _ | Op.Lcn _ -> true | _ -> false) then begin
@@ -114,28 +100,20 @@ let build ?acc_bits (g : Graph.t) dp ~schedule ~layout =
           | Op.Lrn { local_size; _ } -> Stdlib.max acc local_size
           | _ -> acc)
     in
-    let lut =
-      Db_blocks.Approx_lut.build ~name:"lrn_power"
-        ~f:(fun x -> (1.0 +. x) ** -0.75)
-        ~lo:0.0 ~hi:64.0 ~entries:dp.Db_sched.Datapath.lut_entries
-    in
-    push (mk "lrn" (Block.Lrn_unit { local_size; lut }))
+    let power = Option.map (fun (_, _, lut) -> lut) (Lut_set.lrn_power luts) in
+    push (mk "lrn" (Block.Lrn_unit { local_size; power }))
   end;
   if has g (function Op.Dropout _ -> true | _ -> false) then
     push (mk "dropout" Block.Dropout_unit);
-  if
-    has g (function
-      | Op.Softmax | Op.Pool { method_ = Op.Avg_pool; _ }
-      | Op.Global_pool Op.Avg_pool | Op.Lcn _ ->
-          true
-      | _ -> false)
-  then begin
-    let lut =
-      Db_blocks.Approx_lut.reciprocal
-        ~entries:dp.Db_sched.Datapath.lut_entries
-    in
-    push (mk "recip" (Block.Activation_unit { lut }))
-  end;
+  (* Softmax, average pooling and LCN divide through the reciprocal
+     unit; it also holds softmax's exp table. *)
+  (match rom Lut_set.Reciprocal with
+  | [] -> ()
+  | recip ->
+      push
+        (mk "recip"
+           (Block.Activation_unit
+              { fn = "reciprocal"; roms = recip @ rom Lut_set.Exp })));
   (* The crossbar between producers and consumers; the shifting latch is
      needed whenever approximate division appears (average pooling, LRN). *)
   let shift_latch =

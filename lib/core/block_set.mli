@@ -18,7 +18,8 @@ val build :
   t
 (** Chooses the block inventory from the op classes present in the IR
     graph (Section 3.2's layer -> building-block mapping) scaled by the
-    datapath, sizes the AGUs from the layout's address space and the
+    datapath, puts each table of the graph's {!Lut_set} into the unit
+    that reads it as a ROM, sizes the AGUs from the layout's address space and the
     schedule's pattern count, and sums the cost.  [?acc_bits] is the
     minimal accumulator width proven by the range analysis; the
     accumulators are sized to [max (word + 8) acc_bits]. *)

@@ -24,50 +24,11 @@ type fold_program = {
 
 type t = {
   programs : fold_program list;
-  luts : Db_blocks.Approx_lut.t list;
+  luts : Lut_set.t;
   layout : Layout.t;
 }
 
 let fail fmt = Db_util.Error.failf_at ~component:"compiler" fmt
-
-let build_luts (g : Graph.t) ~entries =
-  let acc = ref [] in
-  let add lut =
-    if not (List.exists (fun l -> l.Db_blocks.Approx_lut.lut_name = lut.Db_blocks.Approx_lut.lut_name) !acc)
-    then acc := lut :: !acc
-  in
-  let add_activation = function
-    | Op.Sigmoid -> add (Db_blocks.Approx_lut.sigmoid ~entries)
-    | Op.Tanh -> add (Db_blocks.Approx_lut.tanh_lut ~entries)
-    | Op.Relu | Op.Sign -> ()
-  in
-  Graph.iter g (fun node ->
-      (match node.Graph.op with
-      | Op.Act act -> add_activation act
-      | Op.Recurrent _ -> add (Db_blocks.Approx_lut.tanh_lut ~entries)
-      | Op.Softmax ->
-          add (Db_blocks.Approx_lut.exp_lut ~entries);
-          add (Db_blocks.Approx_lut.reciprocal ~entries)
-      | Op.Pool { method_ = Op.Avg_pool; _ }
-      | Op.Global_pool Op.Avg_pool | Op.Lcn _ ->
-          add (Db_blocks.Approx_lut.reciprocal ~entries)
-      | Op.Lrn _ ->
-          add
-            (Db_blocks.Approx_lut.build ~name:"lrn_power"
-               ~f:(fun x -> (1.0 +. x) ** -0.75)
-               ~lo:0.0 ~hi:64.0 ~entries)
-      | Op.Input _ | Op.Conv _
-      | Op.Pool { method_ = Op.Max_pool; _ }
-      | Op.Global_pool Op.Max_pool
-      | Op.Fc _ | Op.Dropout _ | Op.Associative _
-      | Op.Concat | Op.Classifier _
-      (* Backward derivative LUTs reuse the forward tables. *)
-      | Op.Backward _ | Op.Sgd_update _ ->
-          ());
-      match Op.fused_activation node.Graph.op with
-      | Some act -> add_activation act
-      | None -> ());
-  List.rev !acc
 
 let node_of g name =
   match Graph.find_node_opt g name with
@@ -262,7 +223,7 @@ let compile ?(tiling_enabled = true) (g : Graph.t) ~datapath ~schedule ~layout =
   in
   {
     programs;
-    luts = build_luts g ~entries:datapath.Db_sched.Datapath.lut_entries;
+    luts = Lut_set.of_graph datapath g;
     layout;
   }
 

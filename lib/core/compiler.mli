@@ -1,9 +1,9 @@
 (** The DeepBurning compiler (software half of NN-Gen).
 
     From the fixed datapath and schedule it derives, per fold, the memory
-    traffic and the AGU address patterns; globally it fills the Approx
-    LUTs.  The patterns' FSM descriptions are what the hardware generator
-    lowers into the AGU RTL. *)
+    traffic and the AGU address patterns; globally it carries the Approx
+    LUT contents ({!Lut_set}).  The patterns' FSM descriptions are what
+    the hardware generator lowers into the AGU RTL. *)
 
 type transfer = {
   stream : [ `Feature_in | `Weight_in | `Output_back ];
@@ -28,7 +28,7 @@ type fold_program = {
 
 type t = {
   programs : fold_program list;
-  luts : Db_blocks.Approx_lut.t list;
+  luts : Lut_set.t;  (** the Approx-LUT set, {!Lut_set.of_graph} *)
   layout : Db_mem.Layout.t;
 }
 

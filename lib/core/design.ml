@@ -44,8 +44,5 @@ let pp_summary fmt t =
     t.layout.Db_mem.Layout.total_words
     (Db_mem.Layout.total_bytes t.layout);
   Format.fprintf fmt "  luts: %s@."
-    (String.concat ", "
-       (List.map
-          (fun l -> l.Db_blocks.Approx_lut.lut_name)
-          t.program.Compiler.luts));
+    (String.concat ", " (Lut_set.names t.program.Compiler.luts));
   Format.fprintf fmt "  rtl modules: %d@." (List.length t.rtl.Db_hdl.Rtl.modules)

@@ -12,8 +12,7 @@ let canonical_module_name (b : Block.t) =
   | Block.Pooling_unit { window; pool } ->
       Printf.sprintf "pooling_unit_w%d_%s" window
         (match pool with Block.Max_pool -> "max" | Block.Avg_pool -> "avg")
-  | Block.Activation_unit { lut } ->
-      "activation_unit_" ^ lut.Db_blocks.Approx_lut.lut_name
+  | Block.Activation_unit { fn; _ } -> "activation_unit_" ^ fn
   | Block.Lrn_unit { local_size; _ } -> Printf.sprintf "lrn_unit_n%d" local_size
   | Block.Dropout_unit -> "dropout_unit"
   | Block.Connection_box { in_ports; out_ports; shift_latch } ->
@@ -130,11 +129,13 @@ let build_rtl network datapath ~block_set ~program =
     end;
     name
   in
-  (* ROM modules for the compiler-filled LUTs. *)
+  (* One ROM module per table of the design's Approx-LUT set; the unit
+     that reads a table instantiates its ROM. *)
   let rom_modules =
     List.map
-      (fun lut -> Db_blocks.Approx_lut.to_module lut ~fmt:datapath.Datapath.fmt)
-      program.Compiler.luts
+      (fun (tb : Lut_set.table) ->
+        Db_blocks.Approx_lut.to_module tb.Lut_set.lut ~fmt:datapath.Datapath.fmt)
+      program.Compiler.luts.Lut_set.tables
   in
   (* A bounded selection of AGU pattern FSMs lowered to RTL (the rest share
      the same shapes by construction). *)
@@ -207,6 +208,9 @@ let build_rtl network datapath ~block_set ~program =
         | (Block.Activation_unit _ | Block.Dropout_unit), "x" ->
             slice "xbar_bus" ~index:0 ~width
         | (Block.Activation_unit _ | Block.Dropout_unit), "y" -> y_net "y" width
+        | Block.Activation_unit _, port when String.starts_with ~prefix:"y_" port
+          ->
+            y_net port width
         | Block.Dropout_unit, "enable_inference" -> "1'b1"
         | Block.Lrn_unit _, "centre" -> slice "xbar_bus" ~index:0 ~width
         | Block.Lrn_unit _, "neighbours" ->

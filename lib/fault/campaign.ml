@@ -5,7 +5,6 @@ module Pool = Db_parallel.Pool
 module Graph = Db_ir.Graph
 module Params = Db_nn.Params
 module Quantized = Db_nn.Quantized
-module Approx_lut = Db_blocks.Approx_lut
 module Access_pattern = Db_mem.Access_pattern
 module Compiler = Db_core.Compiler
 module Design = Db_core.Design
@@ -129,20 +128,6 @@ type result = {
 let sign_extend bits w =
   if w land (1 lsl (bits - 1)) <> 0 then w - (1 lsl bits) else w
 
-(* LUT contents live in BRAM in the datapath's Q-format, so the campaign
-   baseline quantises them once; a flip then lands on exactly the stored
-   word and a cancelled flip is detected as Masked rather than drowned in
-   quantisation noise. *)
-let quantize_luts fmt luts =
-  List.map
-    (fun (l : Approx_lut.t) ->
-      {
-        l with
-        Approx_lut.values =
-          Array.map (fun v -> Fixed.to_float fmt (Fixed.of_float fmt v)) l.Approx_lut.values;
-      })
-    luts
-
 (* ------------------------------------------------------------------ *)
 (* AGU configuration-register corruption                               *)
 
@@ -232,18 +217,21 @@ let run ~design ~params ~input_blob ~inputs (config : config) =
   let word_bits = fmt.Fixed.total_bits in
   let word_mask = (1 lsl word_bits) - 1 in
   let net = design.Design.network in
-  let luts = quantize_luts fmt design.Design.program.Compiler.luts in
-  let eval = Db_sim.Lut_eval.of_luts luts in
+  (* The stored words of the design's Approx LUTs: a flip lands on
+     exactly a ROM word, and a cancelled flip is Masked. *)
+  let luts = design.Design.program.Compiler.luts in
   (* The one engine dispatch.  The specialized engine binds its own
-     quantized words and replays through its own arena; the generic oracle
-     keeps its own float parameters and re-interprets them, a word written
-     back as [to_float] — in-range Q-words round-trip exactly through
-     to_float/of_float, so both see the same fault. *)
-  let working_copy =
+     quantized words, replays through its own arena and judges healthy
+     runs with its trace's evaluator, so they read its activation tables;
+     the generic oracle keeps its own float parameters and re-interprets
+     them, a word written back as [to_float] — in-range Q-words round-trip
+     exactly through to_float/of_float, so both see the same fault. *)
+  let eval, working_copy =
     match config.engine with
     | Specialized ->
         let spec = Db_sim.Specialize.of_design design in
-        fun () ->
+        ( Db_sim.Specialize.lut_eval spec,
+          fun () ->
           let bound = Db_sim.Specialize.bind spec params in
           let arena = Db_sim.Specialize.new_arena spec in
           let qdata node tensor =
@@ -258,9 +246,10 @@ let run ~design ~params ~input_blob ~inputs (config : config) =
               (fun eval input ->
                 Db_sim.Specialize.qoutput ~eval ~arena bound
                   ~inputs:[ (input_blob, input) ]);
-          }
+          } )
     | Generic ->
-        fun () ->
+        ( Db_sim.Lut_eval.of_set luts,
+          fun () ->
           let params = Params.copy params in
           let tensor_of node i = List.nth (Params.get params node) i in
           {
@@ -274,7 +263,7 @@ let run ~design ~params ~input_blob ~inputs (config : config) =
               (fun eval input ->
                 Quantized.qoutput ~eval ~fmt net params
                   ~inputs:[ (input_blob, input) ]);
-          }
+          } )
   in
   (* One working copy per pool task, made on first use.  [chunked n f]
      cuts [0, n) into one contiguous chunk per task, as
@@ -366,23 +355,10 @@ let run ~design ~params ~input_blob ~inputs (config : config) =
               let outcome = classify copy eval input_idx input in
               c.write ~node ~tensor ~word v;
               outcome)
-      | Site.P_lut { lut } ->
-          let l =
-            List.find (fun l -> String.equal l.Approx_lut.lut_name lut) luts
-          in
-          upset (Fixed.of_float fmt l.Approx_lut.values.(word))
-            ~corrupt:(fun v' ->
-              let values = Array.copy l.Approx_lut.values in
-              values.(word) <- Fixed.to_float fmt v';
-              let luts' =
-                List.map
-                  (fun (x : Approx_lut.t) ->
-                    if String.equal x.Approx_lut.lut_name lut then
-                      { x with Approx_lut.values }
-                    else x)
-                  luts
-              in
-              classify copy (Db_sim.Lut_eval.of_luts luts') input_idx input)
+      | Site.P_lut { lut = name } ->
+          upset (Db_core.Lut_set.word luts ~name word) ~corrupt:(fun v' ->
+              let luts' = Db_core.Lut_set.with_word luts ~name word v' in
+              classify copy (Db_sim.Lut_eval.of_set luts') input_idx input)
       | Site.P_buffer _ ->
           upset (Fixed.of_float fmt (Tensor.get input word)) ~corrupt:(fun v' ->
               let input' = Tensor.copy input in

@@ -39,7 +39,8 @@ type engine =
   | Specialized
       (** replay the design's compiled trace ({!Db_sim.Specialize}):
           parameters quantized once per working copy, a flip written
-          into the bound stored words *)
+          into the bound stored words; healthy runs use the trace's own
+          evaluator, so they read its activation tables *)
 
 type config = {
   seed : int;

@@ -94,7 +94,8 @@ let enumerate ?train ~design ~params ~input_blob ~input_words ~stored_bits
   (* Approx LUT tables. *)
   if enabled Lut_tables then
     List.iter
-      (fun lut ->
+      (fun (tb : Db_core.Lut_set.table) ->
+        let lut = tb.Db_core.Lut_set.lut in
         push
           {
             g_class = Lut_tables;
@@ -104,7 +105,7 @@ let enumerate ?train ~design ~params ~input_blob ~input_words ~stored_bits
             g_word_bits = stored_bits Lut_tables ~word_bits;
             g_payload = P_lut { lut = lut.Db_blocks.Approx_lut.lut_name };
           })
-      design.Design.program.Compiler.luts;
+      design.Design.program.Compiler.luts.Db_core.Lut_set.tables;
   (* AGU configuration registers and pattern FSM state registers. *)
   List.iteri
     (fun pi (p : Compiler.fold_program) ->

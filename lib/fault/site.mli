@@ -3,7 +3,8 @@
     O(bits).
 
     A group is a contiguous family of same-shaped words (one weight
-    tensor, one LUT table, one AGU pattern's configuration registers, one
+    tensor, one ROM of the design's Approx-LUT set ({!Db_core.Lut_set},
+    labelled [lut/<name>]), one AGU pattern's configuration registers, one
     input blob in the feature buffer, one FSM state register); a campaign
     trial picks a bit uniformly across the total stored-bit count of all
     enabled groups, then a word and bit position inside the chosen
@@ -42,7 +43,7 @@ val fsm_state_bits : int
 type payload =
   | P_param of { node : string; tensor : int }
       (** tensor index within [Db_nn.Params.get] order *)
-  | P_lut of { lut : string }
+  | P_lut of { lut : string }  (** a table's name in the design's set *)
   | P_agu of { program : int; transfer : int }
   | P_buffer of { blob : string }
   | P_fsm of { program : int }  (** [-1] is the coordinator FSM *)

@@ -71,6 +71,76 @@ let count_word line word =
   in
   go 0 0
 
+(* The Verilog words that can open a [word word (] line other than
+   [module], which declares. *)
+let keywords = [ "else"; "function"; "task" ]
+
+(* The leading word of a line and the index just past it, spaces
+   skipped; [None] when the line does not start with a word. *)
+let word_at line i =
+  let n = String.length line in
+  let rec skip i = if i < n && (line.[i] = ' ' || line.[i] = '\t') then skip (i + 1) else i in
+  let i = skip i in
+  let rec stop j = if j < n && is_word_char line.[j] then stop (j + 1) else j in
+  let j = stop i in
+  if j = i then None else Some (String.sub line i (j - i), skip j)
+
+(* [M [#(...)] I (] at the start of a line is an instance [I] of module
+   [M]: the emitter and the templates write one statement per line. *)
+let instantiation line =
+  match word_at line 0 with
+  | Some (m, i) when not (List.mem m keywords) -> (
+      let n = String.length line in
+      let i =
+        if i < n && line.[i] = '#' then
+          (* skip the parameter override's balanced parentheses *)
+          let rec close j depth =
+            if j >= n then n
+            else
+              match line.[j] with
+              | '(' -> close (j + 1) (depth + 1)
+              | ')' -> if depth = 1 then j + 1 else close (j + 1) (depth - 1)
+              | _ -> close (j + 1) depth
+          in
+          close (i + 1) 0
+        else i
+      in
+      match word_at line i with
+      | Some (_, k) when k < n && line.[k] = '(' -> Some m
+      | _ -> None)
+  | _ -> None
+
+(* The module graph: every instance names a declared module, and every
+   declared module but the top (the last one, as the emitter writes it)
+   is instantiated somewhere. *)
+let module_graph_issues lines report =
+  let declared = ref [] and instances = ref [] in
+  List.iteri
+    (fun idx line ->
+      match word_at line 0 with
+      | Some ("module", i) -> (
+          match word_at line i with
+          | Some (name, _) -> declared := (name, idx + 1) :: !declared
+          | None -> ())
+      | _ -> (
+          match instantiation line with
+          | Some m -> instances := (m, idx + 1) :: !instances
+          | None -> ()))
+    lines;
+  List.iter
+    (fun (m, line) ->
+      if not (List.mem_assoc m !declared) then
+        report line (Printf.sprintf "instance of undeclared module %s" m))
+    (List.rev !instances);
+  match !declared with
+  | [] -> ()
+  | _top :: others ->
+      List.iter
+        (fun (m, line) ->
+          if not (List.mem_assoc m !instances) then
+            report line (Printf.sprintf "module %s is never instantiated" m))
+        (List.rev others)
+
 let check text =
   let issues = ref [] in
   let report line message = issues := { line; message } :: !issues in
@@ -117,6 +187,7 @@ let check text =
   if !cases <> 0 then report final "case/endcase imbalance";
   if !parens <> 0 then report final "parenthesis imbalance";
   if !brackets <> 0 then report final "bracket imbalance";
+  module_graph_issues lines report;
   List.rev !issues
 
 let assert_clean text =

@@ -3,10 +3,13 @@
     Not a parser — a balance checker for the constructs the emitter and
     the block templates produce: [module]/[endmodule], [begin]/[end],
     [case]/[endcase], parentheses and brackets, plus a check that every
-    non-empty source line inside a module is properly terminated.  Run
-    over every generated design by the tests, it catches template
-    regressions (a dropped [end], an unbalanced port list) without needing
-    an external tool. *)
+    non-empty source line inside a module is properly terminated.  It
+    also closes the module graph: every instance names a module the text
+    declares, and every declared module except the top (the last one, as
+    {!Verilog.emit_design} writes it) is instantiated.  Run over every
+    generated design by the analyzer and the tests, it catches template
+    regressions (a dropped [end], an unbalanced port list, a ROM that no
+    unit reads) without needing an external tool. *)
 
 type issue = { line : int; message : string }
 

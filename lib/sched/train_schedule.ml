@@ -105,7 +105,12 @@ let phase_fsm t =
   in
   let fsm =
     {
-      Db_hdl.Fsm.fsm_name = "train_phases_" ^ t.schedule.Schedule.net_name;
+      (* a Verilog identifier: the training graph's name is "<net>:train" *)
+      Db_hdl.Fsm.fsm_name =
+        "train_phases_"
+        ^ String.map
+            (fun c -> if Db_hdl.Lint.is_word_char c then c else '_')
+            t.schedule.Schedule.net_name;
       states;
       initial = "idle";
       inputs = [ "start"; "phase_done" ];

@@ -1,19 +1,17 @@
 module Approx_lut = Db_blocks.Approx_lut
 module Quantized = Db_nn.Quantized
+module Lut_set = Db_core.Lut_set
 
-let find luts name =
-  List.find_opt (fun l -> l.Approx_lut.lut_name = name) luts
-
-let of_luts luts =
+let of_set (set : Lut_set.t) =
   let exact = Quantized.exact_eval in
   (* Table lookups are resolved once here, not per evaluated element: a
      forward pass calls these closures once per activation word, and the
-     LUT list is immutable after construction. *)
-  let sigmoid_lut = find luts "sigmoid" in
-  let tanh_lut = find luts "tanh" in
-  let exp_lut = find luts "exp" in
-  let reciprocal_lut = find luts "reciprocal" in
-  let lrn_power_lut = find luts "lrn_power" in
+     set is immutable. *)
+  let sigmoid_lut = Lut_set.find set Lut_set.Sigmoid in
+  let tanh_lut = Lut_set.find set Lut_set.Tanh in
+  let exp_lut = Lut_set.find set Lut_set.Exp in
+  let reciprocal_lut = Lut_set.find set Lut_set.Reciprocal in
+  let power = Lut_set.lrn_power set in
   let via lut fallback =
     match lut with Some lut -> Approx_lut.eval lut | None -> fallback
   in
@@ -47,9 +45,9 @@ let of_luts luts =
     eval_power =
       (fun x p ->
         (* The only power the layer vocabulary needs is LRN's scale^-beta,
-           tabulated as (1 + u)^-0.75 over u = scale - 1. *)
-        match lrn_power_lut with
-        | Some lut when p < 0.0 -> Approx_lut.eval lut (x -. 1.0)
+           tabulated as (k + u)^-beta over u = scale - k. *)
+        match power with
+        | Some (beta, k, lut) when p = -.beta -> Approx_lut.eval lut (x -. k)
         | Some _ | None -> x ** p);
     eval_exp = (fun x -> via exp_lut exp x);
   }

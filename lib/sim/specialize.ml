@@ -163,7 +163,7 @@ let compile (design : Design.t) =
   @@ fun () ->
   let net = design.Design.network in
   let fmt = design.Design.datapath.Db_sched.Datapath.fmt in
-  let sp_eval = Lut_eval.of_luts design.Design.program.Compiler.luts in
+  let sp_eval = Lut_eval.of_set design.Design.program.Compiler.luts in
   let tables = ref [] in
   let table_of act =
     if fmt.Fixed.total_bits > table_bits then None

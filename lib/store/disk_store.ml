@@ -34,7 +34,9 @@ type entry = {
 
 let magic = "DBSTORE1"
 
-let format_version = 3
+(* 4: the Approx-LUT set (Design.t's [program.luts]) and the ROMs the
+   activation and LRN units hold changed shape, and so did their RTL. *)
+let format_version = 4
 
 type stats = {
   st_hits : int;

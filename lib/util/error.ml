@@ -70,6 +70,7 @@ let () =
       ("range-check", Validation);
       ("mem-check", Validation);
       ("check", Validation);
+      ("lut-set", Validation);
       ("config-search", Resource);
       ("generator", Resource);
       ("compiler", Resource);

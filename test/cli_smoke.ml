@@ -69,6 +69,9 @@ let () =
     [ "generate"; "-m"; "cli/truncated.prototxt" ];
   expect exe 4 ~stderr_has:"group must be positive"
     [ "generate"; "-m"; "cli/alexnet_group0.prototxt" ];
+  (* One LRN unit holds one power table: two (beta, k) pairs are refused. *)
+  expect exe 4 ~stderr_has:"different (beta, k) pairs"
+    [ "generate"; "-m"; "cli/lrn_mixed_beta.prototxt" ];
   expect exe 8 ~stderr_has:"io-cli" [ "generate"; "-m"; "mlp"; "-o"; "." ];
   expect exe 6 ~stderr_has:"fault rate must be"
     [ "faults"; "--net"; "ann0"; "--rates"; "inf" ];

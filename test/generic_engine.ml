@@ -40,7 +40,7 @@ let functional_output ?cycle_budget (design : Design.t) params ~inputs =
   (match cycle_budget with
   | Some budget -> ignore (replay_control ~cycle_budget:budget design)
   | None -> ());
-  let eval = Db_sim.Lut_eval.of_luts design.Design.program.Compiler.luts in
+  let eval = Db_sim.Lut_eval.of_set design.Design.program.Compiler.luts in
   Db_nn.Quantized.output ~eval
     ~fmt:design.Design.datapath.Db_sched.Datapath.fmt design.Design.network
     params ~inputs

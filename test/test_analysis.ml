@@ -368,6 +368,18 @@ let test_model_zoo_designs_clean () =
         (name ^ ": no warnings") [] (codes (D.warnings diags)))
     (List.filter (fun (name, _) -> name <> "ann0") (Lazy.force zoo_designs))
 
+(* Every zoo design's emitted Verilog closes its module graph: each ROM a
+   unit instantiates is declared, and each declared ROM is read. *)
+let test_zoo_verilog_lint_clean () =
+  List.iter
+    (fun (name, design) ->
+      Alcotest.(check (list string))
+        (name ^ ": Lint.check") []
+        (List.map
+           (fun i -> i.Db_hdl.Lint.message)
+           (Db_hdl.Lint.check (Db_core.Design.verilog design))))
+    (Lazy.force zoo_designs)
+
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -472,6 +484,8 @@ let suite =
           test_model_zoo_designs_clean;
         Alcotest.test_case "zoo diagnostics pinned" `Slow
           test_zoo_diagnostics_pinned;
+        Alcotest.test_case "zoo verilog lint clean" `Slow
+          test_zoo_verilog_lint_clean;
         Alcotest.test_case "analysis fsms are not modules" `Slow
           test_analysis_fsms_not_modules;
       ] );

@@ -110,7 +110,11 @@ let test_templates_emit () =
       Block.make ~name:"poolmax" ~fmt (Block.Pooling_unit { window = 2; pool = Block.Max_pool });
       Block.make ~name:"poolavg" ~fmt (Block.Pooling_unit { window = 3; pool = Block.Avg_pool });
       Block.make ~name:"act" ~fmt
-        (Block.Activation_unit { lut = Approx_lut.sigmoid ~entries:32 });
+        (Block.Activation_unit
+           { fn = "sigmoid"; roms = [ Approx_lut.sigmoid ~entries:32 ] });
+      Block.make ~name:"relu" ~fmt
+        (Block.Activation_unit { fn = "relu"; roms = [] });
+      Block.make ~name:"lrn" ~fmt (Block.Lrn_unit { local_size = 5; power = None });
       Block.make ~name:"drop" ~fmt Block.Dropout_unit;
       Block.make ~name:"cb" ~fmt
         (Block.Connection_box { in_ports = 4; out_ports = 4; shift_latch = true });

@@ -131,9 +131,7 @@ let test_generator_lut_contents () =
   let design = generate_ann () in
   (* Sigmoid net: the compiler must fill a sigmoid LUT. *)
   Alcotest.(check bool) "sigmoid lut" true
-    (List.exists
-       (fun l -> l.Db_blocks.Approx_lut.lut_name = "sigmoid")
-       design.Design.program.Compiler.luts)
+    (List.mem "sigmoid" (Db_core.Lut_set.names design.Design.program.Compiler.luts))
 
 let test_compiler_fold_programs () =
   let design = generate_ann () in

@@ -35,6 +35,11 @@ let random_network rng =
       };
     ];
   let blob = ref input_blob and c = ref channels and hw = ref size in
+  (* One (alpha, beta) per network, k = 1: the accelerator has one LRN
+     unit with one power table. *)
+  let lrn =
+    lazy (R.uniform rng ~min:1e-4 ~max:3.0, R.uniform rng ~min:0.25 ~max:2.0)
+  in
   let stages = 1 + R.int rng 4 in
   let flat = ref false in
   for _ = 1 to stages do
@@ -64,7 +69,8 @@ let random_network rng =
           blob := name
       | 3 ->
           let name = fresh "lrn" in
-          push name (Layer.Lrn { local_size = 3; alpha = 1e-4; beta = 0.75; k = 1.0 }) !blob name;
+          let alpha, beta = Lazy.force lrn in
+          push name (Layer.Lrn { local_size = 3; alpha; beta; k = 1.0 }) !blob name;
           blob := name
       | 4 ->
           let name = fresh "lcn" in
@@ -98,6 +104,57 @@ let random_network rng =
   ( Network.create ~name:(Printf.sprintf "fuzz-%d" (R.int rng 100000))
       (List.rev !nodes),
     Shape.chw ~channels ~height:size ~width:size )
+
+(* The four views of a design's Approx-LUT set, as sorted name lists: the
+   tables the simulator evaluates, the [approx_lut_*] ROMs the RTL
+   declares, the ROMs its units instantiate, and the fault sites'
+   [lut/*] labels. *)
+let lut_views (design : Db_core.Design.t) =
+  let module Rtl = Db_hdl.Rtl in
+  let after prefix s =
+    if String.starts_with ~prefix s then
+      Some (String.sub s (String.length prefix) (String.length s - String.length prefix))
+    else None
+  in
+  let modules = design.Db_core.Design.rtl.Rtl.modules in
+  let declared =
+    List.filter_map (fun (m : Rtl.module_decl) -> after "approx_lut_" m.Rtl.mod_name) modules
+  in
+  let instantiated =
+    List.concat_map
+      (fun (m : Rtl.module_decl) ->
+        match m.Rtl.body with
+        | Rtl.Behavioral lines ->
+            List.filter_map
+              (fun line ->
+                match String.split_on_char ' ' (String.trim line) with
+                | first :: _ -> after "approx_lut_" first
+                | [] -> None)
+              lines
+        | Rtl.Structural _ | Rtl.Machine _ -> [])
+      modules
+  in
+  let space =
+    Db_fault.Site.enumerate ~design ~params:(Db_nn.Params.create ())
+      ~input_blob:"data" ~input_words:1
+      ~stored_bits:(fun _ ~word_bits -> word_bits)
+      (* AGU registers keep the space non-empty without tables *)
+      ~targets:[ Db_fault.Site.Lut_tables; Db_fault.Site.Agu_config ] ()
+  in
+  let sites =
+    List.filter_map
+      (fun (g : Db_fault.Site.group) -> after "lut/" g.Db_fault.Site.g_label)
+      (Array.to_list space.Db_fault.Site.groups)
+  in
+  List.map
+    (List.sort_uniq String.compare)
+    [ Db_core.Lut_set.names design.Db_core.Design.program.Db_core.Compiler.luts;
+      declared; instantiated; sites ]
+
+let luts_agree design =
+  match lut_views design with
+  | sim :: rest -> List.for_all (( = ) sim) rest
+  | [] -> true
 
 let flow_invariants seed =
   let rng = Db_util.Rng.create seed in
@@ -160,6 +217,10 @@ let flow_invariants seed =
     QCheck.Test.fail_report
       (Printf.sprintf "accelerator diverges from float reference (l2 %g)"
          (Tensor.l2_distance accel reference));
+  if not (luts_agree design) then
+    QCheck.Test.fail_report
+      (String.concat " / "
+         (List.map (String.concat ",") (lut_views design)));
   if not (Tensor.equal_bits accel generic) then
     QCheck.Test.fail_report
       (Printf.sprintf "specialized engine differs from generic (l2 %g)"
@@ -173,6 +234,72 @@ let prop_random_network_flow =
 let test_specific_seeds () =
   (* A few fixed seeds run on every CI pass regardless of qcheck's draws. *)
   List.iter (fun seed -> ignore (flow_invariants seed)) [ 1; 7; 13; 99; 1234 ]
+
+(* Every zoo design's four views of its Approx-LUT set agree. *)
+let test_zoo_luts_agree () =
+  let cons = Db_core.Constraints.db_medium in
+  List.iter
+    (fun (name, model) ->
+      let design = Db_core.Generator.generate cons (Db_nn.Caffe.import_string model) in
+      Alcotest.(check (list (list string)))
+        (name ^ ": simulator = declared ROMs = instantiated ROMs = fault sites")
+        (let sim = List.hd (lut_views design) in [ sim; sim; sim; sim ])
+        (lut_views design))
+    Db_workloads.Model_zoo.named
+
+(* --- LRN exponent -------------------------------------------------------- *)
+
+(* A 4x4x4 input through one LRN (local_size 3, k = 1) and an FC head. *)
+let lrn_probe_error ~alpha ~beta =
+  let shape = Shape.chw ~channels:4 ~height:4 ~width:4 in
+  let net =
+    Network.create ~name:"lrn-probe"
+      [
+        { Network.node_name = "in"; layer = Layer.Input { shape }; bottoms = [];
+          tops = [ "data" ] };
+        { Network.node_name = "lrn";
+          layer = Layer.Lrn { local_size = 3; alpha; beta; k = 1.0 };
+          bottoms = [ "data" ]; tops = [ "lrn" ] };
+        { Network.node_name = "fc";
+          layer = Layer.Fc { num_output = 4; bias = true; fused = None };
+          bottoms = [ "lrn" ]; tops = [ "fc" ] };
+      ]
+  in
+  let design = Db_core.Generator.generate Db_core.Constraints.db_medium net in
+  let rng = Db_util.Rng.create 7 in
+  let params = Db_nn.Params.init_xavier rng net in
+  let input = Tensor.random_uniform rng shape ~min:0.0 ~max:1.0 in
+  let inputs = [ ("data", input) ] in
+  let accel = Db_sim.Simulator.functional_output design params ~inputs in
+  let reference = Db_ir.Interp.output (Db_ir.Lower.lower net) params ~inputs in
+  let worst = ref 0.0 in
+  for i = 0 to Tensor.numel accel - 1 do
+    worst := Float.max !worst (Float.abs (Tensor.get accel i -. Tensor.get reference i))
+  done;
+  !worst
+
+(* The bound is derived from the same probe at beta = 0.75, where the
+   table's error is the 256-entry interpolation plus Q-format rounding.
+   Linear interpolation errs by h^2/8 * f'', and f'' of (k + u)^-beta
+   scales with beta (beta + 1), so the beta = 0.75 error is scaled by that
+   factor (never below 1) with a factor 2 of headroom.  A power table
+   sampled at the wrong exponent errs by 0.17 at beta = 0.5 and 0.5 at
+   beta = 2, alpha = 3, against bounds of 0.011 and 0.052 there. *)
+let prop_lrn_beta_bound =
+  QCheck.Test.make ~name:"LRN at any beta stays within quantization of Interp"
+    ~count:30
+    QCheck.(pair (float_range 0.25 2.0) (float_range 1e-4 3.0))
+    (fun (beta, alpha) ->
+      let curvature b = b *. (b +. 1.0) in
+      let bound =
+        2.0
+        *. lrn_probe_error ~alpha ~beta:0.75
+        *. Float.max 1.0 (curvature beta /. curvature 0.75)
+      in
+      let err = lrn_probe_error ~alpha ~beta in
+      err <= bound
+      || QCheck.Test.fail_reportf "beta %g alpha %g: error %g > bound %g" beta
+           alpha err bound)
 
 (* --- hostile inputs ------------------------------------------------------ *)
 
@@ -338,6 +465,8 @@ let suite =
       [
         QCheck_alcotest.to_alcotest prop_random_network_flow;
         Alcotest.test_case "pinned seeds" `Quick test_specific_seeds;
+        Alcotest.test_case "zoo LUT names agree" `Quick test_zoo_luts_agree;
+        QCheck_alcotest.to_alcotest prop_lrn_beta_bound;
       ] );
     ( "fuzz.hostile",
       [

@@ -318,6 +318,42 @@ let test_lint_unterminated_block_comment () =
   Alcotest.(check bool) "tail swallowed" false
     (Db_hdl.Lint.count_word stripped "more" > 0)
 
+(* The module graph: an instance of an undeclared module (a unit's ROM
+   that was never emitted) and a declared module nothing instantiates (a
+   ROM no unit reads) are both reported; the top, written last, is not. *)
+let test_lint_module_graph () =
+  let text =
+    String.concat "\n"
+      [
+        "module approx_lut_exp (";
+        "  input wire [7:0] key";
+        ");";
+        "endmodule";
+        "module act_unit (";
+        "  input wire [15:0] x";
+        ");";
+        "  approx_lut_relu rom_i (.key(x[15:8]));";
+        "endmodule";
+        "module top (";
+        "  input wire clk";
+        ");";
+        "  act_unit #(.W(16)) u0 (";
+        "    .x(16'd0)";
+        "  );";
+        "endmodule";
+        "";
+      ]
+  in
+  Alcotest.(check (list (pair int string)))
+    "both faults, with their lines"
+    [
+      (8, "instance of undeclared module approx_lut_relu");
+      (1, "module approx_lut_exp is never instantiated");
+    ]
+    (List.map
+       (fun i -> (i.Db_hdl.Lint.line, i.Db_hdl.Lint.message))
+       (Db_hdl.Lint.check text))
+
 let test_fsm_rejects_duplicate_states () =
   let bad = { counter_fsm with Fsm.states = [ "idle"; "run"; "idle"; "done" ] } in
   match Fsm.validate bad with
@@ -356,6 +392,7 @@ let suite =
             test_lint_multiline_block_comment;
           Alcotest.test_case "unterminated block comment" `Quick
             test_lint_unterminated_block_comment;
+          Alcotest.test_case "module graph" `Quick test_lint_module_graph;
         ] );
       ( "hdl.fsm.validate",
         [

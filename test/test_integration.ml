@@ -275,7 +275,8 @@ let test_lint_testbench () =
       ~max:1.0
   in
   let tb = Simulator.testbench design params ~inputs:[ ("data", input) ] in
-  Db_hdl.Lint.assert_clean tb
+  (* The testbench instantiates the accelerator: lint the two together. *)
+  Db_hdl.Lint.assert_clean (Design.verilog design ^ tb)
 
 let suite =
   suite

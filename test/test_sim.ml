@@ -83,10 +83,15 @@ let test_functional_tracks_float () =
   Alcotest.(check bool) "within fixed-point noise" true
     (Tensor.l2_distance sim_out float_out < 0.1)
 
+(* The Approx-LUT set of the sigmoid [ann_net] at [lut_entries]. *)
+let ann_luts ~lut_entries =
+  Db_core.Lut_set.of_graph
+    (Db_sched.Datapath.make ~lut_entries ~lanes:1 ())
+    (Db_ir.Lower.lower (ann_net ()))
+
 let test_lut_eval_uses_tables () =
   (* A deliberately coarse sigmoid LUT shows up as approximation error. *)
-  let coarse = [ Db_blocks.Approx_lut.sigmoid ~entries:4 ] in
-  let eval = Db_sim.Lut_eval.of_luts coarse in
+  let eval = Db_sim.Lut_eval.of_set (ann_luts ~lut_entries:4) in
   let exact = 1.0 /. (1.0 +. exp (-1.3)) in
   let approx = eval.Db_nn.Quantized.eval_activation Db_nn.Layer.Sigmoid 1.3 in
   Alcotest.(check bool) "coarse table differs from exact" true
@@ -96,7 +101,8 @@ let test_lut_eval_uses_tables () =
     (eval.Db_nn.Quantized.eval_activation Db_nn.Layer.Relu 1.3)
 
 let test_lut_eval_fallback () =
-  let eval = Db_sim.Lut_eval.of_luts [] in
+  (* The sigmoid network has no tanh or reciprocal table. *)
+  let eval = Db_sim.Lut_eval.of_set (ann_luts ~lut_entries:256) in
   Alcotest.(check (float 1e-12)) "tanh exact fallback" (Float.tanh 0.4)
     (eval.Db_nn.Quantized.eval_activation Db_nn.Layer.Tanh 0.4);
   Alcotest.(check (float 1e-12)) "recip fallback" 0.5
