@@ -58,28 +58,18 @@ let scan_leaf lines =
   in
   let words = Hashtbl.create 64 and comb_always = ref false in
   let stack = ref [] and latches = ref 0 in
-  let i = ref 0 in
-  while !i < n do
-    if Lint.is_word_char text.[!i] then begin
-      let j = ref !i in
-      while !j < n && Lint.is_word_char text.[!j] do
-        incr j
-      done;
-      let w = String.sub text !i (!j - !i) in
+  Lint.iter_words text (fun i j ->
+      let w = String.sub text i (j - i) in
       Hashtbl.replace words w ();
-      (match (w, !stack) with
+      match (w, !stack) with
       | "always", _ ->
-          if next_is !j "@*" 0 || next_is !j "@(*)" 0 then comb_always := true
+          if next_is j "@*" 0 || next_is j "@(*)" 0 then comb_always := true
       | ("case" | "casez" | "casex"), _ -> stack := ref false :: !stack
       | "default", top :: _ -> top := true
       | "endcase", top :: rest ->
           if not !top then incr latches;
           stack := rest
       | _ -> ());
-      i := !j
-    end
-    else incr i
-  done;
   { words; latches = (if !comb_always then !latches else 0) }
 
 (* --- combinational classification ------------------------------------- *)

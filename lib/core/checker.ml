@@ -165,19 +165,14 @@ let steps_of_design (design : Design.t) =
 
 let plant_of_design (design : Design.t) =
   let dp = design.Design.datapath in
-  let port = dp.Db_sched.Datapath.port_words in
   {
     Mem_safety.pl_scope = design.Design.ir.Graph.graph_name;
     pl_regions = regions_of_layout design.Design.layout;
     pl_total_words = design.Design.layout.Layout.total_words;
     pl_feature_buffer =
-      Buffer_model.make ~name:"feature_buffer"
-        ~capacity_words:dp.Db_sched.Datapath.feature_buffer_words
-        ~read_words_per_cycle:port ();
+      Buffer_model.make ~capacity_words:dp.Db_sched.Datapath.feature_buffer_words;
     pl_weight_buffer =
-      Buffer_model.make ~name:"weight_buffer"
-        ~capacity_words:dp.Db_sched.Datapath.weight_buffer_words
-        ~read_words_per_cycle:port ();
+      Buffer_model.make ~capacity_words:dp.Db_sched.Datapath.weight_buffer_words;
     pl_addr_bits = main_agu_addr_bits design;
   }
 

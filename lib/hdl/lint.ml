@@ -58,18 +58,29 @@ let is_word_char c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
   || c = '_'
 
-let count_word line word =
-  let n = String.length line and wl = String.length word in
-  let rec go i acc =
-    if i + wl > n then acc
-    else if
-      String.sub line i wl = word
-      && (i = 0 || not (is_word_char line.[i - 1]))
-      && (i + wl = n || not (is_word_char line.[i + wl]))
-    then go (i + wl) (acc + 1)
-    else go (i + 1) acc
-  in
-  go 0 0
+(* [f i j] for every maximal run [text.[i .. j-1]] of word characters,
+   left to right. *)
+let iter_words text f =
+  let n = String.length text in
+  let i = ref 0 in
+  while !i < n do
+    if is_word_char (String.unsafe_get text !i) then begin
+      let j = ref (!i + 1) in
+      while !j < n && is_word_char (String.unsafe_get text !j) do
+        incr j
+      done;
+      f !i !j;
+      i := !j
+    end
+    else incr i
+  done
+
+(* Whether [text.[i .. j-1]] spells [word], without copying it out. *)
+let spells text i j word =
+  j - i = String.length word
+  &&
+  let rec same k = k = j - i || (text.[i + k] = word.[k] && same (k + 1)) in
+  same 0
 
 (* The Verilog words that can open a [word word (] line other than
    [module], which declares. *)
@@ -153,12 +164,16 @@ let check text =
   List.iteri
     (fun idx line ->
       let line_no = idx + 1 in
-      modules := !modules + count_word line "module" - count_word line "endmodule";
-      (* "endcase" contains no "case" word-match; count both separately. *)
-      cases := !cases + count_word line "case" - count_word line "endcase";
-      (* Whole-word matching keeps "endmodule"/"endcase" from counting as
-         "end". *)
-      begins := !begins + count_word line "begin" - count_word line "end";
+      (* Whole words only: "endmodule" and "endcase" are neither "end"
+         nor "case". *)
+      iter_words line (fun i j ->
+          let is = spells line i j in
+          if is "module" then incr modules
+          else if is "endmodule" then decr modules
+          else if is "case" then incr cases
+          else if is "endcase" then decr cases
+          else if is "begin" then incr begins
+          else if is "end" then decr begins);
       String.iter
         (fun c ->
           match c with

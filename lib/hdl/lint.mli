@@ -21,8 +21,11 @@ val strip_comments : string -> string
 
 val is_word_char : char -> bool
 
-val count_word : string -> string -> int
-(** [count_word text word] counts whole-word occurrences of [word]. *)
+val iter_words : string -> (int -> int -> unit) -> unit
+(** [iter_words text f] calls [f i j] for every whole word
+    [text.[i .. j-1]] (a maximal run of {!is_word_char} characters), left
+    to right: the one tokenizer pass behind [check]'s keyword balance and
+    the analyzer's template scan. *)
 
 val check : string -> issue list
 (** Empty when the text passes every check. *)

@@ -1,31 +1,9 @@
-type t = {
-  buffer_name : string;
-  capacity_words : int;
-  read_words_per_cycle : int;
-  write_words_per_cycle : int;
-}
+type t = { capacity_words : int }
 
 let fail fmt = Db_util.Error.failf_at ~component:"buffer-model" fmt
 
-let make ~name ~capacity_words ~read_words_per_cycle ?write_words_per_cycle () =
+let make ~capacity_words =
   if capacity_words <= 0 then fail "make: capacity must be positive (got %d)" capacity_words;
-  if read_words_per_cycle <= 0 then fail "make: read width must be positive (got %d)" read_words_per_cycle;
-  let write_words_per_cycle =
-    Option.value ~default:read_words_per_cycle write_words_per_cycle
-  in
-  if write_words_per_cycle <= 0 then fail "make: write width must be positive (got %d)" write_words_per_cycle;
-  { buffer_name = name; capacity_words; read_words_per_cycle; write_words_per_cycle }
-
-let bram_bits t ~bytes_per_word = t.capacity_words * bytes_per_word * 8
-
-let div_ceil a b = (a + b - 1) / b
-
-let read_cycles t ~words =
-  if words < 0 then fail "read_cycles: negative word count %d" words;
-  div_ceil words t.read_words_per_cycle
-
-let write_cycles t ~words =
-  if words < 0 then fail "write_cycles: negative word count %d" words;
-  div_ceil words t.write_words_per_cycle
+  { capacity_words }
 
 let holds t ~words = words <= t.capacity_words

@@ -1,32 +1,14 @@
 (** On-chip BRAM buffer model.
 
     The generated accelerator has (at least) a feature buffer and a weight
-    buffer (Fig. 2).  A buffer is characterised by its capacity, its
-    read-port width (words per cycle it can feed the datapath) and its
-    write-port width (words per cycle it accepts from the main AGU). *)
+    buffer (Fig. 2).  The memory-safety checker holds every fold's
+    resident working set to the buffer's capacity; port widths and cycle
+    costs belong to {!Db_sim.Perf_model}. *)
 
-type t = {
-  buffer_name : string;
-  capacity_words : int;
-  read_words_per_cycle : int;
-  write_words_per_cycle : int;
-}
+type t = { capacity_words : int }
 
-val make :
-  name:string ->
-  capacity_words:int ->
-  read_words_per_cycle:int ->
-  ?write_words_per_cycle:int ->
-  unit ->
-  t
-(** [write_words_per_cycle] defaults to the read width. *)
-
-val bram_bits : t -> bytes_per_word:int -> int
-(** BRAM bits this buffer occupies. *)
-
-val read_cycles : t -> words:int -> int
-
-val write_cycles : t -> words:int -> int
+val make : capacity_words:int -> t
+(** Raises a [buffer-model] error unless the capacity is positive. *)
 
 val holds : t -> words:int -> bool
 (** Whether a working set fits entirely. *)

@@ -30,11 +30,3 @@ let transfer_cycles t ~bytes ~sequential_fraction =
     let rate = t.peak_bytes_per_cycle *. eff in
     t.base_latency_cycles + int_of_float (Float.ceil (float_of_int bytes /. rate))
   end
-
-let pattern_cycles t ~bytes_per_word pattern =
-  let words = Access_pattern.word_count pattern in
-  transfer_cycles t ~bytes:(words * bytes_per_word)
-    ~sequential_fraction:(Access_pattern.sequential_fraction pattern)
-
-let bandwidth_gbps t ~clock_mhz =
-  t.peak_bytes_per_cycle *. t.sequential_efficiency *. clock_mhz *. 1e6 /. 1e9

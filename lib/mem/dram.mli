@@ -20,9 +20,3 @@ val zynq_ddr3 : t
 val transfer_cycles : t -> bytes:int -> sequential_fraction:float -> int
 (** Cycles to move [bytes] with the given access locality (linear
     interpolation between random and sequential efficiency). *)
-
-val pattern_cycles : t -> bytes_per_word:int -> Access_pattern.t -> int
-(** Cycles for one trigger of an AGU pattern against this DRAM. *)
-
-val bandwidth_gbps : t -> clock_mhz:float -> float
-(** Effective peak bandwidth in GB/s, for reports. *)

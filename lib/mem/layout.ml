@@ -46,7 +46,7 @@ let consumer_plan (g : Graph.t) ~port_width blob shape =
     | None -> None
   end
 
-let build ?(bytes_per_word = 2) ~port_width (g : Graph.t) =
+let build ~bytes_per_word ~port_width (g : Graph.t) =
   let next = ref 0 in
   let entries = ref [] in
   let alloc name words tile_plan =

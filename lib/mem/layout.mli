@@ -21,11 +21,12 @@ type t = {
   port_width : int;
 }
 
-val build : ?bytes_per_word:int -> port_width:int -> Db_ir.Graph.t -> t
+val build : bytes_per_word:int -> port_width:int -> Db_ir.Graph.t -> t
 (** Walks the IR graph in topological order; every blob gets a region
     sized by its annotated shape, weight tensors follow the node's
     annotated parameter shapes.  A blob consumed by a convolution gets the Method-1 plan for
-    that convolution's kernel/stride.  Default [bytes_per_word] is 2. *)
+    that convolution's kernel/stride.  [bytes_per_word] is the datapath
+    format's {!Db_fixed.Fixed.word_bytes}. *)
 
 val find : t -> string -> entry
 (** Raises [Not_found]. *)

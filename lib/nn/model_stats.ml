@@ -6,16 +6,12 @@ type layer_stat = {
   macs : int;
   other_ops : int;
   param_count : int;
-  input_bytes : int;
-  output_bytes : int;
-  weight_bytes : int;
 }
 
 type t = {
   per_layer : layer_stat list;
   total_macs : int;
   total_params : int;
-  total_weight_bytes : int;
 }
 
 let layer_costs layer ~bottoms ~output =
@@ -67,7 +63,7 @@ let layer_costs layer ~bottoms ~output =
       Db_util.Error.failf_at ~component:"network"
         "training op %s has no layer-level cost formula" (Layer.name layer)
 
-let compute ?(bytes_per_word = 2) net =
+let compute net =
   let shapes = Shape_infer.infer net in
   let per_layer =
     List.filter_map
@@ -91,9 +87,6 @@ let compute ?(bytes_per_word = 2) net =
                     (Params.expected_shapes layer ~bottom)
               | [] | _ :: _ :: _ -> 0
             in
-            let input_numel =
-              List.fold_left (fun acc s -> acc + Shape.numel s) 0 bottoms
-            in
             Some
               {
                 stat_node = node.Network.node_name;
@@ -101,9 +94,6 @@ let compute ?(bytes_per_word = 2) net =
                 macs;
                 other_ops;
                 param_count;
-                input_bytes = input_numel * bytes_per_word;
-                output_bytes = Shape.numel output * bytes_per_word;
-                weight_bytes = param_count * bytes_per_word;
               })
       net.Network.nodes
   in
@@ -111,7 +101,6 @@ let compute ?(bytes_per_word = 2) net =
     per_layer;
     total_macs = List.fold_left (fun a s -> a + s.macs) 0 per_layer;
     total_params = List.fold_left (fun a s -> a + s.param_count) 0 per_layer;
-    total_weight_bytes = List.fold_left (fun a s -> a + s.weight_bytes) 0 per_layer;
   }
 
 type decomposition = {

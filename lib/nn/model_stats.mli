@@ -7,16 +7,12 @@ type layer_stat = {
   macs : int;  (** multiply-accumulate operations of one forward pass *)
   other_ops : int;  (** comparisons, divisions, exponentials, ... *)
   param_count : int;
-  input_bytes : int;  (** feature bytes read at the datapath word size *)
-  output_bytes : int;
-  weight_bytes : int;
 }
 
 type t = {
   per_layer : layer_stat list;
   total_macs : int;
   total_params : int;
-  total_weight_bytes : int;
 }
 
 val layer_costs :
@@ -28,8 +24,7 @@ val layer_costs :
     bottom and output shapes.  The single source of the per-layer cost
     formulas; [Db_ir] node annotation reuses it. *)
 
-val compute : ?bytes_per_word:int -> Network.t -> t
-(** Default [bytes_per_word] is 2 (the 16-bit datapath format). *)
+val compute : Network.t -> t
 
 type decomposition = {
   has_conv : bool;

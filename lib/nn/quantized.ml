@@ -51,7 +51,12 @@ let log2_exact n =
   let rec go acc v = if v = 1 then acc else go (acc + 1) (v asr 1) in
   go 0 n
 
-let qconv2d fmt ~input ~weights ~bias ~stride ~pad ~group =
+(* The [out] rule every kernel follows: it writes all [n] words of [out]
+   when [out] holds exactly [n], whatever [out] held before, and a fresh
+   array otherwise. *)
+let slot out n = if Array.length out = n then out else Array.make n 0
+
+let qconv2d fmt ~input ~weights ~bias ~stride ~pad ~group ~out =
   let cin = Shape.channels input.qshape
   and h = Shape.height input.qshape
   and w = Shape.width input.qshape in
@@ -62,7 +67,7 @@ let qconv2d fmt ~input ~weights ~bias ~stride ~pad ~group =
   let oh = Db_tensor.Ops.conv_output_dim ~input:h ~kernel:k ~stride ~pad_lo:pad ~pad_hi:pad in
   let ow = Db_tensor.Ops.conv_output_dim ~input:w ~kernel:k ~stride ~pad_lo:pad ~pad_hi:pad in
   assert (cin mod group = 0 && cout mod group = 0 && cin_g = cin / group);
-  let out = Array.make (cout * oh * ow) 0 in
+  let out = slot out (cout * oh * ow) in
   let cout_g = cout / group in
   for oc = 0 to cout - 1 do
     let g = oc / cout_g in
@@ -95,11 +100,11 @@ let qconv2d fmt ~input ~weights ~bias ~stride ~pad ~group =
   done;
   { qshape = Shape.chw ~channels:cout ~height:oh ~width:ow; qdata = out }
 
-let qfully_connected fmt ~input ~weights ~bias =
+let qfully_connected fmt ~input ~weights ~bias ~out =
   let nout = Shape.dim weights.qshape 0
   and nin = Shape.dim weights.qshape 1 in
   if Array.length input.qdata <> nin then fail "fc: input size mismatch";
-  let out = Array.make nout 0 in
+  let out = slot out nout in
   for o = 0 to nout - 1 do
     let acc =
       ref
@@ -114,16 +119,13 @@ let qfully_connected fmt ~input ~weights ~bias =
   done;
   { qshape = Shape.vector nout; qdata = out }
 
-let pool_dims ~input ~kernel ~stride =
+let qpool fmt ~method_ ~input ~kernel ~stride ~eval ~out =
   let c = Shape.channels input.qshape
   and h = Shape.height input.qshape
   and w = Shape.width input.qshape in
   let oh = Db_tensor.Ops.conv_output_dim ~input:h ~kernel ~stride ~pad_lo:0 ~pad_hi:0 in
   let ow = Db_tensor.Ops.conv_output_dim ~input:w ~kernel ~stride ~pad_lo:0 ~pad_hi:0 in
-  (c, h, w, oh, ow)
-
-(* Every word of [out] is written, so it may hold anything beforehand. *)
-let pool_words fmt ~method_ ~input ~kernel ~stride ~eval ~out (c, h, w, oh, ow) =
+  let out = slot out (c * oh * ow) in
   let area = kernel * kernel in
   let recip_q =
     Fixed.of_float fmt (eval.eval_reciprocal (float_of_int area))
@@ -162,45 +164,65 @@ let pool_words fmt ~method_ ~input ~kernel ~stride ~eval ~out (c, h, w, oh, ow) 
   done;
   { qshape = Shape.chw ~channels:c ~height:oh ~width:ow; qdata = out }
 
-let qpool_into fmt ~method_ ~input ~kernel ~stride ~eval ~out =
-  let ((c, _, _, oh, ow) as dims) = pool_dims ~input ~kernel ~stride in
-  if Array.length out <> c * oh * ow then None
-  else Some (pool_words fmt ~method_ ~input ~kernel ~stride ~eval ~out dims)
-
-let qpool fmt ~method_ ~input ~kernel ~stride ~eval =
-  let ((c, _, _, oh, ow) as dims) = pool_dims ~input ~kernel ~stride in
-  pool_words fmt ~method_ ~input ~kernel ~stride ~eval
-    ~out:(Array.make (c * oh * ow) 0) dims
-
-let qmap fmt f input =
-  {
-    input with
-    qdata =
-      Array.map (fun v -> Fixed.of_float fmt (f (Fixed.to_float fmt v))) input.qdata;
-  }
-
-let qrecurrent fmt ~eval ~w_in ~w_rec ~bias ~steps input =
-  let nout = Shape.dim w_in.qshape 0 in
-  let state = ref { qshape = Shape.vector nout; qdata = Array.make nout 0 } in
-  for _step = 1 to steps do
-    let drive = qfully_connected fmt ~input ~weights:w_in ~bias in
-    let feedback = qfully_connected fmt ~input:!state ~weights:w_rec ~bias:None in
-    let summed =
-      Array.init nout (fun i ->
-          Fixed.add fmt drive.qdata.(i) feedback.qdata.(i))
-    in
-    state :=
-      qmap fmt
-        (eval.eval_activation Layer.Tanh)
-        { qshape = Shape.vector nout; qdata = summed }
+let qglobal_pool fmt ~method_ ~eval ~out input =
+  let c = Shape.channels input.qshape in
+  let hw = Array.length input.qdata / c in
+  let out = slot out c in
+  for ch = 0 to c - 1 do
+    out.(ch) <-
+      (match method_ with
+      | Layer.Max_pool ->
+          let best = ref min_int in
+          for i = 0 to hw - 1 do
+            if input.qdata.((ch * hw) + i) > !best then
+              best := input.qdata.((ch * hw) + i)
+          done;
+          !best
+      | Layer.Avg_pool ->
+          let acc = ref 0 in
+          for i = 0 to hw - 1 do
+            acc := !acc + input.qdata.((ch * hw) + i)
+          done;
+          if is_power_of_two hw then
+            Fixed.shift_right_approx fmt !acc (log2_exact hw)
+          else
+            Fixed.mul fmt (Fixed.saturate fmt !acc)
+              (Fixed.of_float fmt (eval.eval_reciprocal (float_of_int hw))))
   done;
-  !state
+  { qshape = Shape.vector c; qdata = out }
 
-let lrn_dims input =
-  (Shape.channels input.qshape, Shape.height input.qshape, Shape.width input.qshape)
+let qmap fmt f ~out input =
+  let out = slot out (Array.length input.qdata) in
+  Array.iteri
+    (fun i v -> out.(i) <- Fixed.of_float fmt (f (Fixed.to_float fmt v)))
+    input.qdata;
+  { input with qdata = out }
 
-(* Every word of [out] is written, so it may hold anything beforehand. *)
-let lrn_words fmt ~eval ~input ~local_size ~alpha ~beta ~k ~out (c, h, w) =
+(* The state starts at zero and lives in the result's words: each step
+   reads all of it into [feedback] before overwriting it. *)
+let qrecurrent fmt ~eval ~w_in ~w_rec ~bias ~steps ~out input =
+  let nout = Shape.dim w_in.qshape 0 in
+  let state = { qshape = Shape.vector nout; qdata = slot out nout } in
+  Array.fill state.qdata 0 nout 0;
+  for _step = 1 to steps do
+    let drive = qfully_connected fmt ~input ~weights:w_in ~bias ~out:[||] in
+    let feedback =
+      qfully_connected fmt ~input:state ~weights:w_rec ~bias:None ~out:[||]
+    in
+    let tanh = eval.eval_activation Layer.Tanh in
+    for i = 0 to nout - 1 do
+      state.qdata.(i) <-
+        Fixed.of_float fmt
+          (tanh (Fixed.to_float fmt (Fixed.add fmt drive.qdata.(i) feedback.qdata.(i))))
+    done
+  done;
+  state
+
+let qlrn fmt ~eval ~input ~local_size ~alpha ~beta ~k ~out =
+  let c = Shape.channels input.qshape
+  and h = Shape.height input.qshape
+  and w = Shape.width input.qshape in
+  let out = slot out (c * h * w) in
   let half = local_size / 2 in
   (* [float_of_int v *. res] is [Fixed.to_float fmt v], read without the
      boxed float a cross-module call returns under [-opaque]. *)
@@ -224,28 +246,69 @@ let lrn_words fmt ~eval ~input ~local_size ~alpha ~beta ~k ~out (c, h, w) =
   done;
   { qshape = input.qshape; qdata = out }
 
-let qlrn_into fmt ~eval ~input ~local_size ~alpha ~beta ~k ~out =
-  let ((c, h, w) as dims) = lrn_dims input in
-  if Array.length out <> c * h * w then None
-  else Some (lrn_words fmt ~eval ~input ~local_size ~alpha ~beta ~k ~out dims)
+(* The mean/variance path runs on the accumulators; the division goes
+   through the reciprocal Approx LUT like average pooling does. *)
+let qlcn fmt ~eval ~window ~epsilon ~out input =
+  let shape = input.qshape in
+  let c = Shape.channels shape
+  and h = Shape.height shape
+  and w = Shape.width shape in
+  let half = window / 2 in
+  let out = slot out (c * h * w) in
+  for ch = 0 to c - 1 do
+    for y = 0 to h - 1 do
+      for x = 0 to w - 1 do
+        let sum = ref 0.0 and sumsq = ref 0.0 and count = ref 0 in
+        for dy = -half to half do
+          for dx = -half to half do
+            let yy = y + dy and xx = x + dx in
+            if yy >= 0 && yy < h && xx >= 0 && xx < w then begin
+              let v =
+                Fixed.to_float fmt input.qdata.((ch * h * w) + (yy * w) + xx)
+              in
+              sum := !sum +. v;
+              sumsq := !sumsq +. (v *. v);
+              incr count
+            end
+          done
+        done;
+        let n = float_of_int !count in
+        let mean = !sum /. n in
+        let var = Float.max 0.0 ((!sumsq /. n) -. (mean *. mean)) in
+        let denom = Float.max epsilon (sqrt var) in
+        let v = Fixed.to_float fmt input.qdata.((ch * h * w) + (y * w) + x) in
+        out.((ch * h * w) + (y * w) + x) <-
+          Fixed.of_float fmt ((v -. mean) *. eval.eval_reciprocal denom)
+      done
+    done
+  done;
+  { qshape = shape; qdata = out }
 
-let qlrn fmt ~eval ~input ~local_size ~alpha ~beta ~k =
-  let ((c, h, w) as dims) = lrn_dims input in
-  lrn_words fmt ~eval ~input ~local_size ~alpha ~beta ~k
-    ~out:(Array.make (c * h * w) 0) dims
-
-let qsoftmax fmt ~eval input =
+let qsoftmax fmt ~eval ~out input =
   let floats = Array.map (Fixed.to_float fmt) input.qdata in
   let m = Array.fold_left Float.max neg_infinity floats in
   let exps = Array.map (fun x -> eval.eval_exp (x -. m)) floats in
   let total = Array.fold_left ( +. ) 0.0 exps in
   let inv = eval.eval_reciprocal total in
-  {
-    input with
-    qdata = Array.map (fun e -> Fixed.of_float fmt (e *. inv)) exps;
-  }
+  let out = slot out (Array.length exps) in
+  Array.iteri (fun i e -> out.(i) <- Fixed.of_float fmt (e *. inv)) exps;
+  { input with qdata = out }
 
-let qclassifier ~top_k input =
+let qconcat ~out bottoms =
+  let total = List.fold_left (fun acc b -> acc + Array.length b.qdata) 0 bottoms in
+  let first = match bottoms with b :: _ -> b | [] -> fail "concat: no bottoms" in
+  let h = Shape.height first.qshape and w = Shape.width first.qshape in
+  let channels = total / (h * w) in
+  let out = slot out total in
+  let offset = ref 0 in
+  List.iter
+    (fun b ->
+      Array.blit b.qdata 0 out !offset (Array.length b.qdata);
+      offset := !offset + Array.length b.qdata)
+    bottoms;
+  { qshape = Shape.chw ~channels ~height:h ~width:w; qdata = out }
+
+let qclassifier ~top_k ~out input =
   let n = Array.length input.qdata in
   let indices = Array.init n (fun i -> i) in
   Array.sort
@@ -255,140 +318,80 @@ let qclassifier ~top_k input =
       else compare a b)
     indices;
   (* Indices are integers: represent them exactly in the integer part. *)
-  { qshape = Shape.vector top_k; qdata = Array.init top_k (fun i -> indices.(i)) }
+  let out = slot out top_k in
+  for i = 0 to top_k - 1 do
+    out.(i) <- indices.(i)
+  done;
+  { qshape = Shape.vector top_k; qdata = out }
 
-let eval_unfused fmt eval layer ~params ~bottoms =
+let eval_node fmt eval layer ~params ~bottoms ~out =
   let one () =
     match bottoms with
     | [ b ] -> b
     | _ -> fail "layer %s expects one bottom" (Layer.name layer)
   in
   let flat q = { q with qshape = Shape.vector (Array.length q.qdata) } in
+  (match Layer.fused_activation layer with
+  | Some act ->
+      fail "layer %s carries a fused %s activation, which only IR passes derive"
+        (Layer.name layer) (Layer.activation_name act)
+  | None -> ());
   match layer with
   | Layer.Input _ -> fail "input layers are not evaluated"
   | Layer.Conv { stride; pad; group; bias = has_bias; _ } -> begin
       match params, has_bias with
       | [ w ], false ->
-          qconv2d fmt ~input:(one ()) ~weights:w ~bias:None ~stride ~pad ~group
+          qconv2d fmt ~input:(one ()) ~weights:w ~bias:None ~stride ~pad ~group ~out
       | [ w; b ], true ->
           qconv2d fmt ~input:(one ()) ~weights:w ~bias:(Some b) ~stride ~pad
-            ~group
+            ~group ~out
       | _ -> fail "convolution: wrong parameter tensors"
     end
   | Layer.Pool { method_; kernel_size; stride } ->
-      qpool fmt ~method_ ~input:(one ()) ~kernel:kernel_size ~stride ~eval
-  | Layer.Global_pool method_ ->
-      let input = one () in
-      let c = Shape.channels input.qshape in
-      let hw = Array.length input.qdata / c in
-      let out =
-        Array.init c (fun ch ->
-            match method_ with
-            | Layer.Max_pool ->
-                let best = ref min_int in
-                for i = 0 to hw - 1 do
-                  if input.qdata.((ch * hw) + i) > !best then
-                    best := input.qdata.((ch * hw) + i)
-                done;
-                !best
-            | Layer.Avg_pool ->
-                let acc = ref 0 in
-                for i = 0 to hw - 1 do
-                  acc := !acc + input.qdata.((ch * hw) + i)
-                done;
-                if is_power_of_two hw then
-                  Fixed.shift_right_approx fmt !acc (log2_exact hw)
-                else
-                  Fixed.mul fmt (Fixed.saturate fmt !acc)
-                    (Fixed.of_float fmt (eval.eval_reciprocal (float_of_int hw))))
-      in
-      { qshape = Shape.vector c; qdata = out }
+      qpool fmt ~method_ ~input:(one ()) ~kernel:kernel_size ~stride ~eval ~out
+  | Layer.Global_pool method_ -> qglobal_pool fmt ~method_ ~eval ~out (one ())
   | Layer.Fc { bias = has_bias; _ } -> begin
       match params, has_bias with
-      | [ w ], false -> qfully_connected fmt ~input:(flat (one ())) ~weights:w ~bias:None
+      | [ w ], false ->
+          qfully_connected fmt ~input:(flat (one ())) ~weights:w ~bias:None ~out
       | [ w; b ], true ->
           qfully_connected fmt ~input:(flat (one ())) ~weights:w ~bias:(Some b)
+            ~out
       | _ -> fail "inner product: wrong parameter tensors"
     end
-  | Layer.Act act -> qmap fmt (eval.eval_activation act) (one ())
+  | Layer.Act act -> qmap fmt (eval.eval_activation act) ~out (one ())
   | Layer.Lrn { local_size; alpha; beta; k } ->
-      qlrn fmt ~eval ~input:(one ()) ~local_size ~alpha ~beta ~k
-  | Layer.Lcn { window; epsilon } ->
-      (* The mean/variance path runs on the accumulators; the division goes
-         through the reciprocal Approx LUT like average pooling does. *)
+      qlrn fmt ~eval ~input:(one ()) ~local_size ~alpha ~beta ~k ~out
+  | Layer.Lcn { window; epsilon } -> qlcn fmt ~eval ~window ~epsilon ~out (one ())
+  | Layer.Dropout _ ->
       let input = one () in
-      let shape = input.qshape in
-      let c = Shape.channels shape
-      and h = Shape.height shape
-      and w = Shape.width shape in
-      let half = window / 2 in
-      let out = Array.make (c * h * w) 0 in
-      for ch = 0 to c - 1 do
-        for y = 0 to h - 1 do
-          for x = 0 to w - 1 do
-            let sum = ref 0.0 and sumsq = ref 0.0 and count = ref 0 in
-            for dy = -half to half do
-              for dx = -half to half do
-                let yy = y + dy and xx = x + dx in
-                if yy >= 0 && yy < h && xx >= 0 && xx < w then begin
-                  let v =
-                    Fixed.to_float fmt input.qdata.((ch * h * w) + (yy * w) + xx)
-                  in
-                  sum := !sum +. v;
-                  sumsq := !sumsq +. (v *. v);
-                  incr count
-                end
-              done
-            done;
-            let n = float_of_int !count in
-            let mean = !sum /. n in
-            let var = Float.max 0.0 ((!sumsq /. n) -. (mean *. mean)) in
-            let denom = Float.max epsilon (sqrt var) in
-            let v = Fixed.to_float fmt input.qdata.((ch * h * w) + (y * w) + x) in
-            out.((ch * h * w) + (y * w) + x) <-
-              Fixed.of_float fmt ((v -. mean) *. eval.eval_reciprocal denom)
-          done
-        done
-      done;
-      { qshape = shape; qdata = out }
-  | Layer.Dropout _ -> one ()
-  | Layer.Softmax -> qsoftmax fmt ~eval (one ())
+      let n = Array.length input.qdata in
+      let out = slot out n in
+      Array.blit input.qdata 0 out 0 n;
+      { input with qdata = out }
+  | Layer.Softmax -> qsoftmax fmt ~eval ~out (one ())
   | Layer.Recurrent { steps; bias = has_bias; _ } -> begin
       match params, has_bias with
       | [ w_in; w_rec ], false ->
-          qrecurrent fmt ~eval ~w_in ~w_rec ~bias:None ~steps (flat (one ()))
+          qrecurrent fmt ~eval ~w_in ~w_rec ~bias:None ~steps ~out (flat (one ()))
       | [ w_in; w_rec; b ], true ->
-          qrecurrent fmt ~eval ~w_in ~w_rec ~bias:(Some b) ~steps (flat (one ()))
+          qrecurrent fmt ~eval ~w_in ~w_rec ~bias:(Some b) ~steps ~out
+            (flat (one ()))
       | _ -> fail "recurrent: wrong parameter tensors"
     end
   | Layer.Associative { cells_per_dim; active_cells } ->
-      let input = dequantize fmt (flat (one ())) in
-      quantize fmt
-        (Db_tensor.Ops.associative_encode ~cells_per_dim ~active_cells input)
-  | Layer.Concat ->
-      let total = List.fold_left (fun acc b -> acc + Array.length b.qdata) 0 bottoms in
-      let first = match bottoms with b :: _ -> b | [] -> fail "concat: no bottoms" in
-      let h = Shape.height first.qshape and w = Shape.width first.qshape in
-      let channels = total / (h * w) in
-      let out = Array.make total 0 in
-      let offset = ref 0 in
-      List.iter
-        (fun b ->
-          Array.blit b.qdata 0 out !offset (Array.length b.qdata);
-          offset := !offset + Array.length b.qdata)
-        bottoms;
-      { qshape = Shape.chw ~channels ~height:h ~width:w; qdata = out }
-  | Layer.Classifier { top_k } -> qclassifier ~top_k (flat (one ()))
+      let code =
+        Db_tensor.Ops.associative_encode ~cells_per_dim ~active_cells
+          (dequantize fmt (flat (one ())))
+      in
+      let n = Tensor.numel code in
+      let out = slot out n in
+      Fixed.quantize_into fmt code out;
+      { qshape = Tensor.shape code; qdata = out }
+  | Layer.Concat -> qconcat ~out bottoms
+  | Layer.Classifier { top_k } -> qclassifier ~top_k ~out (flat (one ()))
   | Layer.Backward _ | Layer.Sgd_update _ ->
       fail "training op %s is not a forward layer" (Layer.name layer)
-
-(* A fused activation runs on the conv/FC result exactly as the standalone
-   activation node it replaced would. *)
-let eval_node fmt eval layer ~params ~bottoms =
-  let out = eval_unfused fmt eval layer ~params ~bottoms in
-  match Layer.fused_activation layer with
-  | Some act -> qmap fmt (eval.eval_activation act) out
-  | None -> out
 
 let forward ?(eval = exact_eval) ~fmt net params ~inputs =
   let env = ref [] in
@@ -417,7 +420,7 @@ let forward ?(eval = exact_eval) ~fmt net params ~inputs =
             let qparams =
               List.map (quantize fmt) (Params.get params node.Network.node_name)
             in
-            eval_node fmt eval layer ~params:qparams ~bottoms
+            eval_node fmt eval layer ~params:qparams ~bottoms ~out:[||]
       in
       List.iter (fun top -> env := (top, out) :: !env) node.Network.tops);
   List.rev !env

@@ -31,48 +31,23 @@ val rescale_acc : Db_fixed.Fixed.format -> int -> int
     for the specialized simulation engine, whose precompiled kernels must
     rescale exactly as the generic ones do. *)
 
-val qpool_into :
-  Db_fixed.Fixed.format ->
-  method_:Layer.pool_method ->
-  input:qtensor ->
-  kernel:int ->
-  stride:int ->
-  eval:function_eval ->
-  out:int array ->
-  qtensor option
-(** Max / average pooling, the kernel {!eval_node} runs for [Pool],
-    written into [out] (whatever it held before) and returned under the
-    output shape.  [None] when [out] does not hold exactly the output's
-    words; dimension errors are raised first, as the allocating kernel
-    raises them. *)
-
-val qlrn_into :
-  Db_fixed.Fixed.format ->
-  eval:function_eval ->
-  input:qtensor ->
-  local_size:int ->
-  alpha:float ->
-  beta:float ->
-  k:float ->
-  out:int array ->
-  qtensor option
-(** Cross-channel local response normalisation, the kernel {!eval_node}
-    runs for [Lrn], written into [out] (whatever it held before) and
-    returned under the input's shape.  [None] when [out] does not hold
-    exactly the input's [channels x height x width] words. *)
-
 val eval_node :
   Db_fixed.Fixed.format ->
   function_eval ->
   Layer.t ->
   params:qtensor list ->
   bottoms:qtensor list ->
+  out:int array ->
   qtensor
-(** Evaluate one non-input layer on already-quantised params and bottoms,
-    then its fused activation, if any; training ops are rejected.  This is
-    the per-node kernel behind {!qoutput}; the specialized engine
-    delegates float-order-sensitive layers (LRN, softmax, recurrent, ...)
-    to it verbatim so both engines stay bitwise identical. *)
+(** Evaluate one non-input forward layer on already-quantised params and
+    bottoms: the one quantized kernel of each op, behind {!qoutput}, the
+    specialized engine's arena slots and the training simulator's forward
+    pass.  When [out] holds exactly the output's words, every one of them
+    is overwritten (whatever [out] held before) and the result's [qdata]
+    is [out]; otherwise the words go to a fresh array, so a caller that
+    owns no slot passes [[||]].  Training ops and [Conv]/[Fc] carrying a
+    fused activation (which only IR passes derive) raise a
+    [quantized]-component error. *)
 
 val qoutput :
   ?eval:function_eval ->

@@ -20,17 +20,15 @@
      summing precomputed per-transfer cycle counts under the same watchdog,
      and compiling the trace costs O(transfers), not O(addresses).
 
-   Pooling and LRN run the generic kernels' own loops
-   ({!Quantized.qpool_into}, {!Quantized.qlrn_into}) into their slots.
-   The other float-order-sensitive layers (LCN, softmax, recurrent, ...)
-   delegate to the generic {!Quantized.eval_node} verbatim, as does any
-   node whose parameters fail the fast path's shape guard — the guard
-   failure cases re-run the generic kernel so error behaviour stays
-   identical too.
+   Every other op (pooling, LRN, LCN, softmax, concat, recurrent, ...)
+   runs its one quantized kernel, {!Quantized.eval_node}, into its slot.
+   A conv / FC node whose parameters fail the fast path's shape guard runs
+   that kernel too, on a buffer that does not fit, so its result and
+   errors stay the generic engine's.
 
-   The fast kernels write into a per-task arena: one [int array] per
-   node, sized at compile time from {!Db_nn.Shape_infer} and overwritten
-   by every sample the arena replays (see [eval_slots]). *)
+   Every node writes into a per-task arena: one [int array] per node,
+   sized at compile time from {!Db_nn.Shape_infer} and overwritten by
+   every sample the arena replays (see [eval_slots]). *)
 
 module Tensor = Db_tensor.Tensor
 module Shape = Db_tensor.Shape
@@ -69,22 +67,18 @@ type kernel =
   | K_bad_input  (** input node without exactly one top *)
   | K_conv of { stride : int; pad : int; group : int; has_bias : bool }
   | K_fc of { has_bias : bool }
-  | K_pool of { method_ : Layer.pool_method; kernel : int; stride : int }
-  | K_lrn of { local_size : int; alpha : float; beta : float; k : float }
   | K_act of {
       act : Layer.activation;
       table : act_table option;  (** [act] under the design's own LUTs *)
     }
-  | K_generic
+  | K_eval  (** {!Quantized.eval_node} into the node's slot *)
 
 type node_plan = {
   np_name : string;
   np_layer : Layer.t;
   np_bottoms : (string * int) array;  (** blob name, producing slot *)
   np_kernel : kernel;
-  np_words : int;
-      (** size of the node's arena slot: its output blob's words when its
-          kernel writes the arena, 0 otherwise *)
+  np_words : int;  (** size of the node's arena slot: its output blob's words *)
 }
 
 type out_spec =
@@ -192,12 +186,8 @@ let compile (design : Design.t) =
         | Layer.Conv { stride; pad; group; bias; _ } ->
             K_conv { stride; pad; group; has_bias = bias }
         | Layer.Fc { bias; _ } -> K_fc { has_bias = bias }
-        | Layer.Pool { method_; kernel_size = kernel; stride } ->
-            K_pool { method_; kernel; stride }
-        | Layer.Lrn { local_size; alpha; beta; k } ->
-            K_lrn { local_size; alpha; beta; k }
         | Layer.Act act -> K_act { act; table = table_of act }
-        | _ -> K_generic
+        | _ -> K_eval
       in
       let np_bottoms =
         Array.of_list
@@ -208,10 +198,9 @@ let compile (design : Design.t) =
       in
       List.iter (fun top -> Hashtbl.replace blob_slot top slot) node.Network.tops;
       let np_words =
-        match kernel, node.Network.tops with
-        | (K_input _ | K_conv _ | K_fc _ | K_pool _ | K_lrn _ | K_act _), top :: _ ->
-            Shape.numel (Shape_infer.blob_shape shapes top)
-        | _ -> 0
+        match node.Network.tops with
+        | top :: _ -> Shape.numel (Shape_infer.blob_shape shapes top)
+        | [] -> 0
       in
       plans :=
         { np_name = node.Network.node_name; np_layer = node.Network.layer;
@@ -452,7 +441,7 @@ let bind t params =
         (fun np ->
           match np.np_kernel with
           | K_input _ | K_bad_input -> []
-          | K_conv _ | K_fc _ | K_pool _ | K_lrn _ | K_act _ | K_generic ->
+          | K_conv _ | K_fc _ | K_act _ | K_eval ->
               List.map (Quantized.quantize t.sp_fmt) (Params.get params np.np_name))
         t.sp_plan;
   }
@@ -495,18 +484,17 @@ let map_activation fmt (tbl : act_table) f ~src ~dst =
        else Fixed.of_float fmt (f (Fixed.to_float fmt v)))
   done
 
-(* One buffer per node, [np_words] long ([[||]] for a node that writes
-   none).  An arena belongs to one pool task, which replays its samples
-   through it one after another. *)
+(* One buffer per node, [np_words] long.  An arena belongs to one pool
+   task, which replays its samples through it one after another. *)
 type arena = int array array
 
 let new_arena t = Array.map (fun np -> Array.make np.np_words 0) t.sp_plan
 
-(* Every slot of one forward pass.  A fast kernel writes node [i]'s words
-   into [arena.(i)], overwriting the previous sample's; a [K_generic]
-   node, or a fast one whose guard fails, returns a fresh array as
-   {!Quantized.eval_node} does.  Results may therefore alias the arena:
-   they are valid until the next pass through the same arena. *)
+(* Every slot of one forward pass.  Node [i] writes its words into
+   [arena.(i)], overwriting the previous sample's; only a conv / FC node
+   whose guard fails returns a fresh array, from {!Quantized.eval_node}.
+   Results therefore alias the arena: they are valid until the next pass
+   through the same arena. *)
 let eval_slots ?eval bound (arena : arena) ~inputs =
   let t = bound.bd_spec in
   let fmt = t.sp_fmt in
@@ -518,8 +506,8 @@ let eval_slots ?eval bound (arena : arena) ~inputs =
   for i = 0 to n - 1 do
     let np = Array.unsafe_get t.sp_plan i in
     let out = Array.unsafe_get arena i in
-    let generic qparams bottoms =
-      Quantized.eval_node fmt eval np.np_layer ~params:qparams ~bottoms
+    let generic ~out qparams bottoms =
+      Quantized.eval_node fmt eval np.np_layer ~params:qparams ~bottoms ~out
     in
     let result =
       match np.np_kernel with
@@ -533,8 +521,7 @@ let eval_slots ?eval bound (arena : arena) ~inputs =
               { Quantized.qshape = shape; qdata = out }
           | None -> qfail "missing input tensor for blob %S" top
         end
-      | (K_conv _ | K_fc _ | K_pool _ | K_lrn _ | K_act _ | K_generic) as kernel
-        -> (
+      | (K_conv _ | K_fc _ | K_act _ | K_eval) as kernel -> (
           let bottoms =
             List.map
               (fun (name, slot) ->
@@ -555,9 +542,9 @@ let eval_slots ?eval bound (arena : arena) ~inputs =
                       ~out
                   with
                   | Some result -> result
-                  | None -> generic qparams bottoms
+                  | None -> generic ~out:[||] qparams bottoms
                 end
-              | _ -> generic qparams bottoms
+              | _ -> generic ~out:[||] qparams bottoms
             end
           | K_fc { has_bias }, _, [ input ] -> begin
               match qparams, has_bias with
@@ -577,23 +564,8 @@ let eval_slots ?eval bound (arena : arena) ~inputs =
                        | Some bt -> Array.length bt.Quantized.qdata >= nout)
                   in
                   if guard then fc_kernel fmt ~input ~weights ~bias ~nin ~nout ~out
-                  else generic qparams bottoms
-              | _ -> generic qparams bottoms
-            end
-          | K_pool { method_; kernel; stride }, _, [ input ] -> begin
-              match
-                Quantized.qpool_into fmt ~method_ ~input ~kernel ~stride ~eval ~out
-              with
-              | Some result -> result
-              | None -> generic qparams bottoms
-            end
-          | K_lrn { local_size; alpha; beta; k }, _, [ input ] -> begin
-              match
-                Quantized.qlrn_into fmt ~eval ~input ~local_size ~alpha ~beta ~k
-                  ~out
-              with
-              | Some result -> result
-              | None -> generic qparams bottoms
+                  else generic ~out:[||] qparams bottoms
+              | _ -> generic ~out:[||] qparams bottoms
             end
           | K_act { act; table }, _, [ input ] ->
               (* [eval_node] runs [qmap fmt (eval.eval_activation act)] and
@@ -613,7 +585,7 @@ let eval_slots ?eval bound (arena : arena) ~inputs =
               map_activation fmt tbl (eval.Quantized.eval_activation act) ~src
                 ~dst;
               { input with Quantized.qdata = dst }
-          | _ -> generic qparams bottoms)
+          | _ -> generic ~out qparams bottoms)
     in
     Array.unsafe_set slots i result
   done;

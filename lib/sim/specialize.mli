@@ -16,12 +16,11 @@
     (convolution, full connection) run specialized unsafe-indexed kernels
     in their own summation order — sound because OCaml [int] arithmetic is
     modular, so every order yields the same word — activations of formats
-    of at most 16 bits read a per-design table, pooling runs
-    {!Db_nn.Quantized.qpool_into}, LRN {!Db_nn.Quantized.qlrn_into}, and
-    the other float-order-sensitive layers delegate to
-    {!Db_nn.Quantized.eval_node} verbatim.  These kernels write
-    into per-task slot arenas sized at compile time; only {!qoutput} given
-    the caller's own arena returns words that alias one. *)
+    of at most 16 bits read a per-design table, and every other op
+    (pooling, LRN, softmax, concat, ...) runs its one quantized kernel,
+    {!Db_nn.Quantized.eval_node}.  Every node writes into a per-task slot
+    arena sized at compile time; only {!qoutput} given the caller's own
+    arena returns words that alias one. *)
 
 type t
 (** A compiled trace: everything derivable from the design alone. *)

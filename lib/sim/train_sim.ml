@@ -280,6 +280,7 @@ let forward_pass st env =
       in
       let y =
         Quantized.eval_node st.fmt st.eval n.Graph.op ~params ~bottoms:[ x ]
+          ~out:[||]
       in
       Hashtbl.replace env (List.hd n.Graph.outputs) y)
     st.ff_nodes

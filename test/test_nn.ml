@@ -281,9 +281,10 @@ let test_quantized_wider_is_closer () =
   let wide = dist Db_fixed.Fixed.q24_12 and narrow = dist Db_fixed.Fixed.q8_4 in
   Alcotest.(check bool) "wider format is at least as close" true (wide <= narrow +. 1e-9)
 
-(* A fused activation is applied, never dropped: FC+RELU evaluates to the
-   standalone RELU of the unfused FC. *)
-let test_quantized_fused_activation () =
+(* Only IR passes derive fused activations, and no quantized path
+   evaluates their output: a fused op is a classified quantized error,
+   never a silently dropped or re-applied activation. *)
+let test_quantized_fused_rejected () =
   let module Q = Db_nn.Quantized in
   let fmt = Db_fixed.Fixed.q16_8 in
   let rng = Db_util.Rng.create 11 in
@@ -292,16 +293,14 @@ let test_quantized_fused_activation () =
   in
   let params = [ q (Shape.of_list [ 4; 3 ]); q (Shape.vector 4) ]
   and bottoms = [ q (Shape.vector 3) ] in
-  let eval layer ~params ~bottoms =
-    Q.eval_node fmt Q.exact_eval layer ~params ~bottoms
-  in
-  let fc fused = Layer.Fc { num_output = 4; bias = true; fused } in
-  let unfused = eval (fc None) ~params ~bottoms in
-  let expected = eval (Layer.Act Layer.Relu) ~params:[] ~bottoms:[ unfused ] in
-  let fused = eval (fc (Some Layer.Relu)) ~params ~bottoms in
-  Alcotest.(check bool) "FC then RELU clamps something" true
-    (expected.Q.qdata <> unfused.Q.qdata);
-  Alcotest.(check (array int)) "fused = FC then RELU" expected.Q.qdata fused.Q.qdata
+  let fc = Layer.Fc { num_output = 4; bias = true; fused = Some Layer.Relu } in
+  match Q.eval_node fmt Q.exact_eval fc ~params ~bottoms ~out:[||] with
+  | _ -> Alcotest.fail "a fused FC was evaluated"
+  | exception (Db_util.Error.Deepburning_error msg as e) ->
+      Alcotest.(check bool) "quantized component" true
+        (String.starts_with ~prefix:"quantized:" msg);
+      Alcotest.(check bool) "classified" true
+        (Db_util.Error.classify_exn e = Some Db_util.Error.Validation)
 
 let test_quantized_avg_pool_shift () =
   (* Power-of-two pooling area uses the exact shifting latch. *)
@@ -367,7 +366,7 @@ let suite =
         Alcotest.test_case "matches float" `Quick test_quantized_matches_float_mlp;
         Alcotest.test_case "wider closer" `Quick test_quantized_wider_is_closer;
         Alcotest.test_case "avg pool shift" `Quick test_quantized_avg_pool_shift;
-        Alcotest.test_case "fused activation" `Quick test_quantized_fused_activation;
+        Alcotest.test_case "fused op rejected" `Quick test_quantized_fused_rejected;
       ] );
   ]
 
