@@ -561,44 +561,23 @@ let faults_cmd =
       $ trace_arg)
 
 let ir_cmd =
-  let no_passes_arg =
-    Arg.(
-      value & flag
-      & info [ "no-passes" ]
-          ~doc:"Print only the raw lowered graph; skip the pass pipeline.")
-  in
-  let run model json no_passes trace =
+  let run model json trace =
     run ?trace (fun () ->
-        let raw = Db_ir.Lower.lower (network model) in
-        Db_ir.Verify.check_exn raw;
-        if no_passes then
-          if json then print_endline (Db_ir.Print.to_json raw)
-          else print_string (Db_ir.Print.to_string raw)
-        else begin
-          let optimized = Db_ir.Pass.optimize raw in
-          if json then
-            print_endline
-              ("{\"before\":" ^ Db_ir.Print.to_json raw ^ ",\"after\":"
-             ^ Db_ir.Print.to_json optimized ^ "}")
-          else begin
-            print_endline "== raw ==";
-            print_string (Db_ir.Print.to_string raw);
-            print_endline "== optimized ==";
-            print_string (Db_ir.Print.to_string optimized)
-          end
-        end;
+        let g = Db_ir.Lower.lower (network model) in
+        Db_ir.Verify.check_exn g;
+        if json then print_endline (Db_ir.Print.to_json g)
+        else print_string (Db_ir.Print.to_string g);
         0)
   in
   Cmd.v
     (Cmd.info "ir"
        ~doc:
          "Lower a model to the typed accelerator IR and print the verified \
-          graph before and after the optimization passes (dropout elision, \
-          activation folding, concat canonicalization).")
+          graph that generation consumes.")
     Term.(
       const run $ model_pos_arg
       $ json_arg ~doc:"Emit the stable JSON form instead of text."
-      $ no_passes_arg $ trace_arg)
+      $ trace_arg)
 
 let profile_cmd =
   let run model generate json trace =

@@ -207,11 +207,6 @@ let act_interval act (x : Interval.t) =
       else if x.Interval.hi < 0.0 then Interval.point (-1.0)
       else Interval.make ~lo:(-1.0) ~hi:1.0
 
-let fused_act op x =
-  match Op.fused_activation op with
-  | Some act -> act_interval act x
-  | None -> x
-
 (* LRN divides by (k + alpha/n * sum v^2)^beta >= k^beta: magnitudes scale
    by at most k^-beta and signs are preserved. *)
 let lrn_interval ~k ~beta (x : Interval.t) =
@@ -350,10 +345,10 @@ let transfer mode (node : Graph.node) (ins : Interval.t list) =
         conv_bounds mode node ~num_output ~kernel_size ~pad ~group
           ~has_bias:bias (one ())
       in
-      (fused_act node.Graph.op wb.wb_out, Some wb)
+      (wb.wb_out, Some wb)
   | Op.Fc { num_output; bias; _ } ->
       let wb = fc_bounds mode node ~num_output ~has_bias:bias (one ()) in
-      (fused_act node.Graph.op wb.wb_out, Some wb)
+      (wb.wb_out, Some wb)
   | Op.Recurrent { num_output; bias; _ } ->
       let wb = recurrent_bounds mode node ~num_output ~has_bias:bias (one ()) in
       (wb.wb_out, Some wb)

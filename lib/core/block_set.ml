@@ -10,19 +10,14 @@ let addr_bits_for words =
     (int_of_float
        (Float.ceil (log (float_of_int (Stdlib.max 2 words)) /. log 2.0)))
 
-(* Standalone activation nodes, fused activations and the recurrent unit's
-   tanh, first-seen order. *)
+(* Activation nodes and the recurrent unit's tanh, first-seen order. *)
 let distinct_activations (g : Graph.t) =
   Graph.fold g ~init:[] ~f:(fun acc node ->
       let add act acc = if List.mem act acc then acc else act :: acc in
       match node.Graph.op with
       | Op.Act act -> add act acc
       | Op.Recurrent _ -> add Op.Tanh acc
-      | op -> begin
-          match Op.fused_activation op with
-          | Some act -> add act acc
-          | None -> acc
-        end)
+      | _ -> acc)
   |> List.rev
 
 let max_pool_window (g : Graph.t) =

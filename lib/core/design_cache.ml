@@ -1,17 +1,17 @@
 (* Memoised front door to {!Generator}.  The experiment harness evaluates
    the same (network, constraint) pairs over and over — fig8/fig9, table3
-   and the report all regenerate identical designs.  Keys are the
-   canonical post-pass IR dump plus every constraint field, so two models
-   that optimize to the same graph (e.g. differing only in elided
-   dropout) share one cache entry. *)
+   and the report all regenerate identical designs.  Keys are the dump of
+   the lowered IR — exactly the graph {!Generator} consumes — plus every
+   constraint field, so two networks share an entry only when they lower
+   to the same graph and therefore generate the same hardware. *)
 
-(* The canonical-IR half of the key depends only on the network, and
-   lowering + optimizing it costs tens of microseconds even for small
-   nets — paid on every *hit* without this memo, which dominates warm
-   [generate] calls (the experiment harness and DSE loops look the same
-   design up constantly).  Networks are immutable once built, so the
-   dump is memoised per network identity, bounded like the artifact
-   caches below. *)
+(* The IR half of the key depends only on the network, and lowering and
+   printing it costs tens of microseconds even for small nets — paid on
+   every *hit* without this memo, which dominates warm [generate] calls
+   (the experiment harness and DSE loops look the same design up
+   constantly).  Networks are immutable once built, so the dump is
+   memoised per network identity, bounded like the artifact caches
+   below. *)
 let canonical_dumps : (Db_nn.Network.t * string) list ref = ref []
 
 let canonical_dumps_lock = Mutex.create ()
@@ -29,8 +29,7 @@ let canonical_dump network =
   | Some (_, dump) -> dump
   | None ->
       let dump =
-        Db_ir.Print.to_string
-          (Db_ir.Pass.optimize ~verify:false (Db_ir.Lower.lower network))
+        Db_ir.Print.to_string (Db_ir.Lower.lower network)
       in
       Mutex.lock canonical_dumps_lock;
       (match List.find_opt (fun (n, _) -> n == network) !canonical_dumps with

@@ -1,11 +1,10 @@
 (** Content-keyed memoisation of {!Generator.generate}.
 
-    The cache key is the canonical post-pass IR dump (lowering followed by
-    the default {!Db_ir.Pass} pipeline, via {!Db_ir.Print.to_string}) plus
-    every field of the constraint config and the tiling/lanes options.
-    Keying off the optimized IR means two models that canonicalize to the
-    same graph — e.g. differing only in inference-time dropout — share one
-    cache entry.
+    The cache key is the dump ({!Db_ir.Print.to_string}) of the
+    {!Db_ir.Lower.lower}ed graph — exactly the graph {!Generator} consumes —
+    plus every field of the constraint config and the tiling/lanes options.
+    Two networks share an entry only when they lower to the same graph, so
+    a hit always returns the design {!Generator.generate} would build.
     Safe to call from pool workers; generation itself runs outside the
     cache lock. *)
 

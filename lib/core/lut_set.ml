@@ -22,25 +22,21 @@ let of_activation = function
   | Op.Relu | Op.Sign -> None
 
 (* The functions an op reads, in the order it first reads them. *)
-let fns_of_op op =
-  let own =
-    match op with
-    | Op.Act a -> Option.to_list (of_activation a)
-    | Op.Recurrent _ -> [ Tanh ]
-    | Op.Softmax -> [ Exp; Reciprocal ]
-    | Op.Pool { method_ = Op.Avg_pool; _ }
-    | Op.Global_pool Op.Avg_pool | Op.Lcn _ ->
-        [ Reciprocal ]
-    | Op.Lrn { beta; k; _ } -> [ Lrn_power { beta; k } ]
-    | Op.Input _ | Op.Conv _
-    | Op.Pool { method_ = Op.Max_pool; _ }
-    | Op.Global_pool Op.Max_pool
-    | Op.Fc _ | Op.Dropout _ | Op.Associative _ | Op.Concat | Op.Classifier _
-    (* Backward derivative tables reuse the forward ones. *)
-    | Op.Backward _ | Op.Sgd_update _ ->
-        []
-  in
-  own @ Option.to_list (Option.bind (Op.fused_activation op) of_activation)
+let fns_of_op = function
+  | Op.Act a -> Option.to_list (of_activation a)
+  | Op.Recurrent _ -> [ Tanh ]
+  | Op.Softmax -> [ Exp; Reciprocal ]
+  | Op.Pool { method_ = Op.Avg_pool; _ }
+  | Op.Global_pool Op.Avg_pool | Op.Lcn _ ->
+      [ Reciprocal ]
+  | Op.Lrn { beta; k; _ } -> [ Lrn_power { beta; k } ]
+  | Op.Input _ | Op.Conv _
+  | Op.Pool { method_ = Op.Max_pool; _ }
+  | Op.Global_pool Op.Max_pool
+  | Op.Fc _ | Op.Dropout _ | Op.Associative _ | Op.Concat | Op.Classifier _
+  (* Backward derivative tables reuse the forward ones. *)
+  | Op.Backward _ | Op.Sgd_update _ ->
+      []
 
 let sample ~entries = function
   | Sigmoid -> Approx_lut.sigmoid ~entries

@@ -16,7 +16,7 @@
 
 type fn =
   | Sigmoid
-  | Tanh  (** standalone, fused, or the recurrent unit's *)
+  | Tanh  (** standalone or the recurrent unit's *)
   | Exp  (** softmax's shifted exponent, over [-16, 0] *)
   | Reciprocal  (** one binade [1, 2), range-reduced by the reader *)
   | Lrn_power of { beta : float; k : float }

@@ -81,14 +81,6 @@ let cost op ~in_shapes ~out_shape ~param_shapes =
     | _ ->
         Db_nn.Model_stats.layer_costs op ~bottoms:in_shapes ~output:out_shape
   in
-  (* A fused activation adds one non-MAC op per output element, exactly
-     what the standalone activation node cost. *)
-  let other_ops =
-    other_ops
-    + (match Op.fused_activation op with
-      | Some _ -> Shape.numel out_shape
-      | None -> 0)
-  in
   {
     Graph.macs;
     other_ops;
@@ -98,7 +90,7 @@ let cost op ~in_shapes ~out_shape ~param_shapes =
   }
 
 (* Recompute every derived attribute in topological order and renumber
-   ids.  Structural passes end with this so the graph they hand to the
+   ids.  Both lowerings end with this so the graph they hand to the
    verifier is always self-consistent. *)
 let reannotate ?fmt (g : Graph.t) =
   let shapes : (string, Shape.t) Hashtbl.t = Hashtbl.create 32 in

@@ -40,14 +40,6 @@ let find_node t name =
   | Some n -> n
   | None -> fail "graph %S has no node %S" t.graph_name name
 
-let producer_opt t blob =
-  List.find_opt (fun n -> List.mem blob n.outputs) t.nodes
-
-let producer t blob =
-  match producer_opt t blob with
-  | Some n -> n
-  | None -> fail "graph %S: no producer for blob %S" t.graph_name blob
-
 let consumers t blob =
   List.filter (fun n -> List.mem blob n.inputs) t.nodes
 

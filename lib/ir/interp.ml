@@ -34,49 +34,44 @@ let eval_op op ~params ~bottoms =
     | [ b ] -> b
     | _ -> fail "%s expects one input" (Op.name op)
   in
-  let base =
-    match op with
-    | Op.Input _ -> fail "input nodes are not evaluated"
-    | Op.Backward _ | Op.Sgd_update _ ->
-        fail "training op %s has no float forward semantics" (Op.name op)
-    | Op.Conv { stride; pad; group; bias = has_bias; _ } ->
-        let weights, bias = weights_bias op ~has_bias params in
-        Ops.conv2d ~input:(one ()) ~weights ~bias ~stride
-          ~padding:(Ops.symmetric_padding pad) ~group
-    | Op.Pool { method_ = Op.Max_pool; kernel_size; stride } ->
-        Ops.max_pool ~input:(one ()) ~kernel:kernel_size ~stride
-    | Op.Pool { method_ = Op.Avg_pool; kernel_size; stride } ->
-        Ops.avg_pool ~input:(one ()) ~kernel:kernel_size ~stride
-    | Op.Global_pool Op.Avg_pool -> Ops.global_avg_pool ~input:(one ())
-    | Op.Global_pool Op.Max_pool -> global_max_pool (one ())
-    | Op.Fc { bias = has_bias; _ } ->
-        let weights, bias = weights_bias op ~has_bias params in
-        Ops.fully_connected ~input:(Ops.flatten (one ())) ~weights ~bias
-    | Op.Act act -> activation act (one ())
-    | Op.Lrn { local_size; alpha; beta; k } ->
-        Ops.lrn ~input:(one ()) ~local_size ~alpha ~beta ~k
-    | Op.Lcn { window; epsilon } -> Ops.lcn ~window ~epsilon (one ())
-    | Op.Dropout { ratio } -> Ops.dropout_inference ~ratio (one ())
-    | Op.Softmax -> Ops.softmax (one ())
-    | Op.Recurrent { steps; bias = has_bias; _ } -> begin
-        let input = Ops.flatten (one ()) in
-        match params, has_bias with
-        | [ w_in; w_rec ], false ->
-            Ops.recurrent_forward ~w_in ~w_rec ~bias:None ~steps input
-        | [ w_in; w_rec; b ], true ->
-            Ops.recurrent_forward ~w_in ~w_rec ~bias:(Some b) ~steps input
-        | _ -> fail "RECURRENT: wrong parameter tensors"
-      end
-    | Op.Associative { cells_per_dim; active_cells } ->
-        Ops.associative_encode ~cells_per_dim ~active_cells
-          (Ops.flatten (one ()))
-    | Op.Concat -> Ops.concat_channels bottoms
-    | Op.Classifier { top_k } ->
-        Ops.classify_top_k ~top_k (Ops.flatten (one ()))
-  in
-  match Op.fused_activation op with
-  | Some act -> activation act base
-  | None -> base
+  match op with
+  | Op.Input _ -> fail "input nodes are not evaluated"
+  | Op.Backward _ | Op.Sgd_update _ ->
+      fail "training op %s has no float forward semantics" (Op.name op)
+  | Op.Conv { stride; pad; group; bias = has_bias; _ } ->
+      let weights, bias = weights_bias op ~has_bias params in
+      Ops.conv2d ~input:(one ()) ~weights ~bias ~stride
+        ~padding:(Ops.symmetric_padding pad) ~group
+  | Op.Pool { method_ = Op.Max_pool; kernel_size; stride } ->
+      Ops.max_pool ~input:(one ()) ~kernel:kernel_size ~stride
+  | Op.Pool { method_ = Op.Avg_pool; kernel_size; stride } ->
+      Ops.avg_pool ~input:(one ()) ~kernel:kernel_size ~stride
+  | Op.Global_pool Op.Avg_pool -> Ops.global_avg_pool ~input:(one ())
+  | Op.Global_pool Op.Max_pool -> global_max_pool (one ())
+  | Op.Fc { bias = has_bias; _ } ->
+      let weights, bias = weights_bias op ~has_bias params in
+      Ops.fully_connected ~input:(Ops.flatten (one ())) ~weights ~bias
+  | Op.Act act -> activation act (one ())
+  | Op.Lrn { local_size; alpha; beta; k } ->
+      Ops.lrn ~input:(one ()) ~local_size ~alpha ~beta ~k
+  | Op.Lcn { window; epsilon } -> Ops.lcn ~window ~epsilon (one ())
+  | Op.Dropout { ratio } -> Ops.dropout_inference ~ratio (one ())
+  | Op.Softmax -> Ops.softmax (one ())
+  | Op.Recurrent { steps; bias = has_bias; _ } -> begin
+      let input = Ops.flatten (one ()) in
+      match params, has_bias with
+      | [ w_in; w_rec ], false ->
+          Ops.recurrent_forward ~w_in ~w_rec ~bias:None ~steps input
+      | [ w_in; w_rec; b ], true ->
+          Ops.recurrent_forward ~w_in ~w_rec ~bias:(Some b) ~steps input
+      | _ -> fail "RECURRENT: wrong parameter tensors"
+    end
+  | Op.Associative { cells_per_dim; active_cells } ->
+      Ops.associative_encode ~cells_per_dim ~active_cells
+        (Ops.flatten (one ()))
+  | Op.Concat -> Ops.concat_channels bottoms
+  | Op.Classifier { top_k } ->
+      Ops.classify_top_k ~top_k (Ops.flatten (one ()))
 
 let forward (g : Graph.t) params ~inputs =
   (* O(1) blob lookup; [order] keeps the production-order listing that the

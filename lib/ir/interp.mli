@@ -2,16 +2,15 @@
     paper's accuracy experiment compares the accelerators against ("the
     original software neural networks executed on CPU").
 
-    Every op is evaluated on [Op.t] directly, and a fused [Conv]/[Fc]
-    activation uses the same kernel as a standalone activation node, so
-    the raw lowering and its [Pass.optimize]d form agree bit for bit. *)
+    Every op is evaluated on [Op.t] directly, over the same lowered graph
+    that generation consumes. *)
 
 val eval_op :
   Op.t ->
   params:Db_tensor.Tensor.t list ->
   bottoms:Db_tensor.Tensor.t list ->
   Db_tensor.Tensor.t
-(** One op's semantics, fused activation included.  Raises
+(** One op's semantics.  Raises
     {!Db_util.Error.Deepburning_error} on an [Input] op, a training op
     ([Backward]/[Sgd_update]) or a parameter list the op does not
     expect. *)

@@ -59,7 +59,7 @@ let placeholder ~node_name ~op ~inputs ~outputs =
     cost = Graph.zero_cost;
   }
 
-(* Training-mode lowering: the raw (unfused) forward chain, a BP subgraph
+(* Training-mode lowering: the forward chain, a BP subgraph
    walking it in reverse, and one SGD update node per weighted layer.
    Gradient blobs are ["d:" ^ blob], weight-gradient vectors
    ["g:" ^ node], updated-weight markers ["w:" ^ node]; the loss gradient
@@ -69,14 +69,6 @@ let placeholder ~node_name ~op ~inputs ~outputs =
 let lower_training ?fmt (net : Db_nn.Network.t) : Graph.t =
   let g = lower ?fmt net in
   let nodes = g.Graph.nodes in
-  Graph.iter g (fun n ->
-      match Op.fused_activation n.Graph.op with
-      | Some act ->
-          fail
-            "node %S carries a fused %s: training lowering requires the raw \
-             (no-fusion) graph"
-            n.Graph.node_name (Op.activation_name act)
-      | None -> ());
   let input_blobs = Hashtbl.create 4 in
   List.iter
     (fun (n : Graph.node) ->

@@ -1,5 +1,5 @@
-(* Structural verifier for IR graphs.  Runs between passes; every defect
-   gets a stable [DB-IRxxx] code so tests and tooling can key on it:
+(* Structural verifier for IR graphs.  Every defect gets a stable
+   [DB-IRxxx] code so tests and tooling can key on it:
 
      DB-IR001  graph is empty or has no input node
      DB-IR002  duplicate node name

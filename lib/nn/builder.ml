@@ -38,8 +38,7 @@ let layer l t =
 let conv ?(stride = 1) ?(pad = 0) ?(group = 1) ?(bias = true) ~num_output
     ~kernel_size t =
   append "conv"
-    (Layer.Conv
-       { num_output; kernel_size; stride; pad; group; bias; fused = None })
+    (Layer.Conv { num_output; kernel_size; stride; pad; group; bias })
     t
 
 let max_pool ~kernel_size ~stride t =
@@ -51,7 +50,7 @@ let avg_pool ~kernel_size ~stride t =
 let global_avg_pool t = append "gap" (Layer.Global_pool Layer.Avg_pool) t
 
 let fc ?(bias = true) ~num_output t =
-  append "fc" (Layer.Fc { num_output; bias; fused = None }) t
+  append "fc" (Layer.Fc { num_output; bias }) t
 
 let relu t = append "relu" (Layer.Act Layer.Relu) t
 

@@ -41,7 +41,6 @@ let import_layer name type_enum fields =
             (match Ast.opt_enum p "bias_term" with
             | Some "false" -> false
             | Some _ | None -> true);
-          fused = None;
         }
   | "POOLING" ->
       let p =
@@ -82,7 +81,6 @@ let import_layer name type_enum fields =
             (match Ast.opt_enum p "bias_term" with
             | Some "false" -> false
             | Some _ | None -> true);
-          fused = None;
         }
   | "RELU" -> Layer.Act Layer.Relu
   | "SIGMOID" -> Layer.Act Layer.Sigmoid
@@ -205,8 +203,7 @@ let export_layer layer =
                 (fun d -> Ast.Scalar ("dim", Ast.Int d))
                 (Shape.to_list shape) );
         ] )
-  | Layer.Conv { num_output; kernel_size; stride; pad; group; bias; fused = _ }
-    ->
+  | Layer.Conv { num_output; kernel_size; stride; pad; group; bias } ->
       ( "CONVOLUTION",
         [
           Ast.Message
@@ -240,7 +237,7 @@ let export_layer layer =
                 Ast.Scalar ("pool", Ast.Enum (pool_enum method_));
               ] );
         ] )
-  | Layer.Fc { num_output; bias; fused = _ } ->
+  | Layer.Fc { num_output; bias } ->
       ( "INNER_PRODUCT",
         [
           Ast.Message

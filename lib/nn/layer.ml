@@ -15,11 +15,10 @@ type t =
       pad : int;
       group : int;
       bias : bool;
-      fused : activation option;
     }
   | Pool of { method_ : pool_method; kernel_size : int; stride : int }
   | Global_pool of pool_method
-  | Fc of { num_output : int; bias : bool; fused : activation option }
+  | Fc of { num_output : int; bias : bool }
   | Act of activation
   | Lrn of { local_size : int; alpha : float; beta : float; k : float }
   | Lcn of { window : int; epsilon : float }
@@ -31,8 +30,6 @@ type t =
   | Classifier of { top_k : int }
   | Backward of { fwd : t; wrt : grad_wrt }
   | Sgd_update of { target : string }
-
-let fail fmt = Db_util.Error.failf_at ~component:"layer" fmt
 
 let activation_name = function
   | Relu -> "RELU"
@@ -64,22 +61,6 @@ let is_training = function
   | Input _ | Conv _ | Pool _ | Global_pool _ | Fc _ | Act _ | Lrn _ | Lcn _
   | Dropout _ | Softmax | Recurrent _ | Associative _ | Concat | Classifier _ ->
       false
-
-let fused_activation = function
-  | Conv { fused; _ } | Fc { fused; _ } -> fused
-  | Input _ | Pool _ | Global_pool _ | Act _ | Lrn _ | Lcn _ | Dropout _
-  | Softmax | Recurrent _ | Associative _ | Concat | Classifier _
-  | Backward _ | Sgd_update _ ->
-      None
-
-let with_fused op act =
-  match op with
-  | Conv c -> Conv { c with fused = Some act }
-  | Fc f -> Fc { f with fused = Some act }
-  | Input _ | Pool _ | Global_pool _ | Act _ | Lrn _ | Lcn _ | Dropout _
-  | Softmax | Recurrent _ | Associative _ | Concat | Classifier _
-  | Backward _ | Sgd_update _ ->
-      fail "cannot fuse an activation into %s" (name op)
 
 let is_input = function
   | Input _ -> true
@@ -137,14 +118,14 @@ let equal a b =
 let pool_method_name = function Max_pool -> "max" | Avg_pool -> "ave"
 
 let rec pp fmt op =
-  (match op with
+  match op with
   | Backward { fwd; wrt = _ } -> Format.fprintf fmt "%s[%a]" (name op) pp fwd
   | Sgd_update { target } -> Format.fprintf fmt "SGD_UPDATE(%s)" target
-  | Conv { num_output; kernel_size; stride; pad; group; bias; fused = _ } ->
+  | Conv { num_output; kernel_size; stride; pad; group; bias } ->
       Format.fprintf fmt "CONV(out=%d k=%d s=%d p=%d g=%d%s)" num_output
         kernel_size stride pad group
         (if bias then "" else " nobias")
-  | Fc { num_output; bias; fused = _ } ->
+  | Fc { num_output; bias } ->
       Format.fprintf fmt "FC(out=%d%s)" num_output (if bias then "" else " nobias")
   | Input { shape } -> Format.fprintf fmt "INPUT(%s)" (Shape.to_string shape)
   | Pool { method_; kernel_size; stride } ->
@@ -165,9 +146,6 @@ let rec pp fmt op =
       Format.fprintf fmt "ASSOCIATIVE(cells=%d active=%d)" cells_per_dim
         active_cells
   | Concat -> Format.pp_print_string fmt "CONCAT"
-  | Classifier { top_k } -> Format.fprintf fmt "CLASSIFIER(top%d)" top_k);
-  match fused_activation op with
-  | Some act -> Format.fprintf fmt "+%s" (activation_name act)
-  | None -> ()
+  | Classifier { top_k } -> Format.fprintf fmt "CLASSIFIER(top%d)" top_k
 
 let to_string op = Format.asprintf "%a" pp op

@@ -5,9 +5,8 @@
     Covers every layer class the paper names (Section 3.1-3.2): convolution,
     pooling, full connection, recurrent, associative (CMAC), LRN, drop-out,
     activation functions, classification (k-sorter) and inception-style
-    concatenation.  [Conv]/[Fc] carry a fused-activation slot that only IR
-    passes fill, and [Backward]/[Sgd_update] exist only in training graphs;
-    {!Network.create} rejects both. *)
+    concatenation.  [Backward]/[Sgd_update] exist only in training graphs;
+    {!Network.create} rejects them. *)
 
 type activation =
   | Relu
@@ -33,12 +32,11 @@ type t =
       pad : int;
       group : int;
       bias : bool;
-      fused : activation option;
     }
   | Pool of { method_ : pool_method; kernel_size : int; stride : int }
   | Global_pool of pool_method
       (** NiN-style whole-map pooling down to one value per channel. *)
-  | Fc of { num_output : int; bias : bool; fused : activation option }
+  | Fc of { num_output : int; bias : bool }
       (** Full-connection (Caffe [INNER_PRODUCT]) layer. *)
   | Act of activation
   | Lrn of { local_size : int; alpha : float; beta : float; k : float }
@@ -80,12 +78,6 @@ val activation_name : activation -> string
 val is_training : t -> bool
 (** [Backward] or [Sgd_update]. *)
 
-val fused_activation : t -> activation option
-
-val with_fused : t -> activation -> t
-(** Fill the fused-activation slot of a [Conv]/[Fc]; raises
-    {!Db_util.Error.Deepburning_error} for any other op. *)
-
 val is_input : t -> bool
 
 val is_classifier : t -> bool
@@ -106,6 +98,6 @@ val expected_arity : t -> [ `Exactly of int | `At_least of int ]
 val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
-(** e.g. [CONV(out=8 k=3 s=1 p=1 g=1)+RELU]. *)
+(** e.g. [CONV(out=8 k=3 s=1 p=1 g=1)]. *)
 
 val to_string : t -> string

@@ -17,17 +17,12 @@ let check_unique what names =
       else Hashtbl.add tbl n ())
     names
 
-(* The parser never produces training ops or filled fusion slots; only IR
-   passes derive them. *)
+(* The parser never produces training ops; only training lowering derives
+   them. *)
 let check_layer node =
   if Layer.is_training node.layer then
     fail "layer %S: training op %s cannot appear in a network" node.node_name
       (Layer.name node.layer);
-  (match Layer.fused_activation node.layer with
-  | Some act ->
-      fail "layer %S: fused %s activations are derived by IR passes, not \
-            declared" node.node_name (Layer.activation_name act)
-  | None -> ());
   let n = List.length node.bottoms in
   match Layer.expected_arity node.layer with
   | `Exactly k when n <> k ->

@@ -23,8 +23,8 @@ val create : name:string -> node list -> t
     unique node names and top names, every bottom produced by some top or by
     an input node, at least one {!Layer.Input}, arity of bottoms per layer
     class (e.g. [Concat] needs >= 2, everything else exactly 1, inputs 0),
-    acyclicity, and no training ops or filled fused-activation slots
-    (only IR passes derive those).  Raises
+    acyclicity, and no training ops (only training lowering derives
+    those).  Raises
     {!Db_util.Error.Deepburning_error} otherwise. *)
 
 val find_node : t -> string -> node

@@ -331,11 +331,6 @@ let eval_node fmt eval layer ~params ~bottoms ~out =
     | _ -> fail "layer %s expects one bottom" (Layer.name layer)
   in
   let flat q = { q with qshape = Shape.vector (Array.length q.qdata) } in
-  (match Layer.fused_activation layer with
-  | Some act ->
-      fail "layer %s carries a fused %s activation, which only IR passes derive"
-        (Layer.name layer) (Layer.activation_name act)
-  | None -> ());
   match layer with
   | Layer.Input _ -> fail "input layers are not evaluated"
   | Layer.Conv { stride; pad; group; bias = has_bias; _ } -> begin

@@ -45,8 +45,7 @@ val eval_node :
     pass.  When [out] holds exactly the output's words, every one of them
     is overwritten (whatever [out] held before) and the result's [qdata]
     is [out]; otherwise the words go to a fresh array, so a caller that
-    owns no slot passes [[||]].  Training ops and [Conv]/[Fc] carrying a
-    fused activation (which only IR passes derive) raise a
+    owns no slot passes [[||]].  Training ops raise a
     [quantized]-component error. *)
 
 val qoutput :

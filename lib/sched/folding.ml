@@ -74,11 +74,6 @@ let single_fold ~node_name ~layer_index ~macs ~other_ops ~feature_words
 let fold_op_plan dp op ~bottoms ~output ~node_name ~layer_index =
   let lanes = dp.Datapath.lanes in
   let out_n = Shape.numel output in
-  (* A fused activation rides the synergy neuron: one extra non-MAC op per
-     output element of the unit, no extra folds. *)
-  let fused_ops per_unit_out =
-    match Op.fused_activation op with Some _ -> per_unit_out | None -> 0
-  in
   match op with
   | Op.Input _ -> []
   | Op.Conv { kernel_size = k; group; bias; _ } ->
@@ -89,8 +84,7 @@ let fold_op_plan dp op ~bottoms ~output ~node_name ~layer_index =
       let feature_words = cin_g * Shape.height bottom * Shape.width bottom in
       let weights_u = (cin_g * k * k) + if bias then 1 else 0 in
       spatial_folds ~lanes ~units:cout ~node_name ~layer_index
-        ~per_unit:
-          (oh * ow * cin_g * k * k, fused_ops (oh * ow), weights_u, oh * ow)
+        ~per_unit:(oh * ow * cin_g * k * k, 0, weights_u, oh * ow)
         ~shared_feature_words:feature_words
   | Op.Pool { kernel_size = k; _ } ->
       let bottom = one_bottom op bottoms in
@@ -111,7 +105,7 @@ let fold_op_plan dp op ~bottoms ~output ~node_name ~layer_index =
       let nin = Shape.numel bottom in
       let weights_u = nin + if bias then 1 else 0 in
       spatial_folds ~lanes ~units:out_n ~node_name ~layer_index
-        ~per_unit:(nin, fused_ops 1, weights_u, 1)
+        ~per_unit:(nin, 0, weights_u, 1)
         ~shared_feature_words:nin
   | Op.Recurrent { num_output; steps; bias } ->
       let bottom = one_bottom op bottoms in

@@ -36,8 +36,7 @@ val fold_op_plan :
   fold list
 (** Folds of one IR op.  Input/weight traffic is counted per fold: a fold
     re-reads the features it needs, weights are visited exactly once
-    across the folds of a layer.  A fused activation adds one non-MAC op
-    per output element without changing the fold structure. *)
+    across the folds of a layer. *)
 
 val fold_graph : Datapath.t -> Db_ir.Graph.t -> fold list
 (** Folds of every compute node, in topological execution order. *)

@@ -35,8 +35,10 @@ type entry = {
 let magic = "DBSTORE1"
 
 (* 4: the Approx-LUT set (Design.t's [program.luts]) and the ROMs the
-   activation and LRN units hold changed shape, and so did their RTL. *)
-let format_version = 4
+   activation and LRN units hold changed shape, and so did their RTL.
+   5: [Conv]/[Fc] ops lost their activation slot, so the marshalled IR
+   inside a design changed shape under keys that did not move. *)
+let format_version = 5
 
 type stats = {
   st_hits : int;

@@ -29,12 +29,7 @@ type cache = {
   c_output : Tensor.t;
 }
 
-(* Fused ops are excluded: training runs on the raw-lowered graph, where
-   every activation is still a standalone node. *)
-let supported op =
-  Op.fused_activation op = None
-  &&
-  match op with
+let supported = function
   | Op.Conv _ | Op.Pool _ | Op.Global_pool _ | Op.Fc _ | Op.Act _
   | Op.Dropout _ | Op.Softmax | Op.Associative _ | Op.Lrn _ ->
       true
@@ -43,11 +38,6 @@ let supported op =
       false
 
 let forward_op ~op ~params ~input =
-  (match Op.fused_activation op with
-  | Some act ->
-      fail "cannot train through %s+%s: backprop runs on the raw graph"
-        (Op.name op) (Op.activation_name act)
-  | None -> ());
   let output = Db_ir.Interp.eval_op op ~params ~bottoms:[ input ] in
   (output, { c_op = op; c_params = params; c_input = input; c_output = output })
 
@@ -233,7 +223,7 @@ let backward_layer cache ~grad_output =
           and gxdata = Tensor.data gx in
           (* gw rows are owned by o; gx elements by i.  The i-block pass
              keeps o as the outer loop so each gx element still sums its
-             terms in ascending-o order, exactly as the fused loop did. *)
+             terms in ascending-o order, exactly as the single o-loop did. *)
           Db_parallel.Pool.parallel_for ~work:(nout * nin) ~lo:0 ~hi:nout
             (fun o ->
               let go = godata.%(o) in

@@ -4,9 +4,7 @@
 
     This covers every model the paper trains by gradient descent (the three
     AxBench ANNs, MNIST, Cifar-scale CNNs); Hopfield and CMAC weights are
-    set by Hebbian / delta rules in [db_workloads].  Ops with a fused
-    activation are rejected: training always runs on the raw-lowered graph,
-    where activations are still standalone nodes. *)
+    set by Hebbian / delta rules in [db_workloads]. *)
 
 type cache
 (** Values memoised by the forward pass for use in backward. *)

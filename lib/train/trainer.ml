@@ -29,12 +29,9 @@ type history = { losses : float array; final_loss : float }
 let fail fmt = Db_util.Error.failf_at ~component:"trainer" fmt
 
 (* The trainable chain: non-input IR nodes in order, validated sequential.
-   Training consumers select the no-fusion pipeline at lowering time
-   ([Pass.lower_for_training]), so the chain mirrors the frontend network
-   node-for-node and every activation is still a standalone node.  A
-   fused op reaching this point means an *optimized inference* graph was
-   handed to the trainer — reject it here, classified, rather than
-   letting [Backprop] discover it mid-epoch. *)
+   Lowering copies each frontend layer as one op, so the chain mirrors the
+   network node-for-node.  An op [Backprop] cannot differentiate is
+   rejected here, classified, rather than discovered mid-epoch. *)
 let chain_of_graph (g : Graph.t) =
   let nodes =
     List.filter (fun n -> not (Op.is_input n.Graph.op)) g.Graph.nodes
@@ -60,20 +57,16 @@ let chain_of_graph (g : Graph.t) =
   | [] -> fail "empty network");
   List.iter
     (fun node ->
-      (match Op.fused_activation node.Graph.op with
-      | Some act ->
-          fail
-            "layer %S carries a fused %s: training requires the raw \
-             (no-fusion) lowering — use Pass.lower_for_training"
-            node.Graph.node_name (Op.activation_name act)
-      | None -> ());
       if not (Backprop.supported node.Graph.op) then
         fail "layer %S (%s) is not trainable by backprop"
           node.Graph.node_name (Op.name node.Graph.op))
     nodes;
   nodes
 
-let chain_of_network net = chain_of_graph (Db_ir.Pass.lower_for_training net)
+let chain_of_network net =
+  let g = Db_ir.Lower.lower net in
+  Db_ir.Verify.check_exn g;
+  chain_of_graph g
 
 let forward_chain chain params input =
   let rec go input acc = function

@@ -26,12 +26,11 @@ type history = {
 
 val chain_of_graph : Db_ir.Graph.t -> Db_ir.Graph.node list
 (** The trainable chain of an already-lowered graph: non-input nodes in
-    order, validated sequential, every op backprop-supported and
-    fusion-free.  Fails classified ([trainer]) on a fused op — training
-    consumers must lower with {!Db_ir.Pass.lower_for_training}. *)
+    order, validated sequential, every op backprop-supported.  Fails
+    classified ([trainer]) otherwise. *)
 
 val chain_of_network : Db_nn.Network.t -> Db_ir.Graph.node list
-(** [chain_of_graph] of the network's no-fusion training lowering. *)
+(** [chain_of_graph] of the network's verified {!Db_ir.Lower.lower}ing. *)
 
 val train :
   ?config:config ->

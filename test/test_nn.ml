@@ -15,7 +15,7 @@ let tiny_mlp () =
   Network.create ~name:"tiny"
     [
       node "in" (Layer.Input { shape = Shape.vector 2 }) [] [ "data" ];
-      node "fc" (Layer.Fc { num_output = 3; bias = true; fused = None }) [ "data" ] [ "h" ];
+      node "fc" (Layer.Fc { num_output = 3; bias = true }) [ "data" ] [ "h" ];
       node "act" (Layer.Act Layer.Relu) [ "h" ] [ "out" ];
     ]
 
@@ -25,7 +25,7 @@ let test_create_and_order () =
     Network.create ~name:"disorder"
       [
         node "act" (Layer.Act Layer.Relu) [ "h" ] [ "out" ];
-        node "fc" (Layer.Fc { num_output = 3; bias = true; fused = None }) [ "data" ] [ "h" ];
+        node "fc" (Layer.Fc { num_output = 3; bias = true }) [ "data" ] [ "h" ];
         node "in" (Layer.Input { shape = Shape.vector 2 }) [] [ "data" ];
       ]
   in
@@ -49,7 +49,7 @@ let test_validation_errors () =
     [
       node "in" (Layer.Input { shape = Shape.vector 2 }) [] [ "data" ];
       node "fc"
-        (Layer.Fc { num_output = 3; bias = true; fused = None })
+        (Layer.Fc { num_output = 3; bias = true })
         [ "nope" ] [ "h" ];
     ]
     "unknown blob";
@@ -60,19 +60,11 @@ let test_validation_errors () =
     ]
     "duplicate";
   expect_network_error
-    [ node "fc" (Layer.Fc { num_output = 3; bias = true; fused = None }) [] [ "h" ] ]
+    [ node "fc" (Layer.Fc { num_output = 3; bias = true }) [] [ "h" ] ]
     "expects 1 bottom";
-  (* Fused slots and training ops are IR-only; the frontend never makes
-     them, so a network holding one is rejected as a validation error. *)
+  (* Training ops are IR-only; the frontend never makes them, so a network
+     holding one is rejected as a validation error. *)
   let input = node "in" (Layer.Input { shape = Shape.vector 2 }) [] [ "data" ] in
-  expect_network_error
-    [
-      input;
-      node "fc"
-        (Layer.Fc { num_output = 3; bias = true; fused = Some Layer.Relu })
-        [ "data" ] [ "h" ];
-    ]
-    "network: layer \"fc\": fused RELU";
   expect_network_error
     [ input; node "up" (Layer.Sgd_update { target = "fc" }) [ "data" ] [ "w" ] ]
     "network: layer \"up\": training op SGD_UPDATE"
@@ -281,27 +273,6 @@ let test_quantized_wider_is_closer () =
   let wide = dist Db_fixed.Fixed.q24_12 and narrow = dist Db_fixed.Fixed.q8_4 in
   Alcotest.(check bool) "wider format is at least as close" true (wide <= narrow +. 1e-9)
 
-(* Only IR passes derive fused activations, and no quantized path
-   evaluates their output: a fused op is a classified quantized error,
-   never a silently dropped or re-applied activation. *)
-let test_quantized_fused_rejected () =
-  let module Q = Db_nn.Quantized in
-  let fmt = Db_fixed.Fixed.q16_8 in
-  let rng = Db_util.Rng.create 11 in
-  let q shape =
-    Q.quantize fmt (Tensor.random_uniform rng shape ~min:(-1.0) ~max:1.0)
-  in
-  let params = [ q (Shape.of_list [ 4; 3 ]); q (Shape.vector 4) ]
-  and bottoms = [ q (Shape.vector 3) ] in
-  let fc = Layer.Fc { num_output = 4; bias = true; fused = Some Layer.Relu } in
-  match Q.eval_node fmt Q.exact_eval fc ~params ~bottoms ~out:[||] with
-  | _ -> Alcotest.fail "a fused FC was evaluated"
-  | exception (Db_util.Error.Deepburning_error msg as e) ->
-      Alcotest.(check bool) "quantized component" true
-        (String.starts_with ~prefix:"quantized:" msg);
-      Alcotest.(check bool) "classified" true
-        (Db_util.Error.classify_exn e = Some Db_util.Error.Validation)
-
 let test_quantized_avg_pool_shift () =
   (* Power-of-two pooling area uses the exact shifting latch. *)
   let net =
@@ -366,7 +337,6 @@ let suite =
         Alcotest.test_case "matches float" `Quick test_quantized_matches_float_mlp;
         Alcotest.test_case "wider closer" `Quick test_quantized_wider_is_closer;
         Alcotest.test_case "avg pool shift" `Quick test_quantized_avg_pool_shift;
-        Alcotest.test_case "fused op rejected" `Quick test_quantized_fused_rejected;
       ] );
   ]
 

@@ -124,7 +124,7 @@ let test_kernels_deterministic () =
 let test_backprop_deterministic () =
   let layer =
     Layer.Conv
-      { num_output = 8; kernel_size = 3; stride = 1; pad = 1; group = 2; bias = true; fused = None }
+      { num_output = 8; kernel_size = 3; stride = 1; pad = 1; group = 2; bias = true }
   in
   let input = rng_tensor 21 (Shape.chw ~channels:6 ~height:9 ~width:9) in
   let weights = rng_tensor 22 (Shape.of_list [ 8; 3; 3; 3 ]) in
@@ -139,7 +139,7 @@ let test_backprop_deterministic () =
   let gx_s, gps_s = Pool.with_sequential run and gx_p, gps_p = run () in
   bitwise_eq "conv backward gx" gx_s gx_p;
   List.iter2 (bitwise_eq "conv backward gparam") gps_s gps_p;
-  let fc = Layer.Fc { num_output = 24; bias = true; fused = None } in
+  let fc = Layer.Fc { num_output = 24; bias = true } in
   let fw = rng_tensor 24 (Shape.of_list [ 24; 6 * 9 * 9 ]) in
   let fb = rng_tensor 25 (Shape.vector 24) in
   let run_fc () =

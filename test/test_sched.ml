@@ -21,7 +21,7 @@ let test_datapath_validation () =
 let test_fc_folding () =
   let folds =
     Folding.fold_op_plan (dp 4)
-      (Layer.Fc { num_output = 10; bias = true; fused = None })
+      (Layer.Fc { num_output = 10; bias = true })
       ~bottoms:[ Shape.vector 6 ] ~output:(Shape.vector 10) ~node_name:"fc"
       ~layer_index:0
   in
@@ -42,7 +42,7 @@ let test_conv_folding () =
   let folds =
     Folding.fold_op_plan (dp 3)
       (Layer.Conv
-         { num_output = 8; kernel_size = 3; stride = 1; pad = 1; group = 1; bias = true; fused = None })
+         { num_output = 8; kernel_size = 3; stride = 1; pad = 1; group = 1; bias = true })
       ~bottoms:[ Shape.chw ~channels:2 ~height:8 ~width:8 ]
       ~output:(Shape.chw ~channels:8 ~height:8 ~width:8)
       ~node_name:"conv" ~layer_index:1
@@ -54,7 +54,7 @@ let test_conv_folding () =
 let test_no_fold_when_fits () =
   let folds =
     Folding.fold_op_plan (dp 16)
-      (Layer.Fc { num_output = 10; bias = false; fused = None })
+      (Layer.Fc { num_output = 10; bias = false })
       ~bottoms:[ Shape.vector 4 ] ~output:(Shape.vector 10) ~node_name:"fc"
       ~layer_index:0
   in
@@ -139,7 +139,7 @@ let test_coordinator_fsm () =
 let test_fold_layer_rejects_bad_bottoms () =
   match
     Folding.fold_op_plan (dp 2)
-      (Layer.Fc { num_output = 4; bias = true; fused = None })
+      (Layer.Fc { num_output = 4; bias = true })
       ~bottoms:[] ~output:(Shape.vector 4) ~node_name:"fc" ~layer_index:0
   with
   | (_ : Folding.fold list) -> Alcotest.fail "expected arity failure"
@@ -153,7 +153,7 @@ let prop_folding_conserves =
     (fun (lanes, num_output, nin) ->
       let folds =
         Folding.fold_op_plan (dp lanes)
-          (Layer.Fc { num_output; bias = false; fused = None })
+          (Layer.Fc { num_output; bias = false })
           ~bottoms:[ Shape.vector nin ] ~output:(Shape.vector num_output)
           ~node_name:"fc" ~layer_index:0
       in

@@ -55,6 +55,40 @@ let test_generate_ok () =
       Alcotest.(check bool) "byte-identical to in-memory path" true
         (contains body expected))
 
+(* A dropout node changes the generated design, so the daemon must not
+   answer the dropout variant with the plain network's cached design. *)
+let test_generate_dropout_variant () =
+  let mnist = Db_workloads.Model_zoo.mnist_prototxt in
+  let with_dropout =
+    String.split_on_char '\n' mnist
+    |> List.concat_map (fun line ->
+           if line = {|layers { name: "ip1" type: INNER_PRODUCT bottom: "pool2" top: "ip1"|}
+           then
+             [
+               {|layers { name: "drop" type: DROPOUT bottom: "pool2" top: "drop" }|};
+               {|layers { name: "ip1" type: INNER_PRODUCT bottom: "drop" top: "ip1"|};
+             ]
+           else [ line ])
+    |> String.concat "\n"
+  in
+  Alcotest.(check bool) "dropout inserted" false (String.equal mnist with_dropout);
+  let field model =
+    Printf.sprintf "\"model\":\"%s\"" (Protocol.json_escape model)
+  in
+  with_daemon (fun port ->
+      let status, _ = post port "/generate" (json_body [ field mnist ]) in
+      Alcotest.(check int) "mnist 200" 200 status;
+      let status, body = post port "/generate" (json_body [ field with_dropout ]) in
+      Alcotest.(check int) "dropout variant 200" 200 status;
+      let design =
+        Db_core.Generator.generate
+          (Db_core.Constraints.parse Serve.default_constraint_script)
+          (Db_nn.Caffe.import_string with_dropout)
+      in
+      let expected = Db_store.Sha256.hex (Db_core.Design.verilog design) in
+      Alcotest.(check bool) "dropout variant's own design" true
+        (contains body expected))
+
 let test_simulate_ok () =
   with_daemon (fun port ->
       let status, body =
@@ -271,5 +305,7 @@ let suite =
         Alcotest.test_case "per-client quota is 429" `Quick test_quota;
         Alcotest.test_case "storm resolves every request" `Slow test_storm;
         Alcotest.test_case "stop drains in-flight work" `Quick test_stop_drains;
+        Alcotest.test_case "dropout variant is its own design" `Quick
+          test_generate_dropout_variant;
       ] );
   ]

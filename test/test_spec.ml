@@ -453,11 +453,11 @@ let op_of_case o ~words =
       let kernel = 1 + Rng.int rng side in
       ( Layer.Conv
           { num_output = 3; kernel_size = kernel; stride = 1; pad = Rng.int rng 2;
-            group = 1; bias = true; fused = None },
+            group = 1; bias = true },
         [ q (Shape.of_list [ 3; o.c; kernel; kernel ]); q (Shape.vector 3) ],
         [ map ] )
   | "fc" ->
-      ( Layer.Fc { num_output = 5; bias = true; fused = None },
+      ( Layer.Fc { num_output = 5; bias = true },
         [ q (Shape.of_list [ 5; n ]); q (Shape.vector 5) ],
         [ map ] )
   | "act" -> (Layer.Act Layer.Sigmoid, [], [ map ])

@@ -75,7 +75,7 @@ let rng_tensor seed shape =
 
 let test_gradcheck_fc () =
   grad_check
-    ~op:(Layer.Fc { num_output = 3; bias = true; fused = None })
+    ~op:(Layer.Fc { num_output = 3; bias = true })
     ~params:
       [ rng_tensor 1 (Shape.of_list [ 3; 4 ]); rng_tensor 2 (Shape.vector 3) ]
     ~input:(rng_tensor 3 (Shape.vector 4))
@@ -85,7 +85,7 @@ let test_gradcheck_conv () =
   grad_check
     ~op:
       (Layer.Conv
-         { num_output = 2; kernel_size = 3; stride = 1; pad = 1; group = 1; bias = true; fused = None })
+         { num_output = 2; kernel_size = 3; stride = 1; pad = 1; group = 1; bias = true })
     ~params:
       [ rng_tensor 4 (Shape.of_list [ 2; 2; 3; 3 ]); rng_tensor 5 (Shape.vector 2) ]
     ~input:(rng_tensor 6 (Shape.chw ~channels:2 ~height:4 ~width:4))
@@ -95,7 +95,7 @@ let test_gradcheck_conv_stride_group () =
   grad_check
     ~op:
       (Layer.Conv
-         { num_output = 4; kernel_size = 2; stride = 2; pad = 0; group = 2; bias = false; fused = None })
+         { num_output = 4; kernel_size = 2; stride = 2; pad = 0; group = 2; bias = false })
     ~params:[ rng_tensor 7 (Shape.of_list [ 4; 1; 2; 2 ]) ]
     ~input:(rng_tensor 8 (Shape.chw ~channels:2 ~height:4 ~width:4))
     ~epsilon:1e-4 ~tol:1e-3
@@ -136,9 +136,9 @@ let xor_network () =
   Network.create ~name:"xor"
     [
       node "in" (Layer.Input { shape = Shape.vector 2 }) [] [ "x" ];
-      node "fc1" (Layer.Fc { num_output = 4; bias = true; fused = None }) [ "x" ] [ "h" ];
+      node "fc1" (Layer.Fc { num_output = 4; bias = true }) [ "x" ] [ "h" ];
       node "t" (Layer.Act Layer.Tanh) [ "h" ] [ "ht" ];
-      node "fc2" (Layer.Fc { num_output = 1; bias = true; fused = None }) [ "ht" ] [ "y" ];
+      node "fc2" (Layer.Fc { num_output = 1; bias = true }) [ "ht" ] [ "y" ];
     ]
 
 let test_training_learns_xor () =
@@ -194,8 +194,8 @@ let test_trainer_rejects_nonchain () =
     Network.create ~name:"fork"
       [
         node "in" (Layer.Input { shape = Shape.chw ~channels:1 ~height:2 ~width:2 }) [] [ "x" ];
-        node "a" (Layer.Conv { num_output = 1; kernel_size = 1; stride = 1; pad = 0; group = 1; bias = false; fused = None }) [ "x" ] [ "ya" ];
-        node "b" (Layer.Conv { num_output = 1; kernel_size = 1; stride = 1; pad = 0; group = 1; bias = false; fused = None }) [ "x" ] [ "yb" ];
+        node "a" (Layer.Conv { num_output = 1; kernel_size = 1; stride = 1; pad = 0; group = 1; bias = false }) [ "x" ] [ "ya" ];
+        node "b" (Layer.Conv { num_output = 1; kernel_size = 1; stride = 1; pad = 0; group = 1; bias = false }) [ "x" ] [ "yb" ];
         node "c" Layer.Concat [ "ya"; "yb" ] [ "y" ];
       ]
   in
@@ -336,9 +336,9 @@ let test_graphcheck_mlp () =
         (Network.create ~name:"g-mlp"
            [
              node "in" (Layer.Input { shape = Shape.vector 4 }) [] [ "x" ];
-             node "fc1" (Layer.Fc { num_output = 5; bias = true; fused = None }) [ "x" ] [ "h" ];
+             node "fc1" (Layer.Fc { num_output = 5; bias = true }) [ "x" ] [ "h" ];
              node "s" (Layer.Act Layer.Sigmoid) [ "h" ] [ "hs" ];
-             node "fc2" (Layer.Fc { num_output = 3; bias = true; fused = None }) [ "hs" ] [ "y" ];
+             node "fc2" (Layer.Fc { num_output = 3; bias = true }) [ "hs" ] [ "y" ];
            ]))
     seeds
 
@@ -353,12 +353,12 @@ let test_graphcheck_conv_pool () =
                [] [ "x" ];
              node "c1"
                (Layer.Conv
-                  { num_output = 3; kernel_size = 3; stride = 1; pad = 1; group = 1; bias = true; fused = None })
+                  { num_output = 3; kernel_size = 3; stride = 1; pad = 1; group = 1; bias = true })
                [ "x" ] [ "c" ];
              node "r" (Layer.Act Layer.Relu) [ "c" ] [ "cr" ];
              node "p" (Layer.Pool { method_ = Layer.Avg_pool; kernel_size = 2; stride = 2 })
                [ "cr" ] [ "cp" ];
-             node "fc" (Layer.Fc { num_output = 4; bias = false; fused = None }) [ "cp" ] [ "y" ];
+             node "fc" (Layer.Fc { num_output = 4; bias = false }) [ "cp" ] [ "y" ];
            ]))
     seeds
 
@@ -369,7 +369,7 @@ let test_graphcheck_softmax_tail () =
         (Network.create ~name:"g-softmax"
            [
              node "in" (Layer.Input { shape = Shape.vector 6 }) [] [ "x" ];
-             node "fc" (Layer.Fc { num_output = 4; bias = true; fused = None }) [ "x" ] [ "h" ];
+             node "fc" (Layer.Fc { num_output = 4; bias = true }) [ "x" ] [ "h" ];
              node "t" (Layer.Act Layer.Tanh) [ "h" ] [ "ht" ];
              node "sm" Layer.Softmax [ "ht" ] [ "y" ];
            ]))
@@ -388,7 +388,7 @@ let test_graphcheck_lrn_pool () =
                (Layer.Lrn { local_size = 3; alpha = 1e-2; beta = 0.75; k = 1.0 })
                [ "x" ] [ "xn" ];
              node "g" (Layer.Global_pool Layer.Avg_pool) [ "xn" ] [ "xg" ];
-             node "fc" (Layer.Fc { num_output = 2; bias = true; fused = None }) [ "xg" ] [ "y" ];
+             node "fc" (Layer.Fc { num_output = 2; bias = true }) [ "xg" ] [ "y" ];
            ]))
     seeds
 
