@@ -124,9 +124,9 @@ let generator =
 
 (* Every repository exception maps to one failure class and that class to
    one exit code (parse 3, validation 4, resource 5, simulation 6,
-   watchdog 7, io 8; 1 for an unclassified repository error).  A foreign
-   exception is a bug: it is reported with its backtrace as cmdliner's
-   internal error (125). *)
+   watchdog 7, io 8, out of memory 9; 1 for an unclassified repository
+   error).  A foreign exception is a bug: it is reported with its
+   backtrace as cmdliner's internal error (125). *)
 let report_error e bt =
   match Db_util.Error.classify_exn e with
   | None ->

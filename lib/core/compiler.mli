@@ -42,6 +42,19 @@ val compile :
 (** [tiling_enabled] (default true) switches Method-1 on; the ablation
     bench turns it off to quantify the locality loss. *)
 
+val compile_runs :
+  ?tiling_enabled:bool ->
+  Db_ir.Graph.t ->
+  datapath:Db_sched.Datapath.t ->
+  layout:Db_mem.Layout.t ->
+  Db_sched.Folding.run list ->
+  (fold_program * int) list
+(** The fold programs of [runs] without one record per fold: each
+    [(program, n)] stands for [n] consecutive folds whose transfers equal
+    [program]'s in stream, size and locality (names and addresses aside),
+    so pricing [program] [n] times prices every fold that {!compile}
+    would emit for the same runs.  O(runs · log folds). *)
+
 val total_dram_words : t -> int
 
 val agu_pattern_fsms : t -> Db_hdl.Fsm.t list

@@ -51,9 +51,20 @@ let weighted_forward_nodes (g : Graph.t) =
 let sum_numel shapes =
   List.fold_left (fun acc s -> acc + Shape.numel s) 0 shapes
 
-let train_blocks_for (base : Design.t) ~grad_acc_bits =
+let train_blocks_for (base : Design.t) ~tgraph ~grad_acc_bits =
   let dp = base.Design.datapath in
   let fmt = dp.Datapath.fmt in
+  (* Each bank holds the gradient its layer's update consumes: a recurrent
+     layer's held feedback weights get none ([Lower.lower_training]). *)
+  let update_words =
+    List.filter_map
+      (fun (n : Graph.node) ->
+        match n.Graph.op with
+        | Op.Sgd_update { target } ->
+            Some (target, Shape.numel n.Graph.out_shape)
+        | _ -> None)
+      tgraph.Graph.nodes
+  in
   let per_layer =
     List.concat_map
       (fun (n : Graph.node) ->
@@ -68,7 +79,11 @@ let train_blocks_for (base : Design.t) ~grad_acc_bits =
           | _ -> 1
         in
         let cols = Stdlib.max 1 (Shape.numel weights / rows) in
-        let words = sum_numel n.Graph.param_shapes in
+        let words =
+          Option.value
+            (List.assoc_opt n.Graph.node_name update_words)
+            ~default:(sum_numel n.Graph.param_shapes)
+        in
         [
           Block.make ~fmt
             ~name:("transpose_port_" ^ n.Graph.node_name)
@@ -204,7 +219,7 @@ let build ?tiling_enabled ?(batch = 16) cons network =
       let grad_acc_bits =
         grad_acc_bits_for ~fmt:cons.Constraints.fmt ~batch base.Design.ir
       in
-      let train_blocks = train_blocks_for base ~grad_acc_bits in
+      let train_blocks = train_blocks_for base ~tgraph ~grad_acc_bits in
       let train_resource =
         List.fold_left
           (fun acc b -> Resource.add acc (Block.resource b))

@@ -170,9 +170,10 @@ let evaluate ~space ~base ~net ~config ~params ~samples ~refs ~input_blob
         }
     end
   with e -> (
+    (* Running out of memory says nothing about the design point. *)
     match Db_util.Error.classify_exn e with
-    | Some _ -> Infeasible
-    | None -> raise e)
+    | Some Db_util.Error.Memory | None -> raise e
+    | Some _ -> Infeasible)
 
 (* Deterministic per-decision RNGs: every stream is a pure function of
    (seed, round, position), never of evaluation timing. *)
@@ -228,8 +229,8 @@ let explore ?(config = default_config) (base : Constraints.t) net =
             (* e.g. a multi-output network the interpreter refuses: the
                accuracy axis degrades to 0 rather than killing the run *)
             match Db_util.Error.classify_exn e with
-            | Some _ -> None
-            | None -> raise e)
+            | Some Db_util.Error.Memory | None -> raise e
+            | Some _ -> None)
       in
       let archive =
         Archive.create ~axes:config.axes ~epsilon:config.epsilon ()

@@ -26,14 +26,14 @@ let lower ?fmt (net : Db_nn.Network.t) : Graph.t =
 
 let fail fmt = Db_util.Error.failf_at ~component:"ir-lower" fmt
 
-(* Ops the derived BP subgraph knows how to differentiate — the IR-side
-   mirror of [Db_train.Backprop.supported]. *)
+(* Ops the derived BP subgraph knows how to differentiate: those of
+   [Db_train.Backprop.supported], plus RECURRENT (see [as_fc_step]). *)
 let differentiable = function
   | Op.Conv _ | Op.Pool _ | Op.Global_pool _ | Op.Fc _ | Op.Act _
-  | Op.Dropout _ | Op.Softmax | Op.Associative _ | Op.Lrn _ ->
+  | Op.Dropout _ | Op.Softmax | Op.Associative _ | Op.Lrn _ | Op.Recurrent _ ->
       true
-  | Op.Input _ | Op.Lcn _ | Op.Recurrent _ | Op.Concat | Op.Classifier _
-  | Op.Backward _ | Op.Sgd_update _ ->
+  | Op.Input _ | Op.Lcn _ | Op.Concat | Op.Classifier _ | Op.Backward _
+  | Op.Sgd_update _ ->
       false
 
 (* The cached forward tensor a backward kernel reads: sigmoid/tanh/softmax
@@ -59,13 +59,33 @@ let placeholder ~node_name ~op ~inputs ~outputs =
     cost = Graph.zero_cost;
   }
 
+(* A recurrent layer trains as one FC+tanh step with its feedback weights
+   held: a tanh-derivative node turns [dy] into the pre-activation gradient
+   ["d:" ^ top ^ ":pre"], which the FC kernels then carry to dW (input
+   weights and bias) and dX.  Returns the extra BP nodes, the op the
+   weight and input gradients differentiate, and the gradient they read. *)
+let as_fc_step (n : Graph.node) ~dy =
+  match n.Graph.op with
+  | Op.Recurrent { num_output; bias; _ } ->
+      let top = List.hd n.Graph.outputs in
+      let pre = "d:" ^ top ^ ":pre" in
+      ( [
+          placeholder
+            ~node_name:("bp_dx:" ^ n.Graph.node_name ^ ":tanh")
+            ~op:(Op.Backward { fwd = Op.Act Op.Tanh; wrt = Op.Wrt_input })
+            ~inputs:[ dy; top ] ~outputs:[ pre ];
+        ],
+        Op.Fc { num_output; bias },
+        pre )
+  | op -> ([], op, dy)
+
 (* Training-mode lowering: the forward chain, a BP subgraph
    walking it in reverse, and one SGD update node per weighted layer.
    Gradient blobs are ["d:" ^ blob], weight-gradient vectors
    ["g:" ^ node], updated-weight markers ["w:" ^ node]; the loss gradient
    seed is an input node producing ["d:" ^ final_top].  Only sequential
-   single-top chains are supported — exactly the graphs the software
-   [Db_train.Trainer] accepts. *)
+   single-top chains are supported: the graphs the software
+   [Db_train.Trainer] accepts, plus recurrent layers ([as_fc_step]). *)
 let lower_training ?fmt (net : Db_nn.Network.t) : Graph.t =
   let g = lower ?fmt net in
   let nodes = g.Graph.nodes in
@@ -113,13 +133,14 @@ let lower_training ?fmt (net : Db_nn.Network.t) : Graph.t =
           else begin
             let bottom = List.hd n.Graph.inputs
             and top = List.hd n.Graph.outputs in
-            let dy = "d:" ^ top in
-            let reference = backward_reference n.Graph.op ~bottom ~top in
+            let step, fwd, dy = as_fc_step n ~dy:("d:" ^ top) in
+            let acc = List.rev_append step acc in
+            let reference = backward_reference fwd ~bottom ~top in
             let acc, updated =
-              if Op.is_weighted n.Graph.op then
+              if Op.is_weighted fwd then
                 ( placeholder
                     ~node_name:("bp_dw:" ^ n.Graph.node_name)
-                    ~op:(Op.Backward { fwd = n.Graph.op; wrt = Op.Wrt_params })
+                    ~op:(Op.Backward { fwd; wrt = Op.Wrt_params })
                     ~inputs:[ dy; bottom ]
                     ~outputs:[ "g:" ^ n.Graph.node_name ]
                   :: acc,
@@ -136,7 +157,7 @@ let lower_training ?fmt (net : Db_nn.Network.t) : Graph.t =
               go
                 (placeholder
                    ~node_name:("bp_dx:" ^ n.Graph.node_name)
-                   ~op:(Op.Backward { fwd = n.Graph.op; wrt = Op.Wrt_input })
+                   ~op:(Op.Backward { fwd; wrt = Op.Wrt_input })
                    ~inputs:[ dy; reference ]
                    ~outputs:[ "d:" ^ bottom ]
                  :: acc)

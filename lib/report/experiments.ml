@@ -105,22 +105,21 @@ let render_table2 rows =
 
 (* --- Budget points ------------------------------------------------------ *)
 
+let constraints_for ~budget (b : Benchmarks.t) =
+  match budget with
+  | `Db -> Constraints.with_dsp_cap Constraints.db_medium b.Benchmarks.dsp_cap
+  | `Db_l ->
+      let cap =
+        if b.Benchmarks.bench_name = "Alexnet" then Benchmarks.alexnet_l_dsp_cap
+        else 16 * b.Benchmarks.dsp_cap
+      in
+      Constraints.with_dsp_cap Constraints.db_large cap
+  | `Db_s ->
+      Constraints.with_dsp_cap Constraints.db_small
+        (Stdlib.max 1 (b.Benchmarks.dsp_cap / 2))
+
 let design_for ?(budget = `Db) (b : Benchmarks.t) =
-  let cons =
-    match budget with
-    | `Db -> Constraints.with_dsp_cap Constraints.db_medium b.Benchmarks.dsp_cap
-    | `Db_l ->
-        let cap =
-          if b.Benchmarks.bench_name = "Alexnet" then
-            Benchmarks.alexnet_l_dsp_cap
-          else 16 * b.Benchmarks.dsp_cap
-        in
-        Constraints.with_dsp_cap Constraints.db_large cap
-    | `Db_s ->
-        Constraints.with_dsp_cap Constraints.db_small
-          (Stdlib.max 1 (b.Benchmarks.dsp_cap / 2))
-  in
-  Design_cache.generate cons b.Benchmarks.network
+  Design_cache.generate (constraints_for ~budget b) b.Benchmarks.network
 
 (* --- Fig. 8 / Fig. 9 ---------------------------------------------------- *)
 
@@ -338,13 +337,18 @@ type training_row = {
   tr_db_l_sps : float;
 }
 
+(* One SGD step per benchmark and budget, priced by [Train_sim] on the
+   training accelerator ([Train_builder]) that shares the budget's design. *)
 let training config =
   let cpu = Db_baseline.Cpu_model.xeon_2_4ghz in
   Pool.map_list
     (fun b ->
       let sps budget =
-        (Db_sim.Training_sim.iteration (design_for ~budget b))
-          .Db_sim.Training_sim.samples_per_second
+        let tb =
+          Db_core.Train_builder.build (constraints_for ~budget b)
+            b.Benchmarks.network
+        in
+        Db_sim.Train_sim.steps_per_second tb (Db_sim.Train_sim.compile_trace tb)
       in
       {
         tr_name = b.Benchmarks.bench_name;
@@ -357,6 +361,11 @@ let training config =
       })
     (selected config)
 
+(* Whole steps per second above 10, two significant digits below: the
+   large networks take several seconds per step. *)
+let step_rate r =
+  if r >= 10.0 then Printf.sprintf "%.0f" r else Printf.sprintf "%.2g" r
+
 let render_training rows =
   Table.render
     ~headers:[ "Benchmark"; "CPU it/s"; "DB it/s"; "DB-L it/s"; "DB-L vs CPU" ]
@@ -365,9 +374,9 @@ let render_training rows =
          (fun r ->
            [
              r.tr_name;
-             Printf.sprintf "%.0f" r.tr_cpu_sps;
-             Printf.sprintf "%.0f" r.tr_db_sps;
-             Printf.sprintf "%.0f" r.tr_db_l_sps;
+             step_rate r.tr_cpu_sps;
+             step_rate r.tr_db_sps;
+             step_rate r.tr_db_l_sps;
              Table.ratio (r.tr_db_l_sps /. r.tr_cpu_sps);
            ])
          rows)

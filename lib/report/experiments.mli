@@ -101,8 +101,9 @@ type training_row = {
 
 val training : run_config -> training_row list
 (** Training-iteration throughput of the CPU baseline vs the DB and DB-L
-    accelerators, per benchmark — the model-search/training use-case the
-    paper motivates FPGAs with. *)
+    training accelerators ({!Db_core.Train_builder.build}, one SGD step
+    priced by {!Db_sim.Train_sim.compile_trace}), per benchmark — the
+    model-search/training use-case the paper motivates FPGAs with. *)
 
 val render_training : training_row list -> string
 
@@ -163,7 +164,14 @@ val render_ablation_fixed_point : (string * (int * float) list) list -> string
 
 (** {2 Shared plumbing} *)
 
+val constraints_for :
+  budget:[ `Db | `Db_l | `Db_s ] ->
+  Db_workloads.Benchmarks.t ->
+  Db_core.Constraints.t
+(** The constraints of one of the paper's three budget points for a
+    benchmark (per-application DSP caps applied, as in Table 3). *)
+
 val design_for :
   ?budget:[ `Db | `Db_l | `Db_s ] -> Db_workloads.Benchmarks.t -> Db_core.Design.t
-(** Generate the accelerator for a benchmark at one of the paper's three
-    budget points (per-application DSP caps applied, as in Table 3). *)
+(** Generate the accelerator for a benchmark at {!constraints_for}
+    (default [`Db]). *)

@@ -31,43 +31,75 @@ let two_bottoms op = function
       fail "op %s expects [dY; ref] bottoms, got %d" (Op.name op)
         (List.length shapes)
 
+type run = { fold : fold; count : int }
+
+let event_name ~layer_index ~fold_index =
+  Printf.sprintf "layer%d-fold%d" layer_index fold_index
+
+let nth_fold run k =
+  if k = 0 then run.fold
+  else
+    let f = run.fold in
+    let fold_index = f.fold_index + k in
+    {
+      f with
+      fold_index;
+      event = event_name ~layer_index:f.layer_index ~fold_index;
+    }
+
+let run_folds run = List.init run.count (nth_fold run)
+
 (* Spatial folding of [units] output units onto [lanes] lanes: fold i gets
-   min(lanes, units - i*lanes) of them.  [per_unit] quantifies one unit's
-   work and traffic; [shared] is re-streamed every fold. *)
+   min(lanes, units - i*lanes) of them, so the folds form at most two runs
+   (the full folds, then the tail).  [per_unit] quantifies one unit's work
+   and traffic; [shared] is re-streamed every fold. *)
 let spatial_folds ~lanes ~units ~node_name ~layer_index
     ~per_unit:(macs_u, ops_u, weights_u, out_u) ~shared_feature_words =
   let total_folds = Stdlib.max 1 (div_ceil units lanes) in
-  List.init total_folds (fun i ->
-      let lanes_used = Stdlib.min lanes (units - (i * lanes)) in
-      {
-        fold_layer = node_name;
-        layer_index;
-        fold_index = i;
-        total_folds;
-        lanes_used;
-        macs = lanes_used * macs_u;
-        other_ops = lanes_used * ops_u;
-        feature_words = shared_feature_words;
-        weight_words = lanes_used * weights_u;
-        output_words = lanes_used * out_u;
-        event = Printf.sprintf "layer%d-fold%d" layer_index i;
-      })
+  let full = Stdlib.min total_folds (units / lanes) in
+  let run i lanes_used count =
+    {
+      fold =
+        {
+          fold_layer = node_name;
+          layer_index;
+          fold_index = i;
+          total_folds;
+          lanes_used;
+          macs = lanes_used * macs_u;
+          other_ops = lanes_used * ops_u;
+          feature_words = shared_feature_words;
+          weight_words = lanes_used * weights_u;
+          output_words = lanes_used * out_u;
+          event = event_name ~layer_index ~fold_index:i;
+        };
+      count;
+    }
+  in
+  let tail =
+    if total_folds > full then [ run full (units - (full * lanes)) 1 ] else []
+  in
+  if full > 0 then run 0 lanes full :: tail else tail
 
 let single_fold ~node_name ~layer_index ~macs ~other_ops ~feature_words
     ~weight_words ~output_words =
   [
     {
-      fold_layer = node_name;
-      layer_index;
-      fold_index = 0;
-      total_folds = 1;
-      lanes_used = 1;
-      macs;
-      other_ops;
-      feature_words;
-      weight_words;
-      output_words;
-      event = Printf.sprintf "layer%d-fold0" layer_index;
+      fold =
+        {
+          fold_layer = node_name;
+          layer_index;
+          fold_index = 0;
+          total_folds = 1;
+          lanes_used = 1;
+          macs;
+          other_ops;
+          feature_words;
+          weight_words;
+          output_words;
+          event = event_name ~layer_index ~fold_index:0;
+        };
+      count = 1;
     };
   ]
 
@@ -116,17 +148,23 @@ let fold_op_plan dp op ~bottoms ~output ~node_name ~layer_index =
           ~per_unit:(nin + num_output, 1, weights_u, 1)
           ~shared_feature_words:(nin + num_output)
       in
-      let folds_per_step = List.length per_step in
+      let folds_per_step =
+        List.fold_left (fun acc r -> acc + r.count) 0 per_step
+      in
       List.concat
         (List.init steps (fun s ->
              List.map
-               (fun f ->
-                 let fold_index = (s * folds_per_step) + f.fold_index in
+               (fun r ->
+                 let fold_index = (s * folds_per_step) + r.fold.fold_index in
                  {
-                   f with
-                   fold_index;
-                   total_folds = steps * folds_per_step;
-                   event = Printf.sprintf "layer%d-fold%d" layer_index fold_index;
+                   r with
+                   fold =
+                     {
+                       r.fold with
+                       fold_index;
+                       total_folds = steps * folds_per_step;
+                       event = event_name ~layer_index ~fold_index;
+                     };
                  })
                per_step))
   | Op.Act _ | Op.Dropout _ ->
@@ -215,24 +253,18 @@ let fold_op_plan dp op ~bottoms ~output ~node_name ~layer_index =
       spatial_folds ~lanes ~units:out_n ~node_name ~layer_index
         ~per_unit:(2, 1, 1, 1) ~shared_feature_words:0
 
-let fold_graph dp (g : Graph.t) =
-  let layer_index = ref 0 in
-  Graph.fold g ~init:[] ~f:(fun acc node ->
-      if Op.is_input node.Graph.op then acc
-      else begin
-        let folds =
-          fold_op_plan dp node.Graph.op ~bottoms:node.Graph.in_shapes
-            ~output:node.Graph.out_shape ~node_name:node.Graph.node_name
-            ~layer_index:!layer_index
-        in
-        incr layer_index;
-        acc @ folds
-      end)
+let graph_runs dp (g : Graph.t) =
+  let compute =
+    List.filter (fun n -> not (Op.is_input n.Graph.op)) g.Graph.nodes
+  in
+  List.concat
+    (List.mapi
+       (fun layer_index (node : Graph.node) ->
+         fold_op_plan dp node.Graph.op ~bottoms:node.Graph.in_shapes
+           ~output:node.Graph.out_shape ~node_name:node.Graph.node_name
+           ~layer_index)
+       compute)
+
+let fold_graph dp g = List.concat_map run_folds (graph_runs dp g)
 
 let total_macs folds = List.fold_left (fun acc f -> acc + f.macs) 0 folds
-
-let max_weight_working_set folds =
-  List.fold_left (fun acc f -> Stdlib.max acc f.weight_words) 0 folds
-
-let max_feature_working_set folds =
-  List.fold_left (fun acc f -> Stdlib.max acc f.feature_words) 0 folds

@@ -26,6 +26,13 @@ type fold = {
   event : string;
 }
 
+type run = { fold : fold; count : int }
+(** [count] consecutive folds of one node that differ from [fold], the
+    first of them, only in [fold_index] and [event].  A layer folds into at
+    most two runs (its full folds, then the narrower tail; a recurrent
+    layer repeats the pair per step), so a run list is O(nodes) however
+    many folds it stands for. *)
+
 val fold_op_plan :
   Datapath.t ->
   Db_ir.Op.t ->
@@ -33,17 +40,21 @@ val fold_op_plan :
   output:Db_tensor.Shape.t ->
   node_name:string ->
   layer_index:int ->
-  fold list
-(** Folds of one IR op.  Input/weight traffic is counted per fold: a fold
-    re-reads the features it needs, weights are visited exactly once
-    across the folds of a layer. *)
+  run list
+(** Folds of one IR op, as runs.  Input/weight traffic is counted per
+    fold: a fold re-reads the features it needs, weights are visited
+    exactly once across the folds of a layer. *)
+
+val nth_fold : run -> int -> fold
+(** Fold [k] (from 0) of a run. *)
+
+val run_folds : run -> fold list
+(** Every fold of a run, in order. *)
+
+val graph_runs : Datapath.t -> Db_ir.Graph.t -> run list
+(** Runs of every compute node, in topological execution order. *)
 
 val fold_graph : Datapath.t -> Db_ir.Graph.t -> fold list
-(** Folds of every compute node, in topological execution order. *)
+(** {!graph_runs}, one record per fold. *)
 
 val total_macs : fold list -> int
-
-val max_weight_working_set : fold list -> int
-(** Largest per-fold weight word count (what the weight buffer must hold). *)
-
-val max_feature_working_set : fold list -> int

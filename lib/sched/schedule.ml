@@ -13,9 +13,6 @@ let build dp graph =
 
 let fold_count t = List.length t.folds
 
-let layer_folds t ~layer =
-  List.filter (fun f -> f.Folding.fold_layer = layer) t.folds
-
 let events t = List.map (fun f -> f.Folding.event) t.folds
 
 let reconfigurations t =

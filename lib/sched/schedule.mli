@@ -19,8 +19,6 @@ val coordinator_fsm : t -> Db_hdl.Fsm.t
 
 val fold_count : t -> int
 
-val layer_folds : t -> layer:string -> Folding.fold list
-
 val events : t -> string list
 (** All trigger events in execution order. *)
 

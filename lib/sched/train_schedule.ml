@@ -1,11 +1,13 @@
 (* The three-phase FF→BP→UP training schedule.  A training-lowered graph
    ([Db_ir.Lower.lower_training]) folds like any other graph; this module
-   partitions the fold sequence into the feed-forward, back-propagation
-   and update phases and builds the phase-level FSM that sequences them.
-   Within a phase the per-fold coordinator ([Schedule.coordinator_fsm])
-   still drives execution — the phase FSM sits above it and gates which
-   processor set (FF, BP or UP datapath blocks) owns the shared weight
-   memories. *)
+   partitions its fold runs ([Folding.graph_runs]) into the feed-forward,
+   back-propagation and update phases and builds the phase-level FSM that
+   sequences them.  Runs keep the schedule O(nodes): a gradient or update
+   sweep is one fold per [lanes] words, millions of folds on the large
+   networks.  Within a phase the per-fold coordinator
+   ([Schedule.coordinator_fsm]) still drives execution — the phase FSM
+   sits above it and gates which processor set (FF, BP or UP datapath
+   blocks) owns the shared weight memories. *)
 
 module Graph = Db_ir.Graph
 module Op = Db_ir.Op
@@ -23,23 +25,25 @@ let node_phase (n : Graph.node) =
   | _ -> Ff
 
 type t = {
-  schedule : Schedule.t;  (** all folds, FF then BP then UP *)
-  ff : Folding.fold list;
-  bp : Folding.fold list;
-  up : Folding.fold list;
+  net_name : string;
+  ff : Folding.run list;
+  bp : Folding.run list;
+  up : Folding.run list;
 }
 
-let phase_folds t = function Ff -> t.ff | Bp -> t.bp | Up -> t.up
+let phase_runs t = function Ff -> t.ff | Bp -> t.bp | Up -> t.up
 
 let build dp (g : Graph.t) =
   let phase_of_node : (string, phase) Hashtbl.t = Hashtbl.create 32 in
   Graph.iter g (fun n ->
       Hashtbl.replace phase_of_node n.Graph.node_name (node_phase n));
-  let schedule = Schedule.build dp g in
-  let phase_of_fold (f : Folding.fold) =
-    match Hashtbl.find_opt phase_of_node f.Folding.fold_layer with
+  let runs = Folding.graph_runs dp g in
+  let phase_of_run (r : Folding.run) =
+    match Hashtbl.find_opt phase_of_node r.Folding.fold.Folding.fold_layer with
     | Some p -> p
-    | None -> fail "fold references unknown node %S" f.Folding.fold_layer
+    | None ->
+        fail "fold references unknown node %S"
+          r.Folding.fold.Folding.fold_layer
   in
   (* The lowering emits FF, then BP, then UP nodes; a schedule that
      interleaves phases would let two processor sets contend for the
@@ -47,30 +51,36 @@ let build dp (g : Graph.t) =
   let rank = function Ff -> 0 | Bp -> 1 | Up -> 2 in
   ignore
     (List.fold_left
-       (fun prev f ->
-         let p = phase_of_fold f in
+       (fun prev r ->
+         let p = phase_of_run r in
          if rank p < rank prev then
            fail "fold %S runs phase %s after phase %s: phases must not \
                  interleave"
-             f.Folding.event (phase_name p) (phase_name prev);
+             r.Folding.fold.Folding.event (phase_name p) (phase_name prev);
          p)
-       Ff schedule.Schedule.folds);
-  let of_phase p =
-    List.filter (fun f -> phase_of_fold f = p) schedule.Schedule.folds
-  in
+       Ff runs);
+  let of_phase p = List.filter (fun r -> phase_of_run r = p) runs in
   let t =
-    { schedule; ff = of_phase Ff; bp = of_phase Bp; up = of_phase Up }
+    {
+      net_name = g.Graph.graph_name;
+      ff = of_phase Ff;
+      bp = of_phase Bp;
+      up = of_phase Up;
+    }
   in
   if t.bp = [] then
     fail "graph %S has no backward folds: not a training-lowered graph"
       g.Graph.graph_name;
   t
 
+let fold_count runs =
+  List.fold_left (fun acc r -> acc + r.Folding.count) 0 runs
+
 (* The phase sequencer: one state per non-empty phase, chained on
    [phase_done], each state asserting its processor-set enable. *)
 let phase_fsm t =
   let phases =
-    List.filter (fun p -> phase_folds t p <> []) [ Ff; Bp; Up ]
+    List.filter (fun p -> phase_runs t p <> []) [ Ff; Bp; Up ]
   in
   let states = "idle" :: List.map (fun p -> "s_" ^ phase_name p) phases in
   let outputs = List.map (fun p -> "en_" ^ phase_name p) phases in
@@ -110,7 +120,7 @@ let phase_fsm t =
         "train_phases_"
         ^ String.map
             (fun c -> if Db_hdl.Lint.is_word_char c then c else '_')
-            t.schedule.Schedule.net_name;
+            t.net_name;
       states;
       initial = "idle";
       inputs = [ "start"; "phase_done" ];
@@ -122,12 +132,17 @@ let phase_fsm t =
   fsm
 
 let pp fmt t =
-  Format.fprintf fmt "training schedule for %S:@."
-    t.schedule.Schedule.net_name;
+  Format.fprintf fmt "training schedule for %S:@." t.net_name;
   List.iter
     (fun p ->
-      let folds = phase_folds t p in
+      let runs = phase_runs t p in
+      let total f =
+        List.fold_left
+          (fun acc r -> acc + (r.Folding.count * f r.Folding.fold))
+          0 runs
+      in
       Format.fprintf fmt "  %-3s folds=%-6d macs=%-12d ops=%d@."
-        (phase_name p) (List.length folds) (Folding.total_macs folds)
-        (List.fold_left (fun acc f -> acc + f.Folding.other_ops) 0 folds))
+        (phase_name p) (fold_count runs)
+        (total (fun f -> f.Folding.macs))
+        (total (fun f -> f.Folding.other_ops)))
     [ Ff; Bp; Up ]

@@ -1,11 +1,11 @@
 (** The three-phase FF→BP→UP training schedule over a training-lowered
     graph ([Db_ir.Lower.lower_training]).
 
-    The fold sequence of the training graph is partitioned into the
-    feed-forward (FF), back-propagation (BP) and weight-update (UP)
-    phases; a phase-level FSM sequences the three processor sets that
-    share the weight memories, while each phase internally runs the
-    ordinary per-fold coordinator. *)
+    The fold runs of the training graph ({!Folding.graph_runs}) are
+    partitioned into the feed-forward (FF), back-propagation (BP) and
+    weight-update (UP) phases; a phase-level FSM sequences the three
+    processor sets that share the weight memories, while each phase
+    internally runs the ordinary per-fold coordinator. *)
 
 type phase = Ff | Bp | Up
 
@@ -15,17 +15,20 @@ val node_phase : Db_ir.Graph.node -> phase
 (** [Sgd_update] → UP, [Backward] → BP, everything else → FF. *)
 
 type t = {
-  schedule : Schedule.t;  (** all folds, FF then BP then UP *)
-  ff : Folding.fold list;
-  bp : Folding.fold list;
-  up : Folding.fold list;
+  net_name : string;  (** the training graph's name *)
+  ff : Folding.run list;
+  bp : Folding.run list;
+  up : Folding.run list;
 }
 
 val build : Datapath.t -> Db_ir.Graph.t -> t
 (** Fails ([train-sched]) when phases interleave or the graph has no
     backward folds (i.e. is not training-lowered). *)
 
-val phase_folds : t -> phase -> Folding.fold list
+val phase_runs : t -> phase -> Folding.run list
+
+val fold_count : Folding.run list -> int
+(** Folds the runs stand for. *)
 
 val phase_fsm : t -> Db_hdl.Fsm.t
 (** One state per non-empty phase (plus [idle]); input [phase_done]; each

@@ -30,6 +30,7 @@ let status_text = function
   | 500 -> "Internal Server Error"
   | 503 -> "Service Unavailable"
   | 504 -> "Gateway Timeout"
+  | 507 -> "Insufficient Storage"
   | _ -> "Status"
 
 (* Read from [fd] until the blank line ending the header block, without

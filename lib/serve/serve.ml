@@ -247,6 +247,7 @@ let status_of_class = function
   | Error.Simulation -> 422
   | Error.Watchdog -> 504
   | Error.Io -> 500
+  | Error.Memory -> 507
   | Error.Internal -> 500
 
 let client_key job req =

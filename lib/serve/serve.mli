@@ -59,5 +59,9 @@ val run : ?on_ready:(int -> unit) -> config -> unit
     semantics the CLI's [serve] subcommand relies on.  [on_ready] is
     called with the bound port once the daemon is accepting. *)
 
+val status_of_class : Db_util.Error.failure_class -> int
+(** HTTP status of a classified failure: parse 400; validation, resource
+    and simulation 422; watchdog 504; io and internal 500; memory 507. *)
+
 val default_constraint_script : string
 (** Constraint script assumed when a request omits ["constraint"]. *)

@@ -29,7 +29,6 @@ module Trainer = Db_train.Trainer
 module Loss = Db_train.Loss
 module Train_schedule = Db_sched.Train_schedule
 module Datapath = Db_sched.Datapath
-module Folding = Db_sched.Folding
 module Compiler = Db_core.Compiler
 module Train_builder = Db_core.Train_builder
 module Act_cache = Db_mem.Act_cache
@@ -58,27 +57,6 @@ type cycle_report = {
   step_cycles : int;  (** one full FF→BP→UP SGD step *)
 }
 
-let compile_programs (tb : Train_builder.t) =
-  let dp = tb.Train_builder.base.Db_core.Design.datapath in
-  let tgraph = tb.Train_builder.tgraph in
-  let layout =
-    Db_mem.Layout.build ~bytes_per_word:(Fixed.word_bytes dp.Datapath.fmt)
-      ~port_width:dp.Datapath.port_words tgraph
-  in
-  let program =
-    Compiler.compile tgraph ~datapath:dp
-      ~schedule:tb.Train_builder.tschedule.Train_schedule.schedule ~layout
-  in
-  program.Compiler.programs
-
-let phase_table (tgraph : Graph.t) =
-  let tbl = Hashtbl.create 32 in
-  List.iter
-    (fun (n : Graph.node) ->
-      Hashtbl.replace tbl n.Graph.node_name (Train_schedule.node_phase n))
-    tgraph.Graph.nodes;
-  tbl
-
 let spill_cost (tb : Train_builder.t) =
   let dp = tb.Train_builder.base.Db_core.Design.datapath in
   let words = Act_cache.dram_words_per_step tb.Train_builder.act_cache in
@@ -86,52 +64,47 @@ let spill_cost (tb : Train_builder.t) =
   (* Spills are whole-tensor bursts: write after FF, read during BP. *)
   (Perf_model.burst_cycles ~bytes, bytes)
 
-let empty_phase phase =
-  {
-    pc_phase = phase;
-    pc_cycles = 0;
-    pc_compute_cycles = 0;
-    pc_memory_cycles = 0;
-    pc_dram_bytes = 0;
-    pc_folds = 0;
-  }
-
+(* Each phase's runs compile on their own: no layer spans two phases, so
+   the compiler's per-layer walk state never crosses a phase boundary.
+   One (program, count) segment stands for a stretch of identically priced
+   folds ([Compiler.compile_runs]), so tracing is O(nodes). *)
 let compile_trace (tb : Train_builder.t) =
   Db_obs.Obs.with_span "train_sim.compile_trace" (fun () ->
       let dp = tb.Train_builder.base.Db_core.Design.datapath in
-      let phases = phase_table tb.Train_builder.tgraph in
-      let acc = Hashtbl.create 3 in
-      List.iter
-        (fun p -> Hashtbl.replace acc p (empty_phase p))
-        [ Train_schedule.Ff; Train_schedule.Bp; Train_schedule.Up ];
-      List.iter
-        (fun (p : Compiler.fold_program) ->
-          let c = Perf_model.fold_cost dp p in
-          let phase =
-            match
-              Hashtbl.find_opt phases p.Compiler.fold.Folding.fold_layer
-            with
-            | Some ph -> ph
-            | None ->
-                fail "fold %S names no node of the training graph"
-                  p.Compiler.fold.Folding.fold_layer
-          in
-          let r = Hashtbl.find acc phase in
-          Hashtbl.replace acc phase
+      let tgraph = tb.Train_builder.tgraph in
+      let layout =
+        Db_mem.Layout.build ~bytes_per_word:(Fixed.word_bytes dp.Datapath.fmt)
+          ~port_width:dp.Datapath.port_words tgraph
+      in
+      let price phase =
+        List.fold_left
+          (fun r ((p : Compiler.fold_program), n) ->
+            let c = Perf_model.fold_cost dp p in
             {
               r with
-              pc_cycles = r.pc_cycles + c.Perf_model.fold_cycles;
+              pc_cycles = r.pc_cycles + (n * c.Perf_model.fold_cycles);
               pc_compute_cycles =
-                r.pc_compute_cycles + c.Perf_model.compute_cycles;
-              pc_memory_cycles = r.pc_memory_cycles + c.Perf_model.memory_cycles;
-              pc_dram_bytes = r.pc_dram_bytes + c.Perf_model.dram_bytes;
-              pc_folds = r.pc_folds + 1;
+                r.pc_compute_cycles + (n * c.Perf_model.compute_cycles);
+              pc_memory_cycles =
+                r.pc_memory_cycles + (n * c.Perf_model.memory_cycles);
+              pc_dram_bytes = r.pc_dram_bytes + (n * c.Perf_model.dram_bytes);
+              pc_folds = r.pc_folds + n;
             })
-        (compile_programs tb);
+          {
+            pc_phase = phase;
+            pc_cycles = 0;
+            pc_compute_cycles = 0;
+            pc_memory_cycles = 0;
+            pc_dram_bytes = 0;
+            pc_folds = 0;
+          }
+          (Compiler.compile_runs tgraph ~datapath:dp ~layout
+             (Train_schedule.phase_runs tb.Train_builder.tschedule phase))
+      in
+      let ff = price Train_schedule.Ff in
+      let bp = price Train_schedule.Bp in
+      let up = price Train_schedule.Up in
       let spill_cycles, spill_bytes = spill_cost tb in
-      let ff = Hashtbl.find acc Train_schedule.Ff in
-      let bp = Hashtbl.find acc Train_schedule.Bp in
-      let up = Hashtbl.find acc Train_schedule.Up in
       Db_obs.Obs.incr "train_sim.traces_compiled";
       {
         ff;

@@ -1,9 +1,13 @@
 (** Cycle-accurate and bit-exact replay of one on-chip SGD step.
 
-    The cycle half prices the training-lowered graph's folds through the
-    same compiler and cost model as the inference simulator, grouped by
-    FF/BP/UP phase, plus the {!Db_mem.Act_cache} spill traffic as one
-    sequential burst ({!Perf_model.burst_cycles}).  The functional half runs
+    The cycle half is the repository's one training cost model: it prices
+    [train-hw], the bench's training table and the model-search example.
+    It prices the training-lowered graph's folds through the same compiler
+    and cost model as the inference simulator, one
+    {!Db_core.Compiler.compile_runs} segment at a time (so time and memory
+    are O(nodes), not O(folds)), grouped by FF/BP/UP phase, plus the
+    {!Db_mem.Act_cache} spill traffic as one sequential burst
+    ({!Perf_model.burst_cycles}).  The functional half runs
     quantized SGD with the update-unit arithmetic, consuming the RNG
     exactly as {!Db_train.Trainer.train} does so the hardware and
     software loss trajectories are directly comparable. *)
@@ -28,8 +32,8 @@ type cycle_report = {
 
 val compile_trace : Db_core.Train_builder.t -> cycle_report
 (** Compile the training graph's AGU programs and price every fold with
-    {!Perf_model.fold_cost}; [step_cycles] is the phases' sum plus the
-    spill burst. *)
+    {!Perf_model.fold_cost}, each segment of identical folds once times
+    its count; [step_cycles] is the phases' sum plus the spill burst. *)
 
 val steps_per_second :
   Db_core.Train_builder.t -> cycle_report -> float

@@ -29,6 +29,7 @@ type failure_class =
   | Simulation
   | Watchdog
   | Io
+  | Memory
   | Internal
 
 let registry : (string, failure_class) Hashtbl.t = Hashtbl.create 64
@@ -107,6 +108,7 @@ let classify_exn = function
   | Deepburning_error msg -> Some (classify_message msg)
   | Timeout _ -> Some Watchdog
   | Sys_error _ -> Some Io
+  | Out_of_memory -> Some Memory
   | _ -> None
 
 let exit_code = function
@@ -117,6 +119,7 @@ let exit_code = function
   | Simulation -> 6
   | Watchdog -> 7
   | Io -> 8
+  | Memory -> 9
 
 let class_name = function
   | Parse -> "parse"
@@ -125,6 +128,7 @@ let class_name = function
   | Simulation -> "simulation"
   | Watchdog -> "watchdog"
   | Io -> "io"
+  | Memory -> "memory"
   | Internal -> "internal"
 
 let message_of_exn = function
@@ -136,4 +140,6 @@ let message_of_exn = function
             never reached its done state"
            component cycles budget)
   | Sys_error msg -> Some msg
+  | Out_of_memory ->
+      Some "out of memory: the run needs more than the process may allocate"
   | _ -> None

@@ -45,6 +45,7 @@ type failure_class =
   | Simulation  (** runtime failure inside a simulated machine *)
   | Watchdog  (** cycle-budget timeout ({!Timeout}) *)
   | Io  (** file-system problems ([Sys_error]) *)
+  | Memory  (** the OCaml runtime ran out of memory ([Out_of_memory]) *)
   | Internal  (** anything unclassified *)
 
 val register_component : string -> failure_class -> unit
@@ -57,13 +58,14 @@ val classify_message : string -> failure_class
 
 val classify_exn : exn -> failure_class option
 (** Classify the repository's own exceptions ({!Deepburning_error},
-    {!Timeout}, [Sys_error]); [None] for foreign exceptions. *)
+    {!Timeout}, [Sys_error]) and [Out_of_memory]; [None] for foreign
+    exceptions. *)
 
 val exit_code : failure_class -> int
 (** Stable per-class process exit codes: Internal 1, Parse 3,
-    Validation 4, Resource 5, Simulation 6, Watchdog 7, Io 8.  (0–2 stay
-    with the CLI: success, unclassified failures and lint/verify
-    findings.) *)
+    Validation 4, Resource 5, Simulation 6, Watchdog 7, Io 8, Memory 9.
+    (0–2 stay with the CLI: success, unclassified failures and
+    lint/verify findings.) *)
 
 val class_name : failure_class -> string
 (** Lower-case label, e.g. ["parse"]. *)

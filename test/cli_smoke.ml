@@ -75,6 +75,15 @@ let () =
   expect exe 8 ~stderr_has:"io-cli" [ "generate"; "-m"; "mlp"; "-o"; "." ];
   expect exe 6 ~stderr_has:"fault rate must be"
     [ "faults"; "--net"; "ann0"; "--rates"; "inf" ];
+  (* RECURRENT lowers for training and the step is priced, but the software
+     trainer the loss comparison runs cannot back-propagate through it: a
+     classified simulation failure, never an internal error. *)
+  List.iter
+    (fun (m, layer) ->
+      expect exe 6
+        ~stderr_has:(Printf.sprintf "trainer: layer \"%s\" (RECURRENT)" layer)
+        [ "train-hw"; m; "--epochs"; "1"; "--samples"; "4" ])
+    [ ("cmac", "smooth"); ("hopfield", "relax") ];
   (* A trace that cannot be written is an io failure on a passing run; on a
      failing run the run's own failure wins. *)
   let trace = [ "--trace"; "no-such-dir/t.json" ] in

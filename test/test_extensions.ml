@@ -1,6 +1,6 @@
 (* Tests for the extensions beyond the paper's minimum: the cycle-accurate
    AGU simulator, pipelined batch throughput, the training-acceleration
-   model and the LCN layer. *)
+   rows (priced by Train_sim) and the LCN layer. *)
 
 module Access_pattern = Db_mem.Access_pattern
 module Agu_sim = Db_mem.Agu_sim
@@ -88,33 +88,63 @@ let test_batch_timing () =
 
 (* --- Training model ------------------------------------------------------ *)
 
+(* One SGD step on the MNIST training accelerator at the Db budget, priced
+   phase by phase; the figures are those of pricing every fold on its own. *)
 let test_training_iteration () =
-  let design = mnist_design () in
-  let it = Db_sim.Training_sim.iteration design in
+  let b = Db_workloads.Benchmarks.find "MNIST" in
+  let tb =
+    Db_core.Train_builder.build
+      (Db_report.Experiments.constraints_for ~budget:`Db b)
+      b.Db_workloads.Benchmarks.network
+  in
+  let r = Db_sim.Train_sim.compile_trace tb in
+  let cycles (p : Db_sim.Train_sim.phase_cycles) =
+    p.Db_sim.Train_sim.pc_cycles
+  in
+  Alcotest.(check int) "ff cycles" 14_200 (cycles r.Db_sim.Train_sim.ff);
+  Alcotest.(check int) "bp cycles" 51_410 (cycles r.Db_sim.Train_sim.bp);
+  Alcotest.(check int) "up cycles" 21_712 (cycles r.Db_sim.Train_sim.up);
+  Alcotest.(check int) "spill cycles" 0 r.Db_sim.Train_sim.spill_cycles;
   Alcotest.(check bool) "backward costs more than forward" true
-    (it.Db_sim.Training_sim.backward_cycles
-    > it.Db_sim.Training_sim.forward_cycles / 2);
-  Alcotest.(check bool) "iteration = fwd+bwd+update" true
-    (it.Db_sim.Training_sim.iteration_cycles
-    = it.Db_sim.Training_sim.forward_cycles
-      + it.Db_sim.Training_sim.backward_cycles
-      + it.Db_sim.Training_sim.update_cycles);
-  Alcotest.(check bool) "samples/s positive" true
-    (it.Db_sim.Training_sim.samples_per_second > 0.0)
+    (cycles r.Db_sim.Train_sim.bp > cycles r.Db_sim.Train_sim.ff);
+  Alcotest.(check int) "step = ff + bp + up + spill"
+    (cycles r.Db_sim.Train_sim.ff + cycles r.Db_sim.Train_sim.bp
+    + cycles r.Db_sim.Train_sim.up + r.Db_sim.Train_sim.spill_cycles)
+    r.Db_sim.Train_sim.step_cycles;
+  Alcotest.(check bool) "steps/s positive" true
+    (Db_sim.Train_sim.steps_per_second tb r > 0.0)
 
-(* The SGD update sweeps every parameter at the design's own word size:
-   narrower words move fewer DRAM bytes, wider words more, while the
-   per-parameter lane beats stay put. *)
+(* The UP phase rewrites every weight at the design's own word size:
+   narrower words move fewer DRAM bytes, wider words more, over the same
+   update folds. *)
 let test_training_update_word_size () =
   let net = Db_workloads.Model_zoo.build Db_workloads.Model_zoo.mlp_prototxt in
-  List.iter
-    (fun (fmt, expected) ->
-      let cons = { Db_core.Constraints.db_medium with Db_core.Constraints.fmt } in
-      let it = Db_sim.Training_sim.iteration (Db_core.Generator.generate cons net) in
-      Alcotest.(check int)
-        (Printf.sprintf "update cycles, %d-bit words" fmt.Fixed.total_bits)
-        expected it.Db_sim.Training_sim.update_cycles)
-    [ (Fixed.q8_4, 114); (Fixed.q16_8, 177); (Fixed.q32_16, 303) ]
+  let up fmt =
+    let cons = { Db_core.Constraints.db_medium with Db_core.Constraints.fmt } in
+    (Db_sim.Train_sim.compile_trace (Db_core.Train_builder.build cons net))
+      .Db_sim.Train_sim.up
+  in
+  let phases =
+    List.map
+      (fun (fmt, expected) ->
+        let p = up fmt in
+        Alcotest.(check int)
+          (Printf.sprintf "update cycles, %d-bit words" fmt.Fixed.total_bits)
+          expected p.Db_sim.Train_sim.pc_cycles;
+        p)
+      [ (Fixed.q8_4, 1535); (Fixed.q16_8, 1616); (Fixed.q32_16, 1781) ]
+  in
+  match phases with
+  | [ p8; p16; p32 ] ->
+      Alcotest.(check bool) "UP grows with the word size" true
+        (p8.Db_sim.Train_sim.pc_cycles < p16.Db_sim.Train_sim.pc_cycles
+        && p16.Db_sim.Train_sim.pc_cycles < p32.Db_sim.Train_sim.pc_cycles);
+      Alcotest.(check int) "DRAM bytes double with the word"
+        (2 * p16.Db_sim.Train_sim.pc_dram_bytes)
+        p32.Db_sim.Train_sim.pc_dram_bytes;
+      Alcotest.(check int) "same update folds" p8.Db_sim.Train_sim.pc_folds
+        p32.Db_sim.Train_sim.pc_folds
+  | _ -> Alcotest.fail "expected three formats"
 
 let test_training_cpu_baseline () =
   let cpu = Db_baseline.Cpu_model.xeon_2_4ghz in

@@ -457,7 +457,7 @@ let test_failure_classes_distinct_codes () =
   let classes =
     [
       Error.Parse; Error.Validation; Error.Resource; Error.Simulation;
-      Error.Watchdog; Error.Io; Error.Internal;
+      Error.Watchdog; Error.Io; Error.Memory; Error.Internal;
     ]
   in
   let codes = List.map Error.exit_code classes in
@@ -469,7 +469,7 @@ let test_failure_classes_distinct_codes () =
     (fun c ->
       let code = Error.exit_code c in
       Alcotest.(check bool) "outside cmdliner range" true
-        (code >= 1 && code <= 8))
+        (code >= 1 && code <= 9))
     classes
 
 let test_classify_exn () =

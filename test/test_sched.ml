@@ -9,6 +9,11 @@ module Layer = Db_nn.Layer
 
 let dp lanes = Datapath.make ~lanes ()
 
+(* One record per fold of [Folding.fold_op_plan]'s runs. *)
+let fold_op dp op ~bottoms ~output ~node_name ~layer_index =
+  List.concat_map Folding.run_folds
+    (Folding.fold_op_plan dp op ~bottoms ~output ~node_name ~layer_index)
+
 
 let test_datapath_validation () =
   Alcotest.check_raises "zero lanes"
@@ -20,7 +25,7 @@ let test_datapath_validation () =
 
 let test_fc_folding () =
   let folds =
-    Folding.fold_op_plan (dp 4)
+    fold_op (dp 4)
       (Layer.Fc { num_output = 10; bias = true })
       ~bottoms:[ Shape.vector 6 ] ~output:(Shape.vector 10) ~node_name:"fc"
       ~layer_index:0
@@ -35,12 +40,22 @@ let test_fc_folding () =
       Alcotest.(check int) "tail macs" 12 f2.Folding.macs;
       Alcotest.(check string) "event name" "layer0-fold0" f0.Folding.event
   | _ -> Alcotest.fail "expected 3 folds");
-  Alcotest.(check int) "total macs preserved" 60 (Folding.total_macs folds)
+  Alcotest.(check int) "total macs preserved" 60 (Folding.total_macs folds);
+  (* The plan itself is two runs: the full folds, then the tail. *)
+  Alcotest.(check (list (pair int int))) "runs (lanes, count)"
+    [ (4, 2); (2, 1) ]
+    (List.map
+       (fun (r : Folding.run) ->
+         (r.Folding.fold.Folding.lanes_used, r.Folding.count))
+       (Folding.fold_op_plan (dp 4)
+          (Layer.Fc { num_output = 10; bias = true })
+          ~bottoms:[ Shape.vector 6 ] ~output:(Shape.vector 10)
+          ~node_name:"fc" ~layer_index:0))
 
 let test_conv_folding () =
   (* 8 output channels on 3 lanes: 3 folds over channels. *)
   let folds =
-    Folding.fold_op_plan (dp 3)
+    fold_op (dp 3)
       (Layer.Conv
          { num_output = 8; kernel_size = 3; stride = 1; pad = 1; group = 1; bias = true })
       ~bottoms:[ Shape.chw ~channels:2 ~height:8 ~width:8 ]
@@ -53,7 +68,7 @@ let test_conv_folding () =
 
 let test_no_fold_when_fits () =
   let folds =
-    Folding.fold_op_plan (dp 16)
+    fold_op (dp 16)
       (Layer.Fc { num_output = 10; bias = false })
       ~bottoms:[ Shape.vector 4 ] ~output:(Shape.vector 10) ~node_name:"fc"
       ~layer_index:0
@@ -65,7 +80,7 @@ let test_no_fold_when_fits () =
 
 let test_recurrent_folding () =
   let folds =
-    Folding.fold_op_plan (dp 4)
+    fold_op (dp 4)
       (Layer.Recurrent { num_output = 6; steps = 3; bias = false })
       ~bottoms:[ Shape.vector 5 ] ~output:(Shape.vector 6) ~node_name:"rec"
       ~layer_index:0
@@ -80,7 +95,7 @@ let test_recurrent_folding () =
 
 let test_pooling_folds_over_channels () =
   let folds =
-    Folding.fold_op_plan (dp 2)
+    fold_op (dp 2)
       (Layer.Pool { method_ = Layer.Max_pool; kernel_size = 2; stride = 2 })
       ~bottoms:[ Shape.chw ~channels:5 ~height:4 ~width:4 ]
       ~output:(Shape.chw ~channels:5 ~height:2 ~width:2)
@@ -138,7 +153,7 @@ let test_coordinator_fsm () =
 
 let test_fold_layer_rejects_bad_bottoms () =
   match
-    Folding.fold_op_plan (dp 2)
+    fold_op (dp 2)
       (Layer.Fc { num_output = 4; bias = true })
       ~bottoms:[] ~output:(Shape.vector 4) ~node_name:"fc" ~layer_index:0
   with
@@ -152,7 +167,7 @@ let prop_folding_conserves =
     QCheck.(triple (int_range 1 16) (int_range 1 64) (int_range 1 32))
     (fun (lanes, num_output, nin) ->
       let folds =
-        Folding.fold_op_plan (dp lanes)
+        fold_op (dp lanes)
           (Layer.Fc { num_output; bias = false })
           ~bottoms:[ Shape.vector nin ] ~output:(Shape.vector num_output)
           ~node_name:"fc" ~layer_index:0

@@ -198,6 +198,21 @@ let test_watchdog_504 () =
       Alcotest.(check int) "504" 504 status;
       Alcotest.(check bool) "watchdog class" true (contains body "watchdog"))
 
+(* Out of memory answers 507, a status no other failure class or
+   admission decision uses. *)
+let test_memory_507 () =
+  let module E = Db_util.Error in
+  Alcotest.(check int) "507" 507 (Serve.status_of_class E.Memory);
+  let others =
+    List.map Serve.status_of_class
+      [ E.Parse; E.Validation; E.Resource; E.Simulation; E.Watchdog; E.Io;
+        E.Internal ]
+  in
+  Alcotest.(check bool) "status of its own" true
+    (not (List.mem 507 (others @ [ 413; 429; 503 ])));
+  Alcotest.(check string) "reason phrase" "Insufficient Storage"
+    (Protocol.status_text 507)
+
 (* Per-client quota: more simultaneous connections than the quota from
    one client identity must produce at least one 429.  Connections are
    held open (headers sent, body withheld) so they occupy worker slots. *)
@@ -307,5 +322,6 @@ let suite =
         Alcotest.test_case "stop drains in-flight work" `Quick test_stop_drains;
         Alcotest.test_case "dropout variant is its own design" `Quick
           test_generate_dropout_variant;
+        Alcotest.test_case "out of memory is 507" `Quick test_memory_507;
       ] );
   ]

@@ -102,11 +102,12 @@ let test_schedule_phases () =
   Alcotest.(check bool) "FF folds" true (ts.Train_schedule.ff <> []);
   Alcotest.(check bool) "BP folds" true (ts.Train_schedule.bp <> []);
   Alcotest.(check bool) "UP folds" true (ts.Train_schedule.up <> []);
+  let dp = tb.Train_builder.base.Db_core.Design.datapath in
   Alcotest.(check int) "phases partition the schedule"
-    (List.length ts.Train_schedule.schedule.Db_sched.Schedule.folds)
-    (List.length ts.Train_schedule.ff
-    + List.length ts.Train_schedule.bp
-    + List.length ts.Train_schedule.up);
+    (List.length (Db_sched.Folding.fold_graph dp tb.Train_builder.tgraph))
+    (Train_schedule.fold_count ts.Train_schedule.ff
+    + Train_schedule.fold_count ts.Train_schedule.bp
+    + Train_schedule.fold_count ts.Train_schedule.up);
   (* The fold sequence never returns to an earlier phase. *)
   let rank (n : Graph.node) =
     match Train_schedule.node_phase n with
@@ -116,13 +117,16 @@ let test_schedule_phases () =
   in
   let _ =
     List.fold_left
-      (fun prev (f : Db_sched.Folding.fold) ->
+      (fun prev (run : Db_sched.Folding.run) ->
         let r =
-          rank (Graph.find_node tb.Train_builder.tgraph f.Db_sched.Folding.fold_layer)
+          rank
+            (Graph.find_node tb.Train_builder.tgraph
+               run.Db_sched.Folding.fold.Db_sched.Folding.fold_layer)
         in
         if r < prev then Alcotest.fail "phase order regressed";
         r)
-      0 ts.Train_schedule.schedule.Db_sched.Schedule.folds
+      0
+      (ts.Train_schedule.ff @ ts.Train_schedule.bp @ ts.Train_schedule.up)
   in
   ()
 
@@ -194,6 +198,133 @@ let test_trace_phases_partition_step () =
     && r.Train_sim.up.Train_sim.pc_cycles > 0);
   Alcotest.(check bool) "throughput is positive" true
     (Train_sim.steps_per_second tb r > 0.0)
+
+(* --- cycle model: pricing by runs ----------------------------------------- *)
+
+let bench_tb name ~budget =
+  let b = Db_workloads.Benchmarks.find name in
+  Train_builder.build
+    (Db_report.Experiments.constraints_for ~budget b)
+    b.Db_workloads.Benchmarks.network
+
+let phase_figures (p : Train_sim.phase_cycles) =
+  [
+    p.Train_sim.pc_cycles;
+    p.Train_sim.pc_compute_cycles;
+    p.Train_sim.pc_memory_cycles;
+    p.Train_sim.pc_dram_bytes;
+    p.Train_sim.pc_folds;
+  ]
+
+(* Each run is priced once times its count; that must equal compiling and
+   pricing every fold on its own, in every phase figure. *)
+let test_run_pricing_exact () =
+  let check label tb =
+    let dp = tb.Train_builder.base.Db_core.Design.datapath in
+    let tgraph = tb.Train_builder.tgraph in
+    let layout =
+      Db_mem.Layout.build
+        ~bytes_per_word:(Db_fixed.Fixed.word_bytes dp.Db_sched.Datapath.fmt)
+        ~port_width:dp.Db_sched.Datapath.port_words tgraph
+    in
+    let program =
+      Db_core.Compiler.compile tgraph ~datapath:dp
+        ~schedule:(Db_sched.Schedule.build dp tgraph) ~layout
+    in
+    let per_fold phase =
+      List.fold_left
+        (fun acc (p : Db_core.Compiler.fold_program) ->
+          let node =
+            Graph.find_node tgraph
+              p.Db_core.Compiler.fold.Db_sched.Folding.fold_layer
+          in
+          if Train_schedule.node_phase node <> phase then acc
+          else
+            let c = Db_sim.Perf_model.fold_cost dp p in
+            List.map2 ( + ) acc
+              [
+                c.Db_sim.Perf_model.fold_cycles;
+                c.Db_sim.Perf_model.compute_cycles;
+                c.Db_sim.Perf_model.memory_cycles;
+                c.Db_sim.Perf_model.dram_bytes;
+                1;
+              ])
+        [ 0; 0; 0; 0; 0 ] program.Db_core.Compiler.programs
+    in
+    let r = Train_sim.compile_trace tb in
+    List.iter
+      (fun (phase, p) ->
+        Alcotest.(check (list int))
+          (Printf.sprintf "%s %s" label (Train_schedule.phase_name phase))
+          (per_fold phase) (phase_figures p))
+      [
+        (Train_schedule.Ff, r.Train_sim.ff);
+        (Train_schedule.Bp, r.Train_sim.bp);
+        (Train_schedule.Up, r.Train_sim.up);
+      ]
+  in
+  check "annt" (Lazy.force tb);
+  List.iter
+    (fun (name, budget, label) -> check label (bench_tb name ~budget))
+    [
+      ("MNIST", `Db, "MNIST-Db");
+      ("Cifar", `Db_l, "Cifar-L");
+      ("ANN-1", `Db, "ANN-1-Db");
+      ("CMAC", `Db, "CMAC-Db");
+      ("Hopfield", `Db_l, "Hopfield-L");
+    ]
+
+(* The per-phase cycles of two large rows, pinned at the figures of
+   pricing every fold on its own. *)
+let test_trace_pins () =
+  List.iter
+    (fun (name, budget, label, (ff, bp, up, spill)) ->
+      let r = Train_sim.compile_trace (bench_tb name ~budget) in
+      Alcotest.(check (list int)) label [ ff; bp; up; spill ]
+        [
+          r.Train_sim.ff.Train_sim.pc_cycles;
+          r.Train_sim.bp.Train_sim.pc_cycles;
+          r.Train_sim.up.Train_sim.pc_cycles;
+          r.Train_sim.spill_cycles;
+        ])
+    [
+      ("Cifar", `Db, "Cifar-Db", (1_135_800, 11_196_089, 721_197, 5_144));
+      ( "Alexnet",
+        `Db_l,
+        "Alexnet-L",
+        (9_442_056, 458_570_971, 32_404_052, 319_559) );
+    ]
+
+(* RECURRENT trains as one FC+tanh step with its feedback weights held:
+   CMAC and Hopfield lower, build and price at both budgets. *)
+let test_recurrent_trains () =
+  List.iter
+    (fun (name, layer, grad_words, steps) ->
+      let b = Db_workloads.Benchmarks.find name in
+      let g = Db_ir.Lower.lower_training b.Db_workloads.Benchmarks.network in
+      let node n = Graph.find_node_opt g n in
+      Alcotest.(check bool) (name ^ " tanh derivative") true
+        (node ("bp_dx:" ^ layer ^ ":tanh") <> None);
+      (match node ("up:" ^ layer) with
+      | Some up ->
+          Alcotest.(check int) (name ^ " update skips the feedback weights")
+            grad_words (Shape.numel up.Graph.out_shape)
+      | None -> Alcotest.failf "%s: no update for %s" name layer);
+      List.iter2
+        (fun budget expected ->
+          let tb = bench_tb name ~budget in
+          let r = Train_sim.compile_trace tb in
+          Alcotest.(check bool) (name ^ " every phase costs cycles") true
+            (List.for_all
+               (fun (p : Train_sim.phase_cycles) -> p.Train_sim.pc_cycles > 0)
+               [ r.Train_sim.ff; r.Train_sim.bp; r.Train_sim.up ]);
+          Alcotest.(check int) (name ^ " step cycles") expected
+            r.Train_sim.step_cycles)
+        [ `Db; `Db_l ] steps)
+    [
+      ("CMAC", "smooth", (16 * 64) + 16, [ 117_779; 7_012 ]);
+      ("Hopfield", "relax", 25 * 25, [ 73_054; 7_675 ]);
+    ]
 
 (* --- functional engine: hardware SGD vs software Trainer ----------------- *)
 
@@ -428,5 +559,10 @@ let suite =
           test_branching_graph_rejected;
         Alcotest.test_case "dropout stays in the training chain" `Quick
           test_dropout_in_chain;
+        Alcotest.test_case "run pricing equals per-fold pricing" `Quick
+          test_run_pricing_exact;
+        Alcotest.test_case "trace pins" `Quick test_trace_pins;
+        Alcotest.test_case "recurrent layers train" `Quick
+          test_recurrent_trains;
       ] );
   ]

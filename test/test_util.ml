@@ -193,6 +193,21 @@ let test_json_escape () =
   Alcotest.(check string) "named escapes" {|a\"b\\c\nd\re\tf\u0001|}
     (Json.escape "a\"b\\c\nd\re\tf\001")
 
+(* The runtime's Out_of_memory is a classified failure of its own: the
+   CLI exits 9 and prints a message instead of a backtrace. *)
+let test_out_of_memory_class () =
+  let module E = Db_util.Error in
+  Alcotest.(check (option string)) "classified as memory" (Some "memory")
+    (Option.map E.class_name (E.classify_exn Out_of_memory));
+  Alcotest.(check int) "exit code" 9 (E.exit_code E.Memory);
+  Alcotest.(check bool) "code of its own" true
+    (List.for_all
+       (fun c -> E.exit_code c <> 9)
+       [ E.Parse; E.Validation; E.Resource; E.Simulation; E.Watchdog; E.Io;
+         E.Internal ]);
+  Alcotest.(check bool) "printable message" true
+    (E.message_of_exn Out_of_memory <> None)
+
 let suite =
   [
     ( "util.json",
@@ -220,5 +235,7 @@ let suite =
         Alcotest.test_case "Eq(1) exact" `Quick test_rel_accuracy_exact;
         Alcotest.test_case "Eq(1) monotone" `Quick test_rel_accuracy_degrades;
         Alcotest.test_case "error format" `Quick test_error_message;
+        Alcotest.test_case "out of memory class" `Quick
+          test_out_of_memory_class;
       ] );
   ]
