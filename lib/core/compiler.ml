@@ -209,17 +209,15 @@ let fold_program ~tiling_enabled g ~fbuf ~layout ~first_in_layer
     windows_streamed = !windows_streamed;
   }
 
-(* Along a run only the clamped transfer sizes change (the first fold's
-   resident fetch, the weight and output words near the end of their
-   regions), each non-increasing in the fold index.  So the folds whose
-   traffic equals fold [a]'s form one contiguous segment, and bisection
-   finds its end. *)
-let compile_runs ?(tiling_enabled = true) (g : Graph.t) ~datapath ~layout runs
-    =
+(* Each run with its fold count and [program k], the program of its fold
+   [k].  The walk state (the layer's first fold fetches a resident input;
+   folds walk the layer's weight region cumulatively) is fixed per run
+   here, so [program] may be called in any order. *)
+let run_programs ~tiling_enabled (g : Graph.t) ~datapath ~layout runs =
   let fbuf = datapath.Db_sched.Datapath.feature_buffer_words in
   let previous_layer = ref "" in
   let weight_cursor : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  List.concat_map
+  List.map
     (fun (run : Folding.run) ->
       let { Folding.fold; count } = run in
       let layer = fold.Folding.fold_layer in
@@ -237,9 +235,20 @@ let compile_runs ?(tiling_enabled = true) (g : Graph.t) ~datapath ~layout runs
           ~weight_offset:(base + (k * fold.Folding.weight_words))
           (Folding.nth_fold run k)
       in
-      let traffic p =
-        List.map (fun tr -> (tr.stream, tr.words, tr.seq_fraction)) p.transfers
-      in
+      (program, count))
+    runs
+
+(* Along a run only the clamped transfer sizes change (the first fold's
+   resident fetch, the weight and output words near the end of their
+   regions), each non-increasing in the fold index.  So the folds whose
+   traffic equals fold [a]'s form one contiguous segment, and bisection
+   finds its end. *)
+let compile_runs ?(tiling_enabled = true) g ~datapath ~layout runs =
+  let traffic p =
+    List.map (fun tr -> (tr.stream, tr.words, tr.seq_fraction)) p.transfers
+  in
+  List.concat_map
+    (fun (program, count) ->
       let rec segments a acc =
         if a >= count then List.rev acc
         else begin
@@ -258,18 +267,15 @@ let compile_runs ?(tiling_enabled = true) (g : Graph.t) ~datapath ~layout runs
         end
       in
       segments 0 [])
-    runs
+    (run_programs ~tiling_enabled g ~datapath ~layout runs)
 
-(* One run per fold: the same walk, one program per fold. *)
-let compile ?tiling_enabled (g : Graph.t) ~datapath ~schedule ~layout =
-  let runs =
-    List.map
-      (fun fold -> { Folding.fold; count = 1 })
-      schedule.Db_sched.Schedule.folds
-  in
+let compile ?(tiling_enabled = true) g ~datapath ~schedule ~layout =
   {
     programs =
-      List.map fst (compile_runs ?tiling_enabled g ~datapath ~layout runs);
+      List.concat_map
+        (fun (program, count) -> List.init count program)
+        (run_programs ~tiling_enabled g ~datapath ~layout
+           schedule.Db_sched.Schedule.runs);
     luts = Lut_set.of_graph datapath g;
     layout;
   }

@@ -69,6 +69,38 @@ let validate t =
       Hashtbl.add seen key ())
     t.transitions
 
+let chain ~name ~advance ~output_prefix labels =
+  let state l = "s_" ^ l and output l = output_prefix ^ l in
+  let edge ~guard from_state l =
+    { from_state; guard = Some guard; to_state = state l; actions = [ output l ] }
+  in
+  (* Tail-recursive: a coordinator has one state per fold, so the chain
+     must not be limited by the OCaml stack. *)
+  let rec link current acc = function
+    | [] ->
+        List.rev
+          ({ from_state = current; guard = Some advance; to_state = "idle";
+             actions = [] }
+          :: acc)
+    | l :: rest -> link (state l) (edge ~guard:advance current l :: acc) rest
+  in
+  let t =
+    {
+      fsm_name = name;
+      states = "idle" :: List.map state labels;
+      initial = "idle";
+      inputs = [ "start"; advance ];
+      outputs = List.map output labels;
+      transitions =
+        (match labels with
+        | [] -> []
+        | first :: rest ->
+            link (state first) [ edge ~guard:"start" "idle" first ] rest);
+    }
+  in
+  validate t;
+  t
+
 let step t ~state ~asserted =
   let candidates = List.filter (fun tr -> tr.from_state = state) t.transitions in
   let fired =

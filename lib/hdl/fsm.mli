@@ -32,6 +32,12 @@ val validate : t -> unit
     actions declared as outputs, and determinism (at most one transition per
     (state, guard) and at most one unguarded transition per state). *)
 
+val chain :
+  name:string -> advance:string -> output_prefix:string -> string list -> t
+(** The sequencer [idle → s_l1 → … → s_ln → idle] over [labels]: the first
+    step fires on input [start], every later one on [advance], and
+    entering [s_l] pulses output [output_prefix ^ l].  Validated. *)
+
 val step : t -> state:string -> asserted:string list -> string * string list
 (** One clock edge of the machine: the first transition out of [state]
     whose guard is asserted fires, otherwise the unguarded transition,

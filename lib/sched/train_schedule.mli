@@ -1,11 +1,12 @@
 (** The three-phase FF→BP→UP training schedule over a training-lowered
     graph ([Db_ir.Lower.lower_training]).
 
-    The fold runs of the training graph ({!Folding.graph_runs}) are
-    partitioned into the feed-forward (FF), back-propagation (BP) and
+    The training graph's schedule ({!Schedule.build}) is partitioned, run
+    by run, into the feed-forward (FF), back-propagation (BP) and
     weight-update (UP) phases; a phase-level FSM sequences the three
     processor sets that share the weight memories, while each phase
-    internally runs the ordinary per-fold coordinator. *)
+    internally runs the ordinary per-fold coordinator.  The phase FSM and
+    the coordinator are the same {!Db_hdl.Fsm.chain}. *)
 
 type phase = Ff | Bp | Up
 
@@ -26,9 +27,6 @@ val build : Datapath.t -> Db_ir.Graph.t -> t
     backward folds (i.e. is not training-lowered). *)
 
 val phase_runs : t -> phase -> Folding.run list
-
-val fold_count : Folding.run list -> int
-(** Folds the runs stand for. *)
 
 val phase_fsm : t -> Db_hdl.Fsm.t
 (** One state per non-empty phase (plus [idle]); input [phase_done]; each

@@ -64,3 +64,27 @@ let fold_cost dp (p : Compiler.fold_program) =
       Stdlib.max compute_cycles memory_cycles + reconfiguration_overhead_cycles;
     dram_bytes;
   }
+
+type segments_cost = {
+  cycles : int;
+  compute : int;
+  memory : int;
+  bytes : int;
+  macs : int;
+  folds : int;
+}
+
+let segments_cost dp segments =
+  List.fold_left
+    (fun acc ((p : Compiler.fold_program), n) ->
+      let c = fold_cost dp p in
+      {
+        cycles = acc.cycles + (n * c.fold_cycles);
+        compute = acc.compute + (n * c.compute_cycles);
+        memory = acc.memory + (n * c.memory_cycles);
+        bytes = acc.bytes + (n * c.dram_bytes);
+        macs = acc.macs + (n * p.Compiler.fold.Folding.macs);
+        folds = acc.folds + n;
+      })
+    { cycles = 0; compute = 0; memory = 0; bytes = 0; macs = 0; folds = 0 }
+    segments

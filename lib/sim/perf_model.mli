@@ -21,6 +21,21 @@ val reconfiguration_overhead_cycles : int
 
 val fold_cost : Db_sched.Datapath.t -> Db_core.Compiler.fold_program -> fold_cycles
 
+type segments_cost = {
+  cycles : int;
+  compute : int;  (** compute cycles *)
+  memory : int;  (** memory cycles *)
+  bytes : int;  (** DRAM bytes *)
+  macs : int;
+  folds : int;
+}
+
+val segments_cost :
+  Db_sched.Datapath.t -> (Db_core.Compiler.fold_program * int) list -> segments_cost
+(** Every [(program, n)] segment's {!fold_cost} (and MACs) [n] times,
+    summed: the one pricing loop of inference timing (one fold a segment)
+    and training traces ({!Db_core.Compiler.compile_runs} segments). *)
+
 val transfer_cycles : Db_sched.Datapath.t -> Db_core.Compiler.transfer -> int
 (** DRAM cycles of one compiled transfer at its access locality. *)
 

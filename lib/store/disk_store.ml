@@ -37,8 +37,9 @@ let magic = "DBSTORE1"
 (* 4: the Approx-LUT set (Design.t's [program.luts]) and the ROMs the
    activation and LRN units hold changed shape, and so did their RTL.
    5: [Conv]/[Fc] ops lost their activation slot, so the marshalled IR
-   inside a design changed shape under keys that did not move. *)
-let format_version = 5
+   inside a design changed shape under keys that did not move.
+   6: a design's schedule holds fold runs, not one record per fold. *)
+let format_version = 6
 
 type stats = {
   st_hits : int;
