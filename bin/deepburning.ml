@@ -944,33 +944,8 @@ let train_hw_cmd =
                 ~rng:(Db_util.Rng.create (seed + 1))
                 tb hw_params data
             in
-            if json then begin
-              let arr a =
-                String.concat ", "
-                  (List.map (Printf.sprintf "%.6g") (Array.to_list a))
-              in
-              Printf.printf "{\n  \"network\": \"%s\",\n"
-                net.Db_nn.Network.net_name;
-              Printf.printf "  \"grad_acc_bits\": %d,\n"
-                tb.Db_core.Train_builder.grad_acc_bits;
-              Printf.printf
-                "  \"ff_cycles\": %d,\n  \"bp_cycles\": %d,\n  \
-                 \"up_cycles\": %d,\n  \"spill_cycles\": %d,\n"
-                report.Db_sim.Train_sim.ff.Db_sim.Train_sim.pc_cycles
-                report.Db_sim.Train_sim.bp.Db_sim.Train_sim.pc_cycles
-                report.Db_sim.Train_sim.up.Db_sim.Train_sim.pc_cycles
-                report.Db_sim.Train_sim.spill_cycles;
-              Printf.printf "  \"step_cycles\": %d,\n"
-                report.Db_sim.Train_sim.step_cycles;
-              Printf.printf "  \"steps_per_second\": %.6g,\n" steps_s;
-              Printf.printf "  \"sw_losses\": [%s],\n"
-                (arr sw.Db_train.Trainer.losses);
-              Printf.printf "  \"hw_losses\": [%s],\n"
-                (arr hw.Db_train.Trainer.losses);
-              Printf.printf
-                "  \"sw_final_loss\": %.6g,\n  \"hw_final_loss\": %.6g\n}\n"
-                sw.Db_train.Trainer.final_loss hw.Db_train.Trainer.final_loss
-            end
+            if json then
+              print_string (Db_sim.Train_sim.render_json tb report ~sw ~hw)
             else begin
               Format.printf "%a" Db_core.Train_builder.pp_summary tb;
               Format.printf "%a" Db_sim.Train_sim.pp_cycles report;

@@ -365,9 +365,9 @@ let build_rtl network datapath ~block_set ~program =
   design
 
 (* Lower the frontend network once, stamped with the datapath format; the
-   whole generation pipeline consumes this graph.  Generation uses the raw
-   (unoptimized) lowering so the schedule matches the network one-to-one;
-   the optimization passes feed the CLI, the cache key and the tests. *)
+   whole generation pipeline (config search, schedule, compilation, RTL)
+   consumes this one graph, so the schedule matches the network node for
+   node. *)
 let lower_for_generation cons network =
   Db_obs.Obs.with_span "lower" (fun () ->
       let ir = Db_ir.Lower.lower ~fmt:cons.Constraints.fmt network in

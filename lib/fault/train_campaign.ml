@@ -189,7 +189,7 @@ let render_json r =
             Printf.sprintf
               "    {\"label\": \"%s\", \"class\": \"%s\", \"word\": %d, \
                \"bit\": %d, \"final_loss\": %.6g, \"outcome\": \"%s\"}"
-              t.t_label
+              (Db_util.Minijson.escape t.t_label)
               (Site.class_name t.t_class)
               t.t_word t.t_bit t.t_final_loss
               (outcome_name t.t_outcome))

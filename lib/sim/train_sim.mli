@@ -41,6 +41,15 @@ val steps_per_second :
 
 val pp_cycles : Format.formatter -> cycle_report -> unit
 
+val render_json :
+  Db_core.Train_builder.t ->
+  cycle_report ->
+  sw:Db_train.Trainer.history ->
+  hw:Db_train.Trainer.history ->
+  string
+(** [train-hw --json]: the step's cycles and steps/s, and the software
+    and on-chip SGD loss trajectories. *)
+
 type injection =
   | Grad_bit_flip of { node : string; word : int; bit : int }
       (** flip one bit of the named layer's batch-gradient accumulator

@@ -339,71 +339,3 @@ let suite =
         Alcotest.test_case "avg pool shift" `Quick test_quantized_avg_pool_shift;
       ] );
   ]
-
-(* --- Builder (appended suite) ---------------------------------------------- *)
-
-let test_builder_chain () =
-  let net =
-    Db_nn.Builder.(
-      input (Shape.chw ~channels:1 ~height:16 ~width:16)
-      |> conv ~num_output:8 ~kernel_size:5 ~pad:2
-      |> relu
-      |> max_pool ~kernel_size:2 ~stride:2
-      |> lrn ~local_size:3
-      |> fc ~num_output:10
-      |> softmax
-      |> build ~name:"built")
-  in
-  Alcotest.(check int) "layer count" 6 (Network.layer_count net);
-  let shapes = Db_nn.Shape_infer.infer net in
-  Alcotest.(check string) "output shape" "10"
-    (Shape.to_string
-       (Db_nn.Shape_infer.blob_shape shapes (List.hd (Network.output_blobs net))))
-
-let test_builder_equivalent_to_import () =
-  (* A builder network and the prototxt form of the same topology agree
-     layer-for-layer. *)
-  let built =
-    Db_nn.Builder.(
-      input (Shape.vector 4)
-      |> fc ~num_output:8 |> sigmoid |> fc ~num_output:2
-      |> build ~name:"b")
-  in
-  let imported =
-    Caffe.import_string
-      (Db_workloads.Model_zoo.ann_prototxt ~name:"b" ~inputs:4 ~hidden1:8
-         ~hidden2:8 ~outputs:2)
-  in
-  (* Not identical (the prototxt has two hidden layers) — but both pass
-     validation and generate. *)
-  let gen net =
-    Db_core.Generator.generate
-      (Db_core.Constraints.with_dsp_cap Db_core.Constraints.db_medium 2)
-      net
-  in
-  Alcotest.(check int) "built generates at 2 lanes" 2 (Db_core.Design.lanes (gen built));
-  Alcotest.(check int) "imported generates at 2 lanes" 2 (Db_core.Design.lanes (gen imported))
-
-let test_builder_recurrent_assoc () =
-  let net =
-    Db_nn.Builder.(
-      input (Shape.vector 2)
-      |> associative ~cells_per_dim:16 ~active_cells:3
-      |> recurrent ~num_output:8 ~steps:2
-      |> fc ~num_output:2 |> sigmoid
-      |> build ~name:"cmacish")
-  in
-  let d = Db_nn.Model_stats.decompose net in
-  Alcotest.(check bool) "associative" true d.Db_nn.Model_stats.has_associative;
-  Alcotest.(check bool) "recurrent" true d.Db_nn.Model_stats.has_recurrent
-
-let suite =
-  suite
-  @ [
-      ( "nn.builder",
-        [
-          Alcotest.test_case "chain" `Quick test_builder_chain;
-          Alcotest.test_case "generates" `Quick test_builder_equivalent_to_import;
-          Alcotest.test_case "recurrent/assoc" `Quick test_builder_recurrent_assoc;
-        ] );
-    ]

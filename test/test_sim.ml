@@ -37,6 +37,59 @@ let test_per_layer_sums_to_total () =
   in
   Alcotest.(check int) "sum" report.Simulator.total_cycles sum
 
+(* Every zoo design: the per-layer report equals [Perf_model.fold_cost]
+   summed fold by fold over the compiled programs, and the schedule's runs
+   stand for one trigger event per fold. *)
+let test_zoo_timing_per_fold () =
+  List.iter
+    (fun (name, model) ->
+      let design =
+        Generator.generate Constraints.db_medium (Db_nn.Caffe.import_string model)
+      in
+      let dp = design.Design.datapath in
+      let rows = ref [] in
+      List.iter
+        (fun (p : Db_core.Compiler.fold_program) ->
+          let c = Perf_model.fold_cost dp p in
+          let layer = p.Db_core.Compiler.fold.Db_sched.Folding.fold_layer in
+          let add = function
+            | [ cyc; cmp; mem; bytes; folds; macs ] ->
+                [
+                  cyc + c.Perf_model.fold_cycles;
+                  cmp + c.Perf_model.compute_cycles;
+                  mem + c.Perf_model.memory_cycles;
+                  bytes + c.Perf_model.dram_bytes;
+                  folds + 1;
+                  macs + p.Db_core.Compiler.fold.Db_sched.Folding.macs;
+                ]
+            | _ -> assert false
+          in
+          rows :=
+            match !rows with
+            | (l, sums) :: rest when l = layer -> (l, add sums) :: rest
+            | rows -> (layer, add [ 0; 0; 0; 0; 0; 0 ]) :: rows)
+        design.Design.program.Db_core.Compiler.programs;
+      Alcotest.(check (list (pair string (list int))))
+        (name ^ " per-layer cycles, folds, MACs")
+        (List.rev !rows)
+        (List.map
+           (fun (l : Simulator.layer_report) ->
+             ( l.Simulator.lr_layer,
+               [
+                 l.Simulator.lr_cycles;
+                 l.Simulator.lr_compute_cycles;
+                 l.Simulator.lr_memory_cycles;
+                 l.Simulator.lr_dram_bytes;
+                 l.Simulator.lr_folds;
+                 l.Simulator.lr_macs;
+               ] ))
+           (Simulator.timing design).Simulator.per_layer);
+      let s = design.Design.schedule in
+      Alcotest.(check int) (name ^ " one event per fold")
+        (Db_sched.Schedule.fold_count s)
+        (List.length (Db_sched.Schedule.events s)))
+    Db_workloads.Model_zoo.named
+
 let test_more_lanes_faster () =
   let net = Db_workloads.Model_zoo.build Db_workloads.Model_zoo.mnist_prototxt in
   let t cap = (Simulator.timing (design_of ~dsp_cap:cap net)).Simulator.seconds in
@@ -126,6 +179,8 @@ let suite =
         Alcotest.test_case "per-layer sums" `Quick test_per_layer_sums_to_total;
         Alcotest.test_case "lanes scale" `Quick test_more_lanes_faster;
         Alcotest.test_case "compute/memory overlap" `Quick test_fold_cost_overlap;
+        Alcotest.test_case "zoo timing = per-fold sums" `Quick
+          test_zoo_timing_per_fold;
       ] );
     ( "sim.function",
       [
