@@ -357,6 +357,24 @@ let test_playback_catches_corruption () =
   Alcotest.(check bool) "violations detected" true
     (r.Db_sim.Control_playback.violations <> [])
 
+(* Every zoo design at the default constraint script, the largest
+   included: the coordinator replays one pulse per fold and every AGU
+   address stays inside its layout region. *)
+let test_playback_zoo () =
+  List.iter
+    (fun (name, model) ->
+      let design =
+        Db_core.Generator.generate_from_script ~model
+          ~constraint_script:Db_serve.Serve.default_constraint_script ()
+      in
+      let r = Db_sim.Control_playback.playback design in
+      Alcotest.(check (list string)) (name ^ " violations") []
+        r.Db_sim.Control_playback.violations;
+      Alcotest.(check int) (name ^ " folds executed")
+        (Db_sched.Schedule.fold_count design.Db_core.Design.schedule)
+        r.Db_sim.Control_playback.folds_executed)
+    Db_workloads.Model_zoo.named
+
 let suite =
   suite
   @ [
@@ -364,6 +382,7 @@ let suite =
         [
           Alcotest.test_case "benchmarks memory-safe" `Quick test_playback_small_benchmarks;
           Alcotest.test_case "detects corruption" `Quick test_playback_catches_corruption;
+          Alcotest.test_case "zoo replays every fold" `Slow test_playback_zoo;
         ] );
     ]
 
