@@ -458,7 +458,7 @@ let analyze_machine add (m : Rtl.module_decl) (f : Fsm.t) =
     (fun i -> if not (List.mem i guards) then add (unread_input m.Rtl.mod_name i))
     f.Fsm.inputs
 
-let design ?(fsms = []) (d : Rtl.design) =
+let design (d : Rtl.design) =
   let acc = ref [] in
   let add dg = acc := dg :: !acc in
   let scans =
@@ -479,7 +479,6 @@ let design ?(fsms = []) (d : Rtl.design) =
       | Rtl.Structural { nets; instances; assigns } ->
           analyze_structural d add comb_of m nets instances assigns)
     d.Rtl.modules;
-  List.iter (fun f -> List.iter add (fsm f)) fsms;
   D.sort (List.rev !acc)
 
 (* The emitted text: balanced constructs and a closed module graph,
@@ -491,8 +490,8 @@ let verilog (d : Rtl.design) =
         (Printf.sprintf "emitted Verilog line %d: %s" line message))
     (Lint.check (Db_hdl.Verilog.emit_design d))
 
-let assert_no_errors ?(strict = false) ?(fsms = []) d =
-  let diags = design ~fsms d in
+let assert_no_errors ?(strict = false) d =
+  let diags = design d in
   let diags = if strict then D.strictify diags else diags in
   match D.errors diags with
   | [] -> ()

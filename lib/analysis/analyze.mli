@@ -46,12 +46,10 @@ val code_fsm_sink : string
 val code_implicit_net : string
 val code_unused_input : string
 
-val design :
-  ?fsms:Db_hdl.Fsm.t list -> Db_hdl.Rtl.design -> Diagnostic.t list
-(** Analyze every module of a design, plus the given FSMs: machines whose
-    RTL is not a [Machine] module, so the design does not expose their
-    graph.  Each template leaf is stripped and tokenised once.  Diagnostics
-    come back sorted errors-first. *)
+val design : Db_hdl.Rtl.design -> Diagnostic.t list
+(** Analyze every module of a design; [Machine] modules are checked as
+    graphs ({!fsm}).  Each template leaf is stripped and tokenised once.
+    Diagnostics come back sorted errors-first. *)
 
 val verilog : Db_hdl.Rtl.design -> Diagnostic.t list
 (** [DB-E008] findings: {!Db_hdl.Lint.check} over the emitted Verilog.
@@ -61,7 +59,6 @@ val verilog : Db_hdl.Rtl.design -> Diagnostic.t list
 val fsm : Db_hdl.Fsm.t -> Diagnostic.t list
 (** Analyze a single FSM: validation, unreachable states, sink states. *)
 
-val assert_no_errors :
-  ?strict:bool -> ?fsms:Db_hdl.Fsm.t list -> Db_hdl.Rtl.design -> unit
+val assert_no_errors : ?strict:bool -> Db_hdl.Rtl.design -> unit
 (** Raise [Deepburning_error] if the design has any error-severity finding
     ([?strict] promotes warnings first). *)

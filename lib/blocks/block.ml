@@ -14,7 +14,7 @@ type kind =
   | Connection_box of { in_ports : int; out_ports : int; shift_latch : bool }
   | Classifier_ksorter of { k : int; fan_in : int }
   | Agu of { agu_kind : agu_kind; pattern_count : int; addr_bits : int }
-  | Coordinator of { n_states : int; n_signals : int }
+  | Coordinator of { fsm : Db_hdl.Fsm.t }
   | Feature_buffer of { words : int; port_words : int }
   | Weight_buffer of { words : int; port_words : int }
   | Transpose_port of { rows : int; cols : int }
@@ -45,8 +45,7 @@ let validate_kind = function
   | Agu { pattern_count; addr_bits; _ } ->
       if pattern_count <= 0 || addr_bits <= 0 then
         fail "AGU needs positive pattern count and address width"
-  | Coordinator { n_states; n_signals } ->
-      if n_states <= 0 || n_signals < 0 then fail "coordinator needs states"
+  | Coordinator { fsm } -> Db_hdl.Fsm.validate fsm
   | Feature_buffer { words; port_words } | Weight_buffer { words; port_words } ->
       if words <= 0 || port_words <= 0 then fail "buffer needs positive sizes"
   | Transpose_port { rows; cols } ->
@@ -128,8 +127,15 @@ let resource t =
         ~luts:((pattern_count * addr_bits * 2) + (addr_bits * 4))
         ~ffs:((addr_bits * 3) + (pattern_count * 2))
         ()
-  | Coordinator { n_states; n_signals } ->
-      Resource.make ~luts:((n_states * 3) + (n_signals * 2)) ~ffs:(n_states + n_signals) ()
+  | Coordinator { fsm } ->
+      (* one-hot state register, registered output pulses, and the
+         position counter with its increment and compare *)
+      let states = List.length fsm.Db_hdl.Fsm.states
+      and outputs = List.length fsm.Db_hdl.Fsm.outputs
+      and counter = Db_hdl.Fsm.counter_bits fsm in
+      Resource.make
+        ~luts:((states * 3) + (outputs * 2) + (counter * 2))
+        ~ffs:(states + outputs + counter) ()
   | Feature_buffer { words; port_words } | Weight_buffer { words; port_words } ->
       Resource.make ~luts:(port_words * 8) ~ffs:(port_words * w)
         ~bram_bits:(words * w) ()
@@ -202,8 +208,7 @@ let to_module t =
         | Weight_agu -> "weight AGU"
       in
       Templates.agu ~name ~kind_label ~pattern_count ~addr_bits
-  | Coordinator { n_states; n_signals } ->
-      Templates.coordinator ~name ~n_states ~n_signals
+  | Coordinator { fsm } -> { (Db_hdl.Rtl.of_fsm fsm) with Db_hdl.Rtl.mod_name = name }
   | Feature_buffer { words; port_words } | Weight_buffer { words; port_words } ->
       Templates.buffer ~name ~fmt ~words ~port_words
   | Transpose_port { rows; cols } ->

@@ -39,7 +39,9 @@ type kind =
   | Connection_box of { in_ports : int; out_ports : int; shift_latch : bool }
   | Classifier_ksorter of { k : int; fan_in : int }
   | Agu of { agu_kind : agu_kind; pattern_count : int; addr_bits : int }
-  | Coordinator of { n_states : int; n_signals : int }
+  | Coordinator of { fsm : Db_hdl.Fsm.t }
+      (** the schedule's run-level machine, emitted through
+          {!Db_hdl.Rtl.of_fsm} *)
   | Feature_buffer of { words : int; port_words : int }
   | Weight_buffer of { words : int; port_words : int }
   | Transpose_port of { rows : int; cols : int }

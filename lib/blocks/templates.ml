@@ -315,28 +315,6 @@ let agu ~name ~kind_label ~pattern_count ~addr_bits =
       "assign done_pulse = running && (&cursor_x);";
     ]
 
-let coordinator ~name ~n_states ~n_signals =
-  behavioural name
-    (clk_rst
-    @ [
-        in_port "fold_done" 1;
-        out_port "reconfigure" (Stdlib.max 1 n_signals);
-        out_port "phase" (Stdlib.max 1 n_states);
-      ])
-    [ ("STATES", n_states); ("SIGNALS", n_signals) ]
-    [
-      "// data-driven scheduling: links producer blocks to consumer blocks";
-      "// at pre-determined beats (one-hot phase register)";
-      Printf.sprintf "reg [%d:0] state;" (Stdlib.max 1 n_states - 1);
-      "always @(posedge clk) begin";
-      "  if (rst) state <= 1;";
-      "  else if (fold_done) state <= {state, 1'b0} | {state[0+:1], 1'b0};";
-      "end";
-      "assign phase = state;";
-      Printf.sprintf "assign reconfigure = state[%d:0];"
-        (Stdlib.max 1 n_signals - 1);
-    ]
-
 let transpose_port ~name ~fmt ~rows ~cols =
   let w = word fmt in
   let addr_bits =

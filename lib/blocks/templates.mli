@@ -61,9 +61,6 @@ val agu :
   addr_bits:int ->
   Db_hdl.Rtl.module_decl
 
-val coordinator :
-  name:string -> n_states:int -> n_signals:int -> Db_hdl.Rtl.module_decl
-
 val buffer :
   name:string ->
   fmt:Db_fixed.Fixed.format ->

@@ -158,10 +158,7 @@ let build ?acc_bits (g : Graph.t) dp ~schedule ~layout =
   push
     (mk "coordinator"
        (Block.Coordinator
-          {
-            n_states = 1 + Db_sched.Schedule.fold_count schedule;
-            n_signals = Db_sched.Schedule.fold_count schedule;
-          }));
+          { fsm = Db_sched.Schedule.coordinator_fsm schedule }));
   push
     (mk "feature_buffer"
        (Block.Feature_buffer

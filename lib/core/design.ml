@@ -16,14 +16,7 @@ let lanes t = t.datapath.Db_sched.Datapath.lanes
 
 let verilog t = Db_hdl.Verilog.emit_design t.rtl
 
-let analysis_fsms t =
-  let bodies = List.map (fun m -> m.Db_hdl.Rtl.body) t.rtl.Db_hdl.Rtl.modules in
-  List.filter
-    (fun f -> not (List.mem (Db_hdl.Rtl.Machine f) bodies))
-    (Compiler.agu_pattern_fsms t.program
-    @ [ Db_sched.Schedule.coordinator_fsm t.schedule ])
-
-let analyze t = Db_analysis.Analyze.design ~fsms:(analysis_fsms t) t.rtl
+let analyze t = Db_analysis.Analyze.design t.rtl
 
 let power t =
   Db_fpga.Power.accelerator_power

@@ -21,16 +21,11 @@ val lanes : t -> int
 val verilog : t -> string
 (** The full Verilog text of the generated accelerator. *)
 
-val analysis_fsms : t -> Db_hdl.Fsm.t list
-(** The design's machines that are not [Machine] modules of its RTL: the
-    coordinator (its RTL is a template leaf) and any AGU pattern machines
-    past the generator's cap.  The analyzer checks these as bare graphs. *)
-
 val analyze : t -> Db_analysis.Diagnostic.t list
-(** Run the semantic static analyzer ({!Db_analysis.Analyze}) over the RTL,
-    whose [Machine] modules are checked in place, plus {!analysis_fsms}.
-    Each machine is checked once.  Sorted errors-first; empty for a healthy
-    design. *)
+(** Run the semantic static analyzer ({!Db_analysis.Analyze}) over the RTL.
+    Every machine of the design, the coordinator and each AGU pattern
+    FSM, is a [Machine] module of it and is checked there, once.  Sorted
+    errors-first; empty for a healthy design. *)
 
 val power : t -> Db_fpga.Power.t
 (** Board power while the accelerator runs (device static + dynamic of the

@@ -27,7 +27,7 @@ let canonical_module_name (b : Block.t) =
         | Block.Data_agu -> "data_agu"
         | Block.Weight_agu -> "weight_agu")
         pattern_count addr_bits
-  | Block.Coordinator { n_states; _ } -> Printf.sprintf "coordinator_%d" n_states
+  | Block.Coordinator { fsm } -> fsm.Db_hdl.Fsm.fsm_name
   | Block.Feature_buffer { words; port_words } ->
       Printf.sprintf "feature_buffer_%dx%d" words port_words
   | Block.Weight_buffer { words; port_words } ->
@@ -101,11 +101,20 @@ let build_rtl network datapath ~block_set ~program =
   let main_addr_bits = agu_addr_bits Block.Main_agu in
   let data_addr_bits = agu_addr_bits Block.Data_agu in
   let weight_addr_bits = agu_addr_bits Block.Weight_agu in
-  let coord_phase_bits =
-    Option.value ~default:1
-      (find_kind (function
-        | Block.Coordinator { n_states; _ } -> Some (Stdlib.max 1 n_states)
-        | _ -> None))
+  (* The coordinator's output pulses, one per fold run, on the nets its
+     instance drives. *)
+  let coordinator_nets =
+    Option.value ~default:[]
+      (List.find_map
+         (fun (b : Block.t) ->
+           match b.Block.kind with
+           | Block.Coordinator { fsm } ->
+               Some
+                 (List.map
+                    (fun o -> b.Block.block_name ^ "_" ^ o)
+                    fsm.Db_hdl.Fsm.outputs)
+           | _ -> None)
+         block_set.Block_set.blocks)
   in
   let ksorter_bits =
     find_kind (function
@@ -137,13 +146,8 @@ let build_rtl network datapath ~block_set ~program =
         Db_blocks.Approx_lut.to_module tb.Lut_set.lut ~fmt:datapath.Datapath.fmt)
       program.Compiler.luts.Lut_set.tables
   in
-  (* A bounded selection of AGU pattern FSMs lowered to RTL (the rest share
-     the same shapes by construction). *)
-  let pattern_fsms =
-    let all = Compiler.agu_pattern_fsms program in
-    List.filteri (fun i _ -> i < 48) all
-  in
-  let fsm_modules = List.map Rtl.of_fsm pattern_fsms in
+  (* Every AGU pattern FSM, one per distinct shape, lowered to RTL. *)
+  let fsm_modules = List.map Rtl.of_fsm (Compiler.agu_pattern_fsms program) in
   (* Top-level nets. *)
   let nets = ref [] in
   let declare name width =
@@ -220,7 +224,8 @@ let build_rtl network datapath ~block_set ~program =
             fit "accum_bus" ~from_width:(lanes * dp_w) ~to_width:width
         | Block.Connection_box _, "out_bus" -> "xbar_bus"
         | Block.Connection_box _, "select" ->
-            fit "coordinator_phase" ~from_width:coord_phase_bits ~to_width:width
+            concat_bits coordinator_nets ~width
+        | Block.Coordinator _, "start" -> "start"
         | Block.Connection_box _, "shift_amount" -> "4'd2"
         | Block.Connection_box _, "shifted" -> y_net "shifted" width
         | Block.Classifier_ksorter _, "scores" ->
@@ -274,12 +279,7 @@ let build_rtl network datapath ~block_set ~program =
           connections = connections_for m ~bus_of;
         })
     fsm_modules;
-  let top_name =
-    "accelerator_"
-    ^ String.map
-        (fun c -> if c = '-' || c = ' ' then '_' else c)
-        network.Db_nn.Network.net_name
-  in
+  let top_name = Rtl.identifier ("accelerator_" ^ network.Db_nn.Network.net_name) in
   (* The post-activation bus carries whichever per-unit results exist; a
      design with no activation/LRN/dropout stage forwards the crossbar. *)
   let post_act_rhs =
@@ -311,7 +311,11 @@ let build_rtl network datapath ~block_set ~program =
       ( "fold_done",
         "main_agu_done_pulse & data_agu_done_pulse & weight_agu_done_pulse" );
       ("lane_valid", "data_agu_addr_valid & weight_agu_addr_valid");
-      ("lane_clear", "fold_done | coordinator_reconfigure[0]");
+      (* the lanes clear between folds and when the first run starts *)
+      ( "lane_clear",
+        match coordinator_nets with
+        | first :: _ -> "fold_done | " ^ first
+        | [] -> "fold_done" );
       (* on-chip buffer read ports feed the lane input buses *)
       ( "feature_bus",
         fit "feature_buffer_rd_data" ~from_width:(port_words * dp_w)

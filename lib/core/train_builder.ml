@@ -166,10 +166,7 @@ let build_train_rtl net_name ~blocks ~phase_fsm =
       connections = connections fsm_module ~inst:fsm_module.Rtl.mod_name;
     }
     :: !instances;
-  let top_name =
-    "train_"
-    ^ String.map (fun c -> if c = '-' || c = ' ' then '_' else c) net_name
-  in
+  let top_name = Rtl.identifier ("train_" ^ net_name) in
   let top =
     {
       Rtl.mod_name = top_name;

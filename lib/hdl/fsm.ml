@@ -12,6 +12,7 @@ type t = {
   inputs : string list;
   outputs : string list;
   transitions : transition list;
+  counts : (string * int) list;
 }
 
 let fail fmt = Db_util.Error.failf_at ~component:"fsm" fmt
@@ -41,8 +42,8 @@ let validate t =
       if List.mem i t.outputs then
         fail "%s: %S declared as both input and output" t.fsm_name i)
     t.inputs;
-  (* Hash sets for guard/action membership keep validation linear even for
-     coordinator machines with one output per fold. *)
+  (* Hash sets for guard/action membership keep validation linear in the
+     machine's size. *)
   let input_set = Hashtbl.create 16 and output_set = Hashtbl.create 16 in
   List.iter (fun i -> Hashtbl.replace input_set i ()) t.inputs;
   List.iter (fun o -> Hashtbl.replace output_set o ()) t.outputs;
@@ -67,15 +68,30 @@ let validate t =
         fail "%s: nondeterministic transitions out of %S" t.fsm_name
           tr.from_state;
       Hashtbl.add seen key ())
-    t.transitions
+    t.transitions;
+  let counted = Hashtbl.create 16 in
+  List.iter
+    (fun (s, n) ->
+      if not (Hashtbl.mem state_set s) then
+        fail "%s: count for unknown state %S" t.fsm_name s;
+      if Hashtbl.mem counted s then
+        fail "%s: duplicate count for state %S" t.fsm_name s;
+      if n < 1 then fail "%s: state %S counts %d pulses" t.fsm_name s n;
+      Hashtbl.add counted s ())
+    t.counts
+
+let count t s = Option.value ~default:1 (List.assoc_opt s t.counts)
+
+let counter_bits t =
+  let largest = List.fold_left (fun m (_, n) -> Stdlib.max m n) 1 t.counts in
+  let rec bits b = if 1 lsl b >= largest then b else bits (b + 1) in
+  bits 0
 
 let chain ~name ~advance ~output_prefix labels =
   let state l = "s_" ^ l and output l = output_prefix ^ l in
   let edge ~guard from_state l =
     { from_state; guard = Some guard; to_state = state l; actions = [ output l ] }
   in
-  (* Tail-recursive: a coordinator has one state per fold, so the chain
-     must not be limited by the OCaml stack. *)
   let rec link current acc = function
     | [] ->
         List.rev
@@ -84,24 +100,29 @@ let chain ~name ~advance ~output_prefix labels =
           :: acc)
     | l :: rest -> link (state l) (edge ~guard:advance current l :: acc) rest
   in
+  let names = List.map fst labels in
   let t =
     {
       fsm_name = name;
-      states = "idle" :: List.map state labels;
+      states = "idle" :: List.map state names;
       initial = "idle";
       inputs = [ "start"; advance ];
-      outputs = List.map output labels;
+      outputs = List.map output names;
       transitions =
-        (match labels with
+        (match names with
         | [] -> []
         | first :: rest ->
             link (state first) [ edge ~guard:"start" "idle" first ] rest);
+      counts =
+        List.filter_map
+          (fun (l, n) -> if n = 1 then None else Some (state l, n))
+          labels;
     }
   in
   validate t;
   t
 
-let step t ~state ~asserted =
+let step t ~state:(state, position) ~asserted =
   let candidates = List.filter (fun tr -> tr.from_state = state) t.transitions in
   let fired =
     match
@@ -116,8 +137,9 @@ let step t ~state ~asserted =
     | None -> List.find_opt (fun tr -> tr.guard = None) candidates
   in
   match fired with
-  | Some tr -> (tr.to_state, tr.actions)
-  | None -> (state, [])
+  | Some _ when position + 1 < count t state -> ((state, position + 1), [])
+  | Some tr -> ((tr.to_state, 0), tr.actions)
+  | None -> ((state, position), [])
 
 let run t ~asserted =
   let rec go state inputs acc =
@@ -127,11 +149,10 @@ let run t ~asserted =
         let next, actions = step t ~state ~asserted:cycle in
         go next rest ((next, actions) :: acc)
   in
-  go t.initial asserted []
+  go (t.initial, 0) asserted []
 
 let reachable_states t =
-  (* Precomputed adjacency and an explicit worklist: coordinator machines
-     have one state per fold, so this must stay linear in states +
+  (* Precomputed adjacency and an explicit worklist: linear in states +
      transitions and independent of the OCaml stack. *)
   let succ = Hashtbl.create 64 in
   List.iter (fun tr -> Hashtbl.add succ tr.from_state tr.to_state) t.transitions;
@@ -167,13 +188,16 @@ let reset = "rst"
 let lower t =
   validate t;
   let state_width = Stdlib.max 1 (List.length t.states) in
+  let counter = counter_bits t in
   let lines = ref [] in
   let emit fmt = Printf.ksprintf (fun s -> lines := s :: !lines) fmt in
   emit "reg [%d:0] state;" (state_width - 1);
+  if counter > 0 then emit "reg [%d:0] position;" (counter - 1);
   List.iter (fun o -> emit "reg %s;" o) t.outputs;
   emit "always @(posedge %s) begin" clock;
   emit "  if (%s) begin" reset;
   emit "    state <= %s;" (state_const t.states t.initial);
+  if counter > 0 then emit "    position <= %d'd0;" counter;
   List.iter (fun o -> emit "    %s <= 1'b0;" o) t.outputs;
   emit "  end else begin";
   List.iter (fun o -> emit "    %s <= 1'b0;" o) t.outputs;
@@ -188,14 +212,25 @@ let lower t =
         emit "%sstate <= %s;" indent (state_const t.states tr.to_state);
         List.iter (fun a -> emit "%s%s <= 1'b1;" indent a) tr.actions
       in
+      (* A counted state leaves on the last of its [n] firings and
+         advances [position] on the others. *)
+      let emit_fire indent tr =
+        match count t s with
+        | 1 -> emit_actions indent tr
+        | n ->
+            emit "%sif (position == %d'd%d) begin" indent counter (n - 1);
+            emit "%s  position <= %d'd0;" indent counter;
+            emit_actions (indent ^ "  ") tr;
+            emit "%send else position <= position + 1'b1;" indent
+      in
       let rec emit_guards first = function
         | [] -> begin
             match unguarded with
             | Some tr ->
-                if first then emit_actions "        " tr
+                if first then emit_fire "        " tr
                 else begin
                   emit "        else begin";
-                  emit_actions "          " tr;
+                  emit_fire "          " tr;
                   emit "        end"
                 end
             | None -> ()
@@ -203,7 +238,7 @@ let lower t =
         | tr :: rest ->
             let g = Option.get tr.guard in
             emit "        %s (%s) begin" (if first then "if" else "else if") g;
-            emit_actions "          " tr;
+            emit_fire "          " tr;
             emit "        end";
             emit_guards false rest
       in

@@ -47,15 +47,12 @@ let find_module design name =
 
 let is_identifier s =
   s <> ""
-  && (let ok = ref true in
-      String.iteri
-        (fun i c ->
-          let alpha = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' in
-          let digit = c >= '0' && c <= '9' in
-          if i = 0 then begin if not alpha then ok := false end
-          else if not (alpha || digit) then ok := false)
-        s;
-      !ok)
+  && String.for_all Lint.is_word_char s
+  && not (s.[0] >= '0' && s.[0] <= '9')
+
+let identifier s =
+  let mapped = String.map (fun c -> if Lint.is_word_char c then c else '_') s in
+  if is_identifier mapped then mapped else "_" ^ mapped
 
 let validate design =
   let names = List.map (fun m -> m.mod_name) design.modules in
@@ -67,6 +64,11 @@ let validate design =
     names;
   if not (Hashtbl.mem tbl design.top) then
     fail "top module %S is not declared" design.top;
+  List.iter
+    (fun n ->
+      if not (is_identifier n) then
+        fail "module name %S is not a Verilog identifier" n)
+    names;
   List.iter
     (fun m ->
       match m.body with

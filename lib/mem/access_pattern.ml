@@ -160,19 +160,13 @@ let to_fsm t =
     {
       (* Pattern names carry layer/fold markers such as "layer0-fold0_feat";
          module names must stay legal Verilog identifiers. *)
-      Db_hdl.Fsm.fsm_name =
-        "agu_"
-        ^ String.map
-            (fun c ->
-              match c with
-              | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '$' -> c
-              | _ -> '_')
-            t.pattern_name;
+      Db_hdl.Fsm.fsm_name = Db_hdl.Rtl.identifier ("agu_" ^ t.pattern_name);
       states;
       initial = "idle";
       inputs = [ "trigger"; "row_done"; "all_rows_done"; "all_blocks_done" ];
       outputs = [ "addr_valid"; "done_pulse" ];
       transitions;
+      counts = [];
     }
   in
   Db_hdl.Fsm.validate fsm;

@@ -25,8 +25,13 @@ let by_layer runs = Folding.by_layer (fun r -> r.Folding.fold) runs
 let reconfigurations t = Stdlib.max 0 (List.length (by_layer t.runs) - 1)
 
 let coordinator_fsm t =
-  Db_hdl.Fsm.chain ~name:("coordinator_" ^ t.net_name) ~advance:"fold_done"
-    ~output_prefix:"ev_" (events t)
+  Db_hdl.Fsm.chain
+    ~name:(Db_hdl.Rtl.identifier ("coordinator_" ^ t.net_name))
+    ~advance:"fold_done" ~output_prefix:"ev_"
+    (List.map
+       (fun r ->
+         (Db_hdl.Rtl.identifier r.Folding.fold.Folding.event, r.Folding.count))
+       t.runs)
 
 let pp_totals fmt ~width label runs =
   Format.fprintf fmt "  %-*s folds=%-6d macs=%-12d ops=%d@." width label

@@ -5,9 +5,9 @@
 
     The inference schedule and the training phases ({!Train_schedule}) are
     the same run list.  The context buffer's pattern-trigger events are
-    exactly the fold events; the coordinator advances one state per
-    [fold_done] pulse, so it and {!events} are the only per-fold
-    expansions. *)
+    exactly the fold events; {!events} is the only per-fold expansion.
+    The coordinator holds one counted state per run, which counts that
+    run's [fold_done] pulses. *)
 
 type t = {
   net_name : string;
@@ -18,8 +18,11 @@ type t = {
 val build : Datapath.t -> Db_ir.Graph.t -> t
 
 val coordinator_fsm : t -> Db_hdl.Fsm.t
-(** One state per fold (plus [idle]); input [fold_done]; each transition
-    pulses the fold's trigger event output ({!Db_hdl.Fsm.chain}). *)
+(** The coordinator the generated RTL runs ({!Db_hdl.Fsm.chain}): [idle]
+    plus one state per run, counted by the run's folds; input
+    [fold_done].  Entering a run's state pulses output [ev_] plus the
+    run's first fold event as an identifier ([ev_layer3_fold0]); the
+    state's position is the fold within the run. *)
 
 val fold_count : t -> int
 

@@ -4,7 +4,7 @@
    back-propagation and update phases and builds the phase-level FSM that
    sequences them.  Runs keep the schedule O(nodes): a gradient or update
    sweep is one fold per [lanes] words, millions of folds on the large
-   networks.  Within a phase the per-fold coordinator
+   networks.  Within a phase the run-level coordinator
    ([Schedule.coordinator_fsm]) still drives execution — the phase FSM
    sits above it and gates which processor set (FF, BP or UP datapath
    blocks) owns the shared weight memories.  Both FSMs are the same
@@ -78,15 +78,11 @@ let build dp (g : Graph.t) =
    [phase_done], each state asserting its processor-set enable. *)
 let phase_fsm t =
   Db_hdl.Fsm.chain
-    (* a Verilog identifier: the training graph's name is "<net>:train" *)
-    ~name:
-      ("train_phases_"
-      ^ String.map
-          (fun c -> if Db_hdl.Lint.is_word_char c then c else '_')
-          t.net_name)
+    (* the training graph's name is "<net>:train" *)
+    ~name:(Db_hdl.Rtl.identifier ("train_phases_" ^ t.net_name))
     ~advance:"phase_done" ~output_prefix:"en_"
     (List.filter_map
-       (fun p -> if phase_runs t p = [] then None else Some (phase_name p))
+       (fun p -> if phase_runs t p = [] then None else Some (phase_name p, 1))
        [ Ff; Bp; Up ])
 
 let pp fmt t =

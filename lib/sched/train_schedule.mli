@@ -5,7 +5,7 @@
     by run, into the feed-forward (FF), back-propagation (BP) and
     weight-update (UP) phases; a phase-level FSM sequences the three
     processor sets that share the weight memories, while each phase
-    internally runs the ordinary per-fold coordinator.  The phase FSM and
+    internally runs the ordinary run-level coordinator.  The phase FSM and
     the coordinator are the same {!Db_hdl.Fsm.chain}. *)
 
 type phase = Ff | Bp | Up

@@ -1,8 +1,9 @@
 (** Control-path playback: execute the generated run-time control end to
     end and verify its memory safety.
 
-    The coordinator FSM is stepped through every fold event in schedule
-    order; for each fold, every compiled AGU transfer is replayed on the
+    The coordinator FSM is stepped through every fold in schedule order,
+    and the fold each pulse leaves it at (its run's state and the position
+    within the run) must be the schedule's next fold; for each fold, every compiled AGU transfer is replayed on the
     cycle-accurate {!Db_mem.Agu_sim} machine, and each issued address is
     checked against the DRAM layout region it is supposed to touch
     (feature fetches inside the input blob, weight streams inside the

@@ -38,8 +38,10 @@ let magic = "DBSTORE1"
    activation and LRN units hold changed shape, and so did their RTL.
    5: [Conv]/[Fc] ops lost their activation slot, so the marshalled IR
    inside a design changed shape under keys that did not move.
-   6: a design's schedule holds fold runs, not one record per fold. *)
-let format_version = 6
+   6: a design's schedule holds fold runs, not one record per fold.
+   7: the coordinator block holds the schedule's machine ([Fsm.t], with
+   counted states), not a state and signal count. *)
+let format_version = 7
 
 type stats = {
   st_hits : int;

@@ -121,7 +121,13 @@ let test_templates_emit () =
       Block.make ~name:"sorter" ~fmt (Block.Classifier_ksorter { k = 2; fan_in = 10 });
       Block.make ~name:"agu" ~fmt
         (Block.Agu { agu_kind = Block.Main_agu; pattern_count = 4; addr_bits = 16 });
-      Block.make ~name:"coord" ~fmt (Block.Coordinator { n_states = 5; n_signals = 4 });
+      Block.make ~name:"coord" ~fmt
+        (Block.Coordinator
+           {
+             fsm =
+               Db_hdl.Fsm.chain ~name:"coord" ~advance:"fold_done"
+                 ~output_prefix:"ev_" [ ("a", 1); ("b", 4) ];
+           });
       Block.make ~name:"fbuf" ~fmt (Block.Feature_buffer { words = 256; port_words = 4 });
     ]
   in

@@ -187,6 +187,44 @@ let test_generate_from_script () =
   Alcotest.(check string) "name" "scripted"
     design.Design.network.Network.net_name
 
+(* A network name that is no Verilog identifier ("ann.0+x", ann0's
+   prototxt renamed) names every module through the one sanitizer: the
+   inference top and coordinator and the training top come out as
+   identifiers, and the emitted text lints clean. *)
+let test_generated_names_are_identifiers () =
+  let source =
+    let ic = open_in_bin "../models/ann0.prototxt" in
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  let model =
+    String.concat "\n"
+      (List.map
+         (fun line -> if line = {|name: "ann0"|} then {|name: "ann.0+x"|} else line)
+         (String.split_on_char '\n' source))
+  in
+  let design =
+    Generator.generate_from_script ~model
+      ~constraint_script:Db_serve.Serve.default_constraint_script ()
+  in
+  Alcotest.(check string) "renamed" "ann.0+x" design.Design.network.Network.net_name;
+  let rtl = design.Design.rtl in
+  let names = List.map (fun m -> m.Db_hdl.Rtl.mod_name) rtl.Db_hdl.Rtl.modules in
+  Alcotest.(check string) "top" "accelerator_ann_0_x" rtl.Db_hdl.Rtl.top;
+  Alcotest.(check bool) "coordinator" true (List.mem "coordinator_ann_0_x" names);
+  List.iter
+    (fun n -> Alcotest.(check string) "identifier" (Db_hdl.Rtl.identifier n) n)
+    names;
+  Db_hdl.Lint.assert_clean (Design.verilog design);
+  let train =
+    Db_core.Train_builder.build
+      (Constraints.parse Db_serve.Serve.default_constraint_script)
+      design.Design.network
+  in
+  Alcotest.(check string) "training top" "train_ann_0_x"
+    train.Db_core.Train_builder.train_rtl.Db_hdl.Rtl.top
+
 let test_tiling_toggle_changes_program () =
   (* For a conv whose input exceeds the feature buffer, disabling tiling
      must lower the DRAM sequential fraction.  AlexNet under a 12-DSP cap
@@ -249,6 +287,8 @@ let suite =
         Alcotest.test_case "rtl valid" `Quick test_generator_rtl_valid;
         Alcotest.test_case "lut contents" `Quick test_generator_lut_contents;
         Alcotest.test_case "from script" `Quick test_generate_from_script;
+        Alcotest.test_case "names are identifiers" `Quick
+          test_generated_names_are_identifiers;
         Alcotest.test_case "resources" `Quick test_resource_report_sane;
         Alcotest.test_case "power" `Quick test_power_positive;
       ] );

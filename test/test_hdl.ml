@@ -125,6 +125,22 @@ let test_validate_unknown_net () =
 let test_validate_missing_top () =
   expect_invalid { Rtl.top = "nope"; modules = [ leaf ] } "top module"
 
+let test_validate_module_name () =
+  expect_invalid
+    { Rtl.top = "ann.0+x"; modules = [ { leaf with Rtl.mod_name = "ann.0+x" } ] }
+    "not a Verilog identifier";
+  List.iter
+    (fun (name, want) ->
+      Alcotest.(check string) name want (Rtl.identifier name))
+    [
+      ("accelerator_vgg-16", "accelerator_vgg_16");
+      ("accelerator_ann.0+x", "accelerator_ann_0_x");
+      ("train_phases_ann0:train", "train_phases_ann0_train");
+      ("0ops", "_0ops");
+      ("", "_");
+      ("already_ok9", "already_ok9");
+    ]
+
 let test_verilog_emission () =
   let text = Verilog.emit_design good_design in
   Alcotest.(check bool) "has leaf module" true (contains text "module leaf (");
@@ -149,6 +165,7 @@ let counter_fsm =
         { Fsm.from_state = "run"; guard = Some "stop"; to_state = "done"; actions = [ "finished" ] };
         { Fsm.from_state = "run"; guard = None; to_state = "run"; actions = [ "tick" ] };
       ];
+    counts = [];
   }
 
 let test_fsm_validate () = Fsm.validate counter_fsm
@@ -179,23 +196,67 @@ let test_fsm_rejects_unknown_guard () =
   | exception Db_util.Error.Deepburning_error _ -> ()
 
 let test_fsm_step_semantics () =
-  let s1, a1 = Fsm.step counter_fsm ~state:"idle" ~asserted:[ "go" ] in
-  Alcotest.(check string) "idle -go-> run" "run" s1;
+  let s1, a1 = Fsm.step counter_fsm ~state:("idle", 0) ~asserted:[ "go" ] in
+  Alcotest.(check string) "idle -go-> run" "run" (fst s1);
   Alcotest.(check (list string)) "tick" [ "tick" ] a1;
-  let s2, _ = Fsm.step counter_fsm ~state:"idle" ~asserted:[] in
-  Alcotest.(check string) "idle stays without go" "idle" s2;
-  let s3, a3 = Fsm.step counter_fsm ~state:"run" ~asserted:[] in
-  Alcotest.(check string) "run self-loop" "run" s3;
+  let s2, _ = Fsm.step counter_fsm ~state:("idle", 0) ~asserted:[] in
+  Alcotest.(check string) "idle stays without go" "idle" (fst s2);
+  let s3, a3 = Fsm.step counter_fsm ~state:("run", 0) ~asserted:[] in
+  Alcotest.(check string) "run self-loop" "run" (fst s3);
   Alcotest.(check (list string)) "self tick" [ "tick" ] a3;
-  let s4, a4 = Fsm.step counter_fsm ~state:"run" ~asserted:[ "stop" ] in
-  Alcotest.(check string) "guard wins over epsilon" "done" s4;
+  let s4, a4 = Fsm.step counter_fsm ~state:("run", 0) ~asserted:[ "stop" ] in
+  Alcotest.(check string) "guard wins over epsilon" "done" (fst s4);
   Alcotest.(check (list string)) "finished" [ "finished" ] a4
 
 let test_fsm_run_trace () =
   let trace = Fsm.run counter_fsm ~asserted:[ [ "go" ]; []; [ "stop" ] ] in
   Alcotest.(check (list string))
     "state trace" [ "run"; "run"; "done" ]
-    (List.map fst trace)
+    (List.map (fun ((s, _), _) -> s) trace)
+
+(* A chain of two runs, 3 folds then 1: the counted state holds for three
+   advance pulses, reporting its position, and pulses only on entry. *)
+let counted_chain =
+  Fsm.chain ~name:"coord" ~advance:"fold_done" ~output_prefix:"ev_"
+    [ ("a", 3); ("b", 1) ]
+
+let test_fsm_counted_run () =
+  Alcotest.(check int) "position register" 2 (Fsm.counter_bits counted_chain);
+  Alcotest.(check int) "uncounted" 0 (Fsm.counter_bits counter_fsm);
+  let trace =
+    Fsm.run counted_chain
+      ~asserted:([ "start" ] :: List.init 4 (fun _ -> [ "fold_done" ]))
+  in
+  Alcotest.(check (list (pair (pair string int) (list string))))
+    "trace"
+    [
+      (("s_a", 0), [ "ev_a" ]);
+      (("s_a", 1), []);
+      (("s_a", 2), []);
+      (("s_b", 0), [ "ev_b" ]);
+      (("idle", 0), []);
+    ]
+    trace
+
+let test_fsm_rejects_bad_count () =
+  List.iter
+    (fun counts ->
+      match Fsm.validate { counter_fsm with Fsm.counts } with
+      | () -> Alcotest.fail "expected count rejection"
+      | exception Db_util.Error.Deepburning_error _ -> ())
+    [ [ ("run", 0) ]; [ ("nowhere", 2) ]; [ ("run", 2); ("run", 3) ] ]
+
+let test_fsm_counted_verilog () =
+  let text = Verilog.emit_module (Rtl.of_fsm counted_chain) in
+  Alcotest.(check bool) "position register" true
+    (contains text "reg [1:0] position;");
+  Alcotest.(check bool) "leaves on the last count" true
+    (contains text "if (position == 2'd2) begin");
+  Alcotest.(check (list string)) "lint clean" []
+    (List.map (fun (i : Db_hdl.Lint.issue) -> i.Db_hdl.Lint.message)
+       (Db_hdl.Lint.check text));
+  Alcotest.(check bool) "no counter when uncounted" false
+    (contains (Verilog.emit_module (Rtl.of_fsm counter_fsm)) "position")
 
 let test_fsm_reachability () =
   let unreachable =
@@ -238,11 +299,12 @@ let prop_linear_fsm_walk =
           inputs = [ "step" ];
           outputs = [];
           transitions;
+          counts = [];
         }
       in
       Fsm.validate fsm;
       let trace = Fsm.run fsm ~asserted:(List.init (n - 1) (fun _ -> [ "step" ])) in
-      List.map fst trace = List.tl states)
+      List.map (fun ((s, _), _) -> s) trace = List.tl states)
 
 let suite =
   [
@@ -253,6 +315,7 @@ let suite =
         Alcotest.test_case "unknown port" `Quick test_validate_unknown_port;
         Alcotest.test_case "unknown net" `Quick test_validate_unknown_net;
         Alcotest.test_case "missing top" `Quick test_validate_missing_top;
+        Alcotest.test_case "module names" `Quick test_validate_module_name;
         Alcotest.test_case "verilog emission" `Quick test_verilog_emission;
       ] );
     ( "hdl.fsm",
@@ -262,6 +325,9 @@ let suite =
         Alcotest.test_case "unknown guard" `Quick test_fsm_rejects_unknown_guard;
         Alcotest.test_case "step" `Quick test_fsm_step_semantics;
         Alcotest.test_case "run trace" `Quick test_fsm_run_trace;
+        Alcotest.test_case "counted run" `Quick test_fsm_counted_run;
+        Alcotest.test_case "bad counts" `Quick test_fsm_rejects_bad_count;
+        Alcotest.test_case "counted verilog" `Quick test_fsm_counted_verilog;
         Alcotest.test_case "reachability" `Quick test_fsm_reachability;
         Alcotest.test_case "verilog" `Quick test_fsm_to_verilog;
         QCheck_alcotest.to_alcotest prop_linear_fsm_walk;

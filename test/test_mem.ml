@@ -91,14 +91,16 @@ let test_pattern_fsm () =
   Alcotest.(check bool) "has burst state" true (List.mem "burst_row" fsm.Db_hdl.Fsm.states);
   Alcotest.(check bool) "has next_row" true (List.mem "next_row" fsm.Db_hdl.Fsm.states);
   (* trigger -> burst -> ... -> done *)
-  let state, actions = Db_hdl.Fsm.step fsm ~state:"idle" ~asserted:[ "trigger" ] in
+  let (state, _), actions = Db_hdl.Fsm.step fsm ~state:("idle", 0) ~asserted:[ "trigger" ] in
   Alcotest.(check string) "starts bursting" "burst_row" state;
   Alcotest.(check (list string)) "asserts addr_valid" [ "addr_valid" ] actions
 
 let test_pattern_fsm_single_row () =
   let p = Access_pattern.contiguous ~name:"s" ~start:0 ~length:8 in
   let fsm = Access_pattern.to_fsm p in
-  let state, actions = Db_hdl.Fsm.step fsm ~state:"burst_row" ~asserted:[ "row_done" ] in
+  let (state, _), actions =
+    Db_hdl.Fsm.step fsm ~state:("burst_row", 0) ~asserted:[ "row_done" ]
+  in
   Alcotest.(check string) "returns to idle" "idle" state;
   Alcotest.(check (list string)) "done pulse" [ "done_pulse" ] actions
 

@@ -144,18 +144,23 @@ let test_coordinator_fsm () =
   let schedule = Schedule.build (dp 2) (Db_ir.Lower.lower net) in
   let fsm = Schedule.coordinator_fsm schedule in
   Db_hdl.Fsm.validate fsm;
-  (* Walking fold_done through the machine visits every fold state and
-     returns to idle. *)
+  (* One state per run plus idle; walking one fold_done per fold through
+     the machine visits every run state and returns to idle. *)
+  let runs = List.length schedule.Schedule.runs in
+  Alcotest.(check int) "1 + runs states" (1 + runs)
+    (List.length fsm.Db_hdl.Fsm.states);
   let n = Schedule.fold_count schedule in
+  Alcotest.(check bool) "some run holds several folds" true (n > runs);
   let inputs = [ "start" ] :: List.init n (fun _ -> [ "fold_done" ]) in
   let trace = Db_hdl.Fsm.run fsm ~asserted:inputs in
   (match List.rev trace with
-  | (last, _) :: _ -> Alcotest.(check string) "ends idle" "idle" last
+  | (last, _) :: _ -> Alcotest.(check (pair string int)) "ends idle" ("idle", 0) last
   | [] -> Alcotest.fail "empty trace");
-  (* Every event output pulses exactly once. *)
+  (* Every run's output pulses exactly once. *)
   let pulses = List.concat_map snd trace in
-  Alcotest.(check int) "n event pulses" n (List.length pulses);
-  Alcotest.(check int) "all distinct" n (List.length (List.sort_uniq compare pulses))
+  Alcotest.(check int) "one pulse per run" runs (List.length pulses);
+  Alcotest.(check int) "all distinct" runs
+    (List.length (List.sort_uniq compare pulses))
 
 let test_fold_layer_rejects_bad_bottoms () =
   match
@@ -185,10 +190,10 @@ let prop_folding_conserves =
       && List.for_all (fun f -> f.Folding.lanes_used <= lanes && f.Folding.lanes_used > 0) folds
       && List.length folds = (num_output + lanes - 1) / lanes)
 
-(* The coordinator FSM of every zoo design and the training Verilog (which
-   holds the FF/BP/UP phase FSM) of ann0 and mlp, digested and compared
-   against the committed pin.  The coordinator is only analysed, never
-   emitted, so the zoo RTL digests do not cover it. *)
+(* The coordinator module of every zoo design and the training Verilog
+   (which holds the FF/BP/UP phase FSM) of ann0 and mlp, digested and
+   compared against the committed pin: a change to the machines names
+   itself here before it moves the whole-design RTL digests. *)
 let test_zoo_fsm_pinned () =
   let read_file path =
     let ic = open_in_bin path in
